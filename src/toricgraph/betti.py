@@ -14,8 +14,6 @@ certification question; see `known_complete_degree`.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,8 +29,6 @@ from .graph import (
 from .homology import RATIONALS, FieldSpec, reduced_homology
 
 DEFAULT_MAX_SCAN = 10**5
-
-THREADS_ENV = "TORIC_THREADS"
 
 
 class ScanOverflowError(RuntimeError):
@@ -124,25 +120,6 @@ def standard_graded_betti(table: BettiTable) -> dict[tuple[int, int], int]:
     return table.standard_graded()
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-
-
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def betti_number(
     g: Graph,
     i: int,
@@ -169,35 +146,29 @@ def betti_table(
     assume_complete: bool = False,
     max_fiber: int = DEFAULT_MAX_FIBER,
     max_scan: int = DEFAULT_MAX_SCAN,
-    workers: Optional[int] = None,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]] = None,
 ) -> BettiTable:
     """Scan all semigroup elements of standard degree <= max_degree.
 
     max_degree defaults to the edge count (a safe but often generous bound).
     `on_complex(s, delta)` is invoked for every degree complex the scan
-    builds, in scan order; it exists for audits.  The worker count comes from
-    the TORIC_THREADS environment variable when not passed explicitly; output
-    is identical for any worker count.
+    builds, in scan order; it exists for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
-    workers = _resolve_workers(workers)
     levels = semigroup_levels(g, max_degree, max_scan)
-
-    def task(s: tuple[int, ...]):
-        delta = build_delta(g, s, max_fiber=max_fiber)
-        if on_complex is not None:
-            on_complex(s, delta)
-        if delta.common_vertex() is not None:
-            return s, ()
-        hom = reduced_homology(delta, field)
-        return s, tuple((d, h) for d, h in enumerate(hom, start=-1) if h)
 
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for level in levels:
-        for s, nonzero in _map_ordered(task, level, workers):
-            for d, h in nonzero:
+        for s in level:
+            delta = build_delta(g, s, max_fiber=max_fiber)
+            if on_complex is not None:
+                on_complex(s, delta)
+            if delta.common_vertex() is not None:
+                continue
+            for d, h in enumerate(reduced_homology(delta, field), start=-1):
+                if not h:
+                    continue
                 i = d + 1
                 if 2 * i > sum(s):
                     raise RuntimeError(

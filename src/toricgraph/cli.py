@@ -456,6 +456,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FiberOverflowError, ScanOverflowError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("toricgraph: error: search nested deeper than the recursion limit", file=sys.stderr)
+        return 2
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,36 @@ from . import linalg
 from .complexes import SimplicialComplex
 
 
+# Miller-Rabin with the prime bases up to 37 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson-Webster, Math. Comp. 86,
+# 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: the rationals (modulus None) or GF(p), p prime."""
@@ -30,34 +60,28 @@ class FieldSpec:
         p = self.modulus
         if p is None:
             return
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"modulus must be below {_MR_LIMIT}, got {p}")
+        if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
 
 
-RATIONALS = FieldSpec.rationals()
+RATIONALS = FieldSpec(None)
 
 
 def parse_field(text: str) -> FieldSpec:
     """Parse a field name: 'q'/'Q'/'0' for the rationals, or a prime."""
     t = text.strip()
     if t.lower() in ("q", "0", "rational", "rationals"):
-        return FieldSpec.rationals()
+        return RATIONALS
     try:
         p = int(t)
     except ValueError:
         raise ValueError(f"unrecognized field {text!r}; use 'q' or a prime") from None
-    return FieldSpec.prime(p)
+    return FieldSpec(p)
 
 
 def boundary_matrix(k: SimplicialComplex, d: int) -> list[dict[int, int]]:

@@ -1,8 +1,16 @@
-"""Exact matrix rank over Q or a prime field, dense and sparse paths.
+"""Exact matrix rank over Q or a prime field, by sparse column reduction.
 
 Matrices arrive as column dictionaries {row: value} with integer values
 (boundary matrices are mostly +-1 and very sparse).  Rank is all the
 homology computation needs, so nothing else is implemented.
+
+The kernel is the standard column reduction of persistent homology
+(Zomorodian-Carlsson, DCG 2005; Bauer, "Ripser", JACT 2021): each column
+in turn is reduced against the stored pivot column that shares its largest
+row index, until it vanishes or its largest row has no pivot yet, in which
+case it becomes that row's pivot.  The pivots are linearly independent, so
+their number is the rank.  Columns stay sparse throughout, which keeps
+memory proportional to the fill-in rather than to rows x columns.
 """
 
 from __future__ import annotations
@@ -10,45 +18,44 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-# auto path selection: matrices this small are always dense; above the size
-# cutoff the sparse code wins whenever density stays low
-DENSE_CELL_LIMIT = 40_000
-SPARSE_DENSITY = 0.2
-
 
 def rank(
     columns: Sequence[Mapping[int, int]],
     nrows: int,
     modulus: Optional[int] = None,
-    method: str = "auto",
 ) -> int:
     """Rank of the nrows x len(columns) matrix given by sparse columns.
 
     modulus None means exact rational arithmetic; otherwise arithmetic is in
     GF(modulus) with modulus prime.
     """
-    ncols = len(columns)
-    if nrows == 0 or ncols == 0:
+    if nrows == 0 or not columns:
         return 0
-    if method not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        nnz = sum(len(c) for c in columns)
-        big = nrows * ncols > DENSE_CELL_LIMIT
-        method = "sparse" if big and nnz <= SPARSE_DENSITY * nrows * ncols else "dense"
-    if method == "dense":
-        rows = [[0] * ncols for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                rows[i][j] = v % modulus if modulus else v
-        return _rank_dense_modp(rows, modulus) if modulus else _rank_dense_q(rows)
-    rows_s: list[dict[int, int]] = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            v = v % modulus if modulus else v
-            if v:
-                rows_s[i][j] = v
-    return _rank_sparse(rows_s, modulus)
+    pivots: dict[int, dict] = {}
+    for column in columns:
+        if modulus:
+            col = {i: v % modulus for i, v in column.items() if v % modulus}
+        else:
+            col = {i: v for i, v in column.items() if v}
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            if modulus:
+                f = col[low] * pow(pivot[low], -1, modulus) % modulus
+            else:
+                f = _exact_div(col[low], pivot[low])
+            for i, pv in pivot.items():
+                x = col.get(i, 0) - f * pv
+                if modulus:
+                    x %= modulus
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+    return len(pivots)
 
 
 def _exact_div(a, b):
@@ -57,103 +64,3 @@ def _exact_div(a, b):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return Fraction(a) / Fraction(b)
-
-
-def _rank_dense_q(rows: list[list]) -> int:
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        # prefer a +-1 pivot so row operations stay in int
-        p = None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                if p is None:
-                    p = i
-                if v == 1 or v == -1:
-                    p = i
-                    break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        nz = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if not v:
-                continue
-            f = _exact_div(v, pv)
-            row = rows[i]
-            for j, pj in nz:
-                row[j] -= f * pj
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_dense_modp(rows: list[list[int]], p: int) -> int:
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], -1, p)
-        nz = [(j, prow[j]) for j in range(c, ncols) if prow[j] % p]
-        for i in range(r + 1, nrows):
-            v = rows[i][c] % p
-            if not v:
-                continue
-            f = v * inv % p
-            row = rows[i]
-            for j, pj in nz:
-                row[j] = (row[j] - f * pj) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_sparse(rows: list[dict[int, int]], modulus: Optional[int]) -> int:
-    live = [r for r in rows if r]
-    rk = 0
-    while live:
-        # cheapest remaining row, then its rarest column (deterministic ties)
-        bi = min(range(len(live)), key=lambda i: (len(live[i]), i))
-        brow = live.pop(bi)
-        occ: dict[int, int] = {}
-        for r in live:
-            for c in r:
-                if c in brow:
-                    occ[c] = occ.get(c, 0) + 1
-        pc = min(brow, key=lambda c: (occ.get(c, 0), c))
-        pv = brow[pc]
-        rk += 1
-        inv = pow(pv, -1, modulus) if modulus else None
-        nxt = []
-        for r in live:
-            v = r.get(pc)
-            if v is None:
-                nxt.append(r)
-                continue
-            f = v * inv % modulus if modulus else _exact_div(v, pv)
-            for c, bv in brow.items():
-                x = r.get(c, 0) - f * bv
-                if modulus:
-                    x %= modulus
-                if x:
-                    r[c] = x
-                else:
-                    r.pop(c, None)
-            if r:
-                nxt.append(r)
-        live = nxt
-    return rk

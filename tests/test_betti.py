@@ -172,18 +172,6 @@ def test_depth_plus_pd_is_edge_count():
         assert inv.depth + inv.projective_dimension == len(g.edges)
 
 
-def test_worker_count_does_not_change_output(monkeypatch):
-    g = complete_bipartite_graph(2, 3)
-    t1 = betti_table(g, workers=1)
-    t3 = betti_table(g, workers=3)
-    assert t1.entries == t3.entries
-    monkeypatch.setenv("TORIC_THREADS", "2")
-    assert betti_table(g).entries == t1.entries
-    monkeypatch.setenv("TORIC_THREADS", "zebra")
-    with pytest.raises(ValueError, match="TORIC_THREADS"):
-        betti_table(g)
-
-
 def test_on_complex_sees_every_scanned_degree():
     g = cycle_graph(4)
     seen = []

@@ -210,7 +210,7 @@ def test_usage_errors_exit_1_not_2(capsys):
     assert code == 1
 
 
-def test_exit_2_on_cap_overflow(capsys, data_dir):
+def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     code, out, err = _run(
         capsys,
         "fiber",
@@ -227,6 +227,16 @@ def test_exit_2_on_cap_overflow(capsys, data_dir):
     code, _, err = _run(capsys, "betti", _path(data_dir, "k23.json"), "--max-scan", "2")
     assert code == 2
     assert "scan overflow" in err
+
+    # the fiber search nests once per edge; a long path outgrows the stack
+    graph = tmp_path / "path.edges"
+    graph.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1500)))
+    degree = tmp_path / "zero.json"
+    degree.write_text(json.dumps([0] * 1501))
+    code, out, err = _run(capsys, "fiber", str(graph), "--degree", str(degree))
+    assert code == 2
+    assert out == ""
+    assert "recursion limit" in err and len(err.splitlines()) == 1
 
 
 def test_version(capsys):

@@ -40,6 +40,13 @@ def test_field_spec():
     with pytest.raises(ValueError):
         FieldSpec(1)
     assert FieldSpec(13).modulus == 13
+    assert FieldSpec(10**18 + 3).modulus == 10**18 + 3
+    for composite in (561, (10**9 + 7) ** 2):
+        with pytest.raises(ValueError, match="prime"):
+            FieldSpec(composite)
+    # a strong pseudoprime to every base the primality test uses
+    with pytest.raises(ValueError, match="below"):
+        FieldSpec(318665857834031151167461)
 
 
 def test_parse_field():
