@@ -21,7 +21,6 @@ from .betti import (
     invariants,
     known_complete_degree,
     semigroup_levels,
-    standard_graded_betti,
 )
 from .complexes import SimplicialComplex, build_delta
 from .fiber import (

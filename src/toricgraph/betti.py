@@ -1,11 +1,20 @@
 """Multigraded Betti numbers of the edge subring, and the invariants they carry.
 
 beta_{i,s} is the dimension of H~_{i-1} of the degree complex at s, so the
-whole table up to standard degree D is obtained by walking every semigroup
-element of total degree at most 2D (level by level: each level is the
-previous one translated by the edge columns) and running reduced homology
-on its degree complex.  Complexes that are cones are skipped: they are
-contractible and contribute nothing.
+table of a graph up to standard degree D is obtained by walking every
+semigroup element of total degree at most 2D (level by level: each level is
+the previous one translated by the edge columns) and running reduced
+homology on its degree complex.  Complexes that are cones are skipped: they
+are contractible and contribute nothing.
+
+The edge subring of a disjoint union is the tensor product of the
+components' rings, and so is its minimal free resolution (Kuenneth): with
+s_1, ..., s_r the parts of s on the components, beta_{i,s} is the sum over
+i_1 + ... + i_r = i of the products of the components' beta_{i_j,s_j}.  The
+scan therefore walks each connected component on its own, stops a
+component at its closed-form top degree when it has one, and convolves the
+component tables.  That visits the sum of the components' element counts
+instead of their product.
 
 The scan is exact for every entry it can see: beta_{i,j} with j <= D is the
 true value.  Whether the table is the *whole* resolution is a separate
@@ -116,10 +125,6 @@ class BettiTable:
         return max(sum(s) // 2 - i for i, s in self.entries)
 
 
-def standard_graded_betti(table: BettiTable) -> dict[tuple[int, int], int]:
-    return table.standard_graded()
-
-
 def betti_number(
     g: Graph,
     i: int,
@@ -148,35 +153,37 @@ def betti_table(
     max_scan: int = DEFAULT_MAX_SCAN,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]] = None,
 ) -> BettiTable:
-    """Scan all semigroup elements of standard degree <= max_degree.
+    """All Betti entries of standard degree <= max_degree.
 
     max_degree defaults to the edge count (a safe but often generous bound).
+    Each connected component with an edge is scanned on its own, up to
+    max_degree or its closed-form top degree, whichever is lower; the
+    component tables are then convolved (Kuenneth) and cut at max_degree.
+    `max_scan` caps the semigroup elements of all components together.
     `on_complex(s, delta)` is invoked for every degree complex the scan
-    builds, in scan order; it exists for audits.
+    builds, with s the component's own multidegree (aligned with the
+    component's vertices, in g's order), component by component in the order
+    of `connected_components`, each in scan order; it exists for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
-    levels = semigroup_levels(g, max_degree, max_scan)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    parts = _components(g)
+    entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
+    scanned = 0
+    for h, top in parts:
+        degree = max_degree if top is None else min(max_degree, top)
+        try:
+            levels = semigroup_levels(h, degree, max_scan - scanned)
+        except ScanOverflowError as exc:
+            raise ScanOverflowError(max_scan, exc.degree) from None
+        scanned += sum(len(level) for level in levels)
+        local = _scan(h, levels, field, max_fiber, on_complex)
+        positions = [g.index[v] for v in h.vertices]
+        entries = _convolve(entries, local, positions, 2 * max_degree)
 
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for level in levels:
-        for s in level:
-            delta = build_delta(g, s, max_fiber=max_fiber)
-            if on_complex is not None:
-                on_complex(s, delta)
-            if delta.common_vertex() is not None:
-                continue
-            for d, h in enumerate(reduced_homology(delta, field), start=-1):
-                if not h:
-                    continue
-                i = d + 1
-                if 2 * i > sum(s):
-                    raise RuntimeError(
-                        f"internal error: beta_{{{i},{s}}} nonzero violates 2i <= |s|"
-                    )
-                entries[(i, s)] = h
-
-    known = known_complete_degree(g)
+    known = _total_degree(parts)
     certified = assume_complete or (known is not None and max_degree >= known)
     caveats: list[str] = []
     if assume_complete and not (known is not None and max_degree >= known):
@@ -198,29 +205,101 @@ def betti_table(
     )
 
 
-def known_complete_degree(g: Graph) -> Optional[int]:
-    """Largest standard degree any Betti entry of k[G] can live in, when the
-    graph is simple enough to know the answer in closed form; None otherwise.
+def _scan(
+    h: Graph,
+    levels: list[list[tuple[int, ...]]],
+    field: FieldSpec,
+    max_fiber: int,
+    on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Betti entries of one graph at the given semigroup elements."""
+    entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    for level in levels:
+        for s in level:
+            delta = build_delta(h, s, max_fiber=max_fiber)
+            if on_complex is not None:
+                on_complex(s, delta)
+            if delta.common_vertex() is not None:
+                continue
+            for d, dim in enumerate(reduced_homology(delta, field), start=-1):
+                if not dim:
+                    continue
+                i = d + 1
+                if 2 * i > sum(s):
+                    raise RuntimeError(
+                        f"internal error: beta_{{{i},{s}}} nonzero violates 2i <= |s|"
+                    )
+                entries[(i, s)] = dim
+    return entries
 
-    Components whose incidence rank equals their edge count present free
-    polynomial rings (no syzygies at all); complete bipartite components have
-    a known resolution that tops out at degree pd + reg.  Both classes are
-    Cohen-Macaulay, so the top degree adds up across a disjoint union.
+
+def _convolve(
+    union: dict[tuple[int, tuple[int, ...]], int],
+    component: dict[tuple[int, tuple[int, ...]], int],
+    positions: Sequence[int],
+    max_total: int,
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Kuenneth product of a table on g with the table of a component that
+    `union` does not involve yet: beta_{i,s} = sum of beta_{i1,s1} *
+    beta_{i2,s2} over i1 + i2 = i, where s1 and s2 are s off and on the
+    component.  Component multidegrees are placed at `positions` in g;
+    products of total degree above `max_total` are dropped."""
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    for (i1, s1), b1 in union.items():
+        for (i2, s2), b2 in component.items():
+            if sum(s1) + sum(s2) > max_total:
+                continue
+            s = list(s1)
+            for p, x in zip(positions, s2):
+                s[p] = x
+            key = (i1 + i2, tuple(s))
+            out[key] = out.get(key, 0) + b1 * b2
+    return out
+
+
+def _top_degree(h: Graph) -> Optional[int]:
+    """Largest standard degree any Betti entry of k[H] can live in, for a
+    connected graph H with at least one edge, when a closed form gives it;
+    None otherwise.
+
+    H presents a free polynomial ring (no syzygies at all) when its incidence
+    rank equals its edge count; K_{u,v} with u <= v has a known resolution
+    that tops out at degree pd + reg = (u-1)(v-1) + (u-1) = (u-1)v.
     """
-    total = 0
+    if incidence_rank(h) == len(h.edges):
+        return 0
+    sides = recognize_complete_bipartite(h)
+    if sides is None:
+        return None
+    u, v = sides
+    return (u - 1) * v
+
+
+def _components(g: Graph) -> list[tuple[Graph, Optional[int]]]:
+    """Each connected component with at least one edge, as an induced
+    subgraph of g, paired with its closed-form top degree (or None)."""
+    parts = []
     for comp in connected_components(g):
         h = induced_subgraph(g, comp)
-        m = len(h.edges)
-        if m == 0:
-            continue
-        if incidence_rank(h) == m:
-            continue
-        sides = recognize_complete_bipartite(h)
-        if sides is None:
-            return None
-        u, v = sides
-        total += (u - 1) * (v - 1) + (u - 1)
-    return total
+        if h.edges:
+            parts.append((h, _top_degree(h)))
+    return parts
+
+
+def _total_degree(parts: list[tuple[Graph, Optional[int]]]) -> Optional[int]:
+    tops = [top for _, top in parts]
+    return None if None in tops else sum(tops)
+
+
+def known_complete_degree(g: Graph) -> Optional[int]:
+    """Largest standard degree any Betti entry of k[G] can live in, when
+    every connected component is free or complete bipartite, the classes
+    whose top degree `_top_degree` knows in closed form; None otherwise.
+
+    Both classes are Cohen-Macaulay, so the top degree adds up across a
+    disjoint union.
+    """
+    return _total_degree(_components(g))
 
 
 @dataclass(frozen=True)

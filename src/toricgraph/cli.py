@@ -42,7 +42,6 @@ from .homology import parse_field
 from .structure import (
     ForbiddenEmbedding,
     detect_forbidden,
-    embedding_error,
     forbidden_reg_bound,
     forbidden_reg_bound_standard,
     lower_bounds,
@@ -149,6 +148,16 @@ def _parse_embedding(obj) -> ForbiddenEmbedding:
     return ForbiddenEmbedding(**parts)
 
 
+def _exhaustive(g: Graph, args) -> bool:
+    """Whether --max-cycle and --max-path leave the pattern search unbounded
+    on this graph: no induced cycle is longer than |V| and no connecting
+    path longer than |V| - 1 (paths have length at least 2)."""
+    n = len(g.vertices)
+    return (args.max_cycle is None or args.max_cycle >= n) and (
+        args.max_path is None or args.max_path >= max(n - 1, 2)
+    )
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -207,8 +216,7 @@ def _cmd_analyze(args) -> dict:
             "found": cert is not None,
             "max_cycle": args.max_cycle,
             "max_path": args.max_path,
-            "exhaustive": (args.max_cycle is None or args.max_cycle >= len(g.vertices))
-            and (args.max_path is None or args.max_path >= max(len(g.vertices) - 1, 2)),
+            "exhaustive": _exhaustive(g, args),
         },
         "certificate": _certificate_section(cert) if cert is not None else None,
         "cohen_macaulay": combined,
@@ -272,9 +280,6 @@ def _cmd_certify(args) -> dict:
     embedding = None
     if args.embedding:
         embedding = _parse_embedding(_load_json_file(args.embedding, "embedding"))
-        reason = embedding_error(g, embedding)
-        if reason is not None:
-            raise ValueError(f"invalid embedding: {reason}")
     cert = noncm_certificate(
         g,
         embedding,
@@ -283,10 +288,7 @@ def _cmd_certify(args) -> dict:
         max_cycle=args.max_cycle,
         max_path=args.max_path,
     )
-    n = len(g.vertices)
-    exhaustive = (args.max_cycle is None or args.max_cycle >= n) and (
-        args.max_path is None or args.max_path >= max(n - 1, 2)
-    )
+    exhaustive = _exhaustive(g, args)
     if cert is not None:
         result = cert.verdict
     else:

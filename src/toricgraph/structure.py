@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .betti import DEFAULT_MAX_SCAN, betti_table, invariants, known_complete_degree
+from .betti import DEFAULT_MAX_SCAN, betti_table, invariants
 from .complexes import build_delta
 from .fiber import DEFAULT_MAX_FIBER
 from .graph import Graph, connected_components, induced_subgraph, recognize_complete_bipartite
@@ -475,9 +475,7 @@ def lower_bounds(
                 )
             )
             continue
-        known = known_complete_degree(h)
-        scan_to = known if known is not None else len(h.edges)
-        table = betti_table(h, scan_to, field=field, max_fiber=max_fiber, max_scan=max_scan)
+        table = betti_table(h, field=field, max_fiber=max_fiber, max_scan=max_scan)
         inv = invariants(h, table)
         method = "scan (certified)" if table.certified else "scan (lower bound)"
         out.append(

@@ -4,9 +4,12 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgraph import (
+    RATIONALS,
     FieldSpec,
+    Graph,
     ScanOverflowError,
     betti_number,
     betti_table,
@@ -17,10 +20,10 @@ from toricgraph import (
     known_complete_degree,
     path_graph,
     semigroup_levels,
-    standard_graded_betti,
 )
 
 from oracles import random_graph
+from whole_scan import whole_graph_entries
 
 
 def test_triangle_table_is_trivial():
@@ -57,7 +60,7 @@ def test_k23_table():
         (2, (1, 2, 1, 1, 1), 1),
         (2, (2, 1, 1, 1, 1), 1),
     ]
-    assert standard_graded_betti(t) == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
+    assert t.standard_graded() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
     inv = invariants(g, t)
     assert (inv.projective_dimension, inv.regularity) == (2, 1)
     assert inv.depth == 4 and inv.dimension == 4
@@ -127,6 +130,17 @@ def test_semigroup_levels_validation_and_overflow():
 def test_scan_overflow_propagates_from_betti_table():
     with pytest.raises(ScanOverflowError):
         betti_table(complete_bipartite_graph(3, 3), 3, max_scan=10)
+    # the cap covers all components together: each K_{2,3} has 65 elements
+    # up to its top degree 3, so 100 admits either one but not both
+    one = complete_bipartite_graph(2, 3)
+    two = disjoint_union(one, complete_bipartite_graph(2, 3, left="c", right="d"))
+    betti_table(one, max_scan=100)
+    with pytest.raises(ScanOverflowError) as exc:
+        betti_table(two, max_scan=100)
+    assert exc.value.limit == 100
+    # a negative bound is refused even when there is nothing to scan
+    with pytest.raises(ValueError):
+        betti_table(Graph(("a", "b"), ()), -1)
 
 
 def test_truncated_scan_is_uncertified():
@@ -138,6 +152,13 @@ def test_truncated_scan_is_uncertified():
     inv = invariants(g, t)
     assert inv.cohen_macaulay == "unknown"
     assert any("undecided" in c for c in inv.caveats)
+    # two squares are complete at degree 2 + 2; cut at 3, the product of
+    # their degree-2 syzygies (degree 4) is left out
+    two = disjoint_union(cycle_graph(4, "s"), cycle_graph(4, "t"))
+    t = betti_table(two, 3)
+    assert not t.certified
+    assert t.entries == whole_graph_entries(two, 3)
+    assert t.standard_graded() == {(0, 0): 1, (1, 2): 2}
 
 
 def test_assume_complete_sets_flag_with_caveat():
@@ -187,8 +208,6 @@ def test_field_argument_reaches_homology():
 
 
 def test_edgeless_graph():
-    from toricgraph import Graph
-
     g = Graph(("a", "b"), ())
     t = betti_table(g)
     assert t.entries == {(0, (0, 0)): 1}
@@ -201,3 +220,23 @@ def test_sorted_entries_order():
     t = betti_table(complete_bipartite_graph(2, 3))
     keys = [(sum(s), s, i) for i, s, _ in t.sorted_entries()]
     assert keys == sorted(keys)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_interleaved_union_matches_whole_graph_scan(rng, bound):
+    # 2-3 random graphs, at most 7 vertices in all, relabelled apart; the
+    # union's vertex and edge order is shuffled so the components interleave
+    count = rng.randint(2, 3)
+    vertices, edges, used = [], [], 0
+    for k in range(count):
+        part = random_graph(rng, max_vertices=7 - used - (count - 1 - k), max_edges=9)
+        used += len(part.vertices)
+        vertices += [f"g{k}{v}" for v in part.vertices]
+        edges += [(f"g{k}{u}", f"g{k}{v}") for u, v in part.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    g = Graph(tuple(vertices), tuple(edges))
+    for field in (RATIONALS, FieldSpec(2)):
+        got = betti_table(g, bound, field=field).entries
+        assert got == whole_graph_entries(g, bound, field), (g, bound, field)

@@ -228,6 +228,25 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     assert code == 2
     assert "scan overflow" in err
 
+    # the cap covers all components together: each K_{2,3} has 65 elements
+    # up to its top degree 3, so 100 admits either one but not both
+    union = tmp_path / "k23k23.edges"
+    union.write_text(
+        "".join(f"{a}{i} {b}{j}\n" for a, b in ("ab", "cd") for i in (1, 2) for j in (1, 2, 3))
+    )
+    code, out, err = _run(capsys, "betti", str(union), "--max-scan", "100")
+    assert code == 2
+    assert out == ""
+    assert "scan overflow: more than 100" in err and len(err.splitlines()) == 1
+
+    # a negative bound is bad input (exit 1), not a cap, even with nothing to scan
+    edgeless = tmp_path / "edgeless.edges"
+    edgeless.write_text("a\nb\n")
+    code, out, err = _run(capsys, "betti", str(edgeless), "--max-deg", "-1")
+    assert code == 1
+    assert out == ""
+    assert "max_degree must be nonnegative" in err
+
     # the fiber search nests once per edge; a long path outgrows the stack
     graph = tmp_path / "path.edges"
     graph.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1500)))
