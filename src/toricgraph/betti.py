@@ -7,6 +7,15 @@ the previous one translated by the edge columns) and running reduced
 homology on its degree complex.  Complexes that are cones are skipped: they
 are contractible and contribute nothing.
 
+The scan does not enumerate fibers.  A set F of edges is a face of Delta_s
+exactly when s - a_F lies in the semigroup (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 9), so the facets of Delta_s are the maximal sets
+G | {e} over the edges e and the facets G of Delta_{s - a_e}, one level
+down.  Each level's facets are computed from the previous level's, as edge
+bitmasks, and a complex is built only where homology needs it.
+`build_delta`, which enumerates the fiber, stays the route for a single
+multidegree (`betti_number`).
+
 The edge subring of a disjoint union is the tensor product of the
 components' rings, and so is its minimal free resolution (Kuenneth): with
 s_1, ..., s_r the parts of s on the components, beta_{i,s} is the sum over
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .complexes import SimplicialComplex, build_delta
-from .fiber import DEFAULT_MAX_FIBER
+from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError
 from .graph import (
     Graph,
     connected_components,
@@ -160,6 +169,10 @@ def betti_table(
     max_degree or its closed-form top degree, whichever is lower; the
     component tables are then convolved (Kuenneth) and cut at max_degree.
     `max_scan` caps the semigroup elements of all components together.
+    Each degree complex is built from the facets of the level below, not
+    from its fiber, so `max_fiber` caps the facets of each degree complex
+    (FiberOverflowError past it); a complex with more facets than that has
+    more decompositions too.
     `on_complex(s, delta)` is invoked for every degree complex the scan
     builds, with s the component's own multidegree (aligned with the
     component's vertices, in g's order), component by component in the order
@@ -212,25 +225,81 @@ def _scan(
     max_fiber: int,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
 ) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Betti entries of one graph at the given semigroup elements."""
+    """Betti entries of one graph at the given semigroup elements.
+
+    Degree complexes are built level by level from the facets of the level
+    below (`_facets`), held as edge bitmasks for two levels at a time; a
+    `SimplicialComplex` is made only for the complexes that are not cones,
+    or for every one when `on_complex` wants them.
+    """
+    ground = tuple(h.edges)
+    positions = range(len(ground))
+    edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for level in levels:
+    below: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for d, level in enumerate(levels):
+        keep = d + 1 < len(levels)  # the top level is never looked up
+        here: dict[tuple[int, ...], tuple[int, ...]] = {}
+        shared: dict[int, int] = {}  # one object per distinct mask held
         for s in level:
-            delta = build_delta(h, s, max_fiber=max_fiber)
+            masks = _facets(s, below, edges) if d else [0]
+            if len(masks) > max_fiber:
+                # facets are supports of distinct decompositions
+                raise FiberOverflowError(max_fiber)
+            if keep:
+                here[s] = tuple([shared.setdefault(mask, mask) for mask in masks])
+            common = -1
+            for mask in masks:
+                common &= mask
+            if common and on_complex is None:
+                continue
+            delta = SimplicialComplex(
+                ground, tuple(frozenset(e for e in positions if mask >> e & 1) for mask in masks)
+            )
             if on_complex is not None:
                 on_complex(s, delta)
-            if delta.common_vertex() is not None:
-                continue
-            for d, dim in enumerate(reduced_homology(delta, field), start=-1):
+            if common:
+                continue  # every facet holds a common edge: a cone
+            for k, dim in enumerate(reduced_homology(delta, field), start=-1):
                 if not dim:
                     continue
-                i = d + 1
+                i = k + 1
                 if 2 * i > sum(s):
                     raise RuntimeError(
                         f"internal error: beta_{{{i},{s}}} nonzero violates 2i <= |s|"
                     )
                 entries[(i, s)] = dim
+        below = here
     return entries
+
+
+def _facets(
+    s: tuple[int, ...],
+    below: dict[tuple[int, ...], tuple[int, ...]],
+    edges: list[tuple[int, int, int]],
+) -> list[int]:
+    """Facets of the degree complex at s > 0, as edge bitmasks, from the
+    facets at the elements s - a_e of the level below.
+
+    F holding e is a face of Delta_s exactly when F - {e} is a face of
+    Delta_{s-a_e}, and s > 0 makes every facet nonempty, so the facets of
+    Delta_s are the maximal sets among G | {e} over the edges e and the
+    facets G of Delta_{s-a_e}.  Taken largest first, a set is maximal
+    unless it lies in one already kept.
+    """
+    candidates: set[int] = set()
+    for bit, iu, iv in edges:
+        if s[iu] and s[iv]:
+            t = list(s)
+            t[iu] -= 1
+            t[iv] -= 1
+            for mask in below.get(tuple(t), ()):
+                candidates.add(mask | bit)
+    kept: list[int] = []
+    for mask in sorted(candidates, key=int.bit_count, reverse=True):
+        if all(mask | other != other for other in kept):
+            kept.append(mask)
+    return kept
 
 
 def _convolve(
@@ -257,22 +326,29 @@ def _convolve(
     return out
 
 
+def complete_bipartite_reg_pd(u: int, v: int) -> tuple[int, int]:
+    """Regularity u - 1 and projective dimension (u-1)(v-1) of k[K_{u,v}]
+    for 1 <= u <= v.  The ring is the determinantal ring of the 2-minors of
+    a generic u x v matrix: Cohen-Macaulay of dimension u + v - 1, so pd is
+    its codimension uv - (u + v - 1)."""
+    return u - 1, (u - 1) * (v - 1)
+
+
 def _top_degree(h: Graph) -> Optional[int]:
     """Largest standard degree any Betti entry of k[H] can live in, for a
     connected graph H with at least one edge, when a closed form gives it;
     None otherwise.
 
     H presents a free polynomial ring (no syzygies at all) when its incidence
-    rank equals its edge count; K_{u,v} with u <= v has a known resolution
-    that tops out at degree pd + reg = (u-1)(v-1) + (u-1) = (u-1)v.
+    rank equals its edge count; K_{u,v} with u <= v tops out at degree
+    reg + pd (`complete_bipartite_reg_pd`), which is (u-1)v.
     """
     if incidence_rank(h) == len(h.edges):
         return 0
     sides = recognize_complete_bipartite(h)
     if sides is None:
         return None
-    u, v = sides
-    return (u - 1) * v
+    return sum(complete_bipartite_reg_pd(*sides))
 
 
 def _components(g: Graph) -> list[tuple[Graph, Optional[int]]]:

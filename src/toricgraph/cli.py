@@ -390,7 +390,8 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("graph", help="graph file (JSON or edge-list text)")
         p.add_argument("--max-fiber", type=int, default=DEFAULT_MAX_FIBER,
-                       help="cap on decompositions per multidegree")
+                       help="cap on decompositions per multidegree, and on facets "
+                       "per degree complex in a Betti scan")
         p.add_argument("--verbose", action="store_true", help="human summary on stderr")
 
     def scan_flags(p):

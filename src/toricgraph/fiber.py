@@ -80,36 +80,19 @@ def degree_vector(g: Graph, degrees: Union[Mapping[str, int], Sequence[int]]) ->
     return vec
 
 
-def _search(
-    g: Graph,
-    s: Sequence[int],
-    max_size: int,
-    first_only: bool,
-    order: str,
-):
+def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):
     n, m = len(g.vertices), len(g.edges)
     s = tuple(s)
     if len(s) != n:
         raise ValueError(f"multidegree has {len(s)} entries for {n} vertices")
     if any(x < 0 for x in s) or sum(s) % 2 == 1:
         return []
-    if order == "input":
-        perm = list(range(m))
-    elif order == "greedy":
-        # tight vertices first: edges whose endpoints allow few weights
-        perm = sorted(
-            range(m),
-            key=lambda e: (min(s[g.edge_indices[e][0]], s[g.edge_indices[e][1]]), e),
-        )
-    else:
-        raise ValueError(f"unknown order {order!r}")
 
-    # last processing step that can still change each vertex's residual
+    # last edge that can still change each vertex's residual
     last_touch = [-1] * n
-    for step, e in enumerate(perm):
-        iu, iv = g.edge_indices[e]
-        last_touch[iu] = step
-        last_touch[iv] = step
+    for e, (iu, iv) in enumerate(g.edge_indices):
+        last_touch[iu] = e
+        last_touch[iv] = e
     if any(s[v] > 0 and last_touch[v] < 0 for v in range(n)):
         return []
     finished_at: list[list[int]] = [[] for _ in range(m)]
@@ -117,43 +100,43 @@ def _search(
         if last_touch[v] >= 0:
             finished_at[last_touch[v]].append(v)
 
+    # depth-first over the edges in input order, weights ascending, so the
+    # decompositions come out in lexicographic order; the stack is explicit
+    # (coeffs[e] is the weight on edge e, or -1 while edge e holds none yet),
+    # so long graphs do not outgrow the interpreter's recursion limit
     residual = list(s)
-    coeffs = [0] * m
+    coeffs = [-1] * m
     out: list[Decomposition] = []
-
-    def dfs(step: int) -> bool:
-        if step == m:
+    e = 0
+    while e >= 0:
+        if e == m:
             if first_only:
                 return True
             if len(out) >= max_size:
                 raise FiberOverflowError(max_size)
             out.append(Decomposition(tuple(coeffs)))
-            return False
-        e = perm[step]
+            e -= 1
+            continue
         iu, iv = g.edge_indices[e]
+        c = coeffs[e]
+        if c >= 0:  # back from edge e + 1: take weight c off and try the next
+            residual[iu] += c
+            residual[iv] += c
         cmax = min(residual[iu], residual[iv])
-        done = finished_at[step]
-        for c in range(cmax + 1):
+        done = finished_at[e]
+        for c in range(c + 1, cmax + 1):
             residual[iu] -= c
             residual[iv] -= c
             if all(residual[v] == 0 for v in done):
                 coeffs[e] = c
-                if dfs(step + 1):
-                    return True
-                coeffs[e] = 0
+                e += 1
+                break
             residual[iu] += c
             residual[iv] += c
-        return False
-
-    if m == 0:
-        if all(x == 0 for x in s):
-            out.append(Decomposition(()))
-        return out if not first_only else bool(out)
-    found = dfs(0)
-    if first_only:
-        return found
-    out.sort(key=lambda d: d.coefficients)
-    return out
+        else:
+            coeffs[e] = -1
+            e -= 1
+    return False if first_only else out
 
 
 def enumerate_fiber(
@@ -161,17 +144,16 @@ def enumerate_fiber(
     s: Sequence[int],
     *,
     max_size: int = DEFAULT_MAX_FIBER,
-    order: str = "input",
 ) -> list[Decomposition]:
     """All decompositions of s, sorted lexicographically by coefficient vector.
 
     Empty when s is not in the edge semigroup (including any negative entry
     or odd total).  Raises FiberOverflowError past max_size solutions.
     """
-    return _search(g, s, max_size, first_only=False, order=order)
+    return _search(g, s, max_size, first_only=False)
 
 
 def in_semigroup(g: Graph, s: Sequence[int]) -> bool:
     """Whether s admits at least one decomposition (short-circuiting search)."""
-    res = _search(g, s, max_size=1, first_only=True, order="input")
+    res = _search(g, s, max_size=1, first_only=True)
     return bool(res)

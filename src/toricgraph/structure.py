@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .betti import DEFAULT_MAX_SCAN, betti_table, invariants
+from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
 from .fiber import DEFAULT_MAX_FIBER
 from .graph import Graph, connected_components, induced_subgraph, recognize_complete_bipartite
@@ -464,13 +464,13 @@ def lower_bounds(
         if len(connected_components(h)) == 1:
             sides = recognize_complete_bipartite(h)
         if sides is not None:
-            u, v = sides
+            reg, pd = complete_bipartite_reg_pd(*sides)
             out.append(
                 PartBound(
                     vertices=h.vertices,
                     method="complete bipartite closed form",
-                    regularity=u - 1,
-                    projective_dimension=(u - 1) * (v - 1),
+                    regularity=reg,
+                    projective_dimension=pd,
                     certified=True,
                 )
             )

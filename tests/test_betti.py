@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from toricgraph import (
     RATIONALS,
+    FiberOverflowError,
     FieldSpec,
     Graph,
     ScanOverflowError,
+    SimplicialComplex,
     betti_number,
     betti_table,
     complete_bipartite_graph,
@@ -22,7 +24,7 @@ from toricgraph import (
     semigroup_levels,
 )
 
-from oracles import random_graph
+from oracles import box_fiber, random_graph
 from whole_scan import whole_graph_entries
 
 
@@ -222,21 +224,62 @@ def test_sorted_entries_order():
     assert keys == sorted(keys)
 
 
+def _interleaved_union(rng, count, max_edges, odd_cycles=False):
+    """`count` random graphs, at most 7 vertices in all, relabelled apart;
+    the union's vertex and edge order is shuffled so the components
+    interleave.  With `odd_cycles`, half of the parts with at least three
+    vertices get a triangle or a pentagon laid over them."""
+    vertices, edges, used = [], [], 0
+    for k in range(count):
+        part = random_graph(rng, max_vertices=7 - used - (count - 1 - k), max_edges=max_edges)
+        used += len(part.vertices)
+        pairs = list(part.edges)
+        if odd_cycles and len(part.vertices) >= 3 and rng.random() < 0.5:
+            length = 5 if len(part.vertices) >= 5 and rng.random() < 0.5 else 3
+            cycle = rng.sample(part.vertices, length)
+            present = {frozenset(e) for e in pairs}
+            ring = [(cycle[i - 1], cycle[i]) for i in range(length)]
+            pairs += [e for e in ring if frozenset(e) not in present]
+        vertices += [f"g{k}{v}" for v in part.vertices]
+        edges += [(f"g{k}{u}", f"g{k}{v}") for u, v in pairs]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges))
+
+
 @settings(derandomize=True, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 3))
 def test_interleaved_union_matches_whole_graph_scan(rng, bound):
-    # 2-3 random graphs, at most 7 vertices in all, relabelled apart; the
-    # union's vertex and edge order is shuffled so the components interleave
-    count = rng.randint(2, 3)
-    vertices, edges, used = [], [], 0
-    for k in range(count):
-        part = random_graph(rng, max_vertices=7 - used - (count - 1 - k), max_edges=9)
-        used += len(part.vertices)
-        vertices += [f"g{k}{v}" for v in part.vertices]
-        edges += [(f"g{k}{u}", f"g{k}{v}") for u, v in part.edges]
-    rng.shuffle(vertices)
-    rng.shuffle(edges)
-    g = Graph(tuple(vertices), tuple(edges))
+    g = _interleaved_union(rng, rng.randint(2, 3), max_edges=9)
     for field in (RATIONALS, FieldSpec(2)):
         got = betti_table(g, bound, field=field).entries
         assert got == whole_graph_entries(g, bound, field), (g, bound, field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32))
+def test_scan_complexes_match_box_fibers(seed):
+    # the scan builds each degree complex from the level below; the box
+    # sweep finds the fiber with neither the engine's search nor that
+    # recurrence
+    rng = random.Random(seed)
+    g = _interleaved_union(rng, rng.randint(1, 3), max_edges=7, odd_cycles=True)
+    bound = rng.randint(1, 4)
+    seen = []
+    betti_table(g, bound, on_complex=lambda s, delta: seen.append((s, delta)))
+    for s, delta in seen:
+        # delta lives on one component: its own edges, its vertices in g's order
+        ends = {v for edge in delta.ground for v in edge}
+        h = Graph(tuple(v for v in g.vertices if v in ends), delta.ground)
+        supports = [[e for e, c in enumerate(coeffs) if c] for coeffs in box_fiber(h, s)]
+        assert delta == SimplicialComplex.from_faces(h.edges, supports), (g, s)
+
+
+def test_max_fiber_caps_facets_in_a_scan():
+    # K_{3,3}'s largest degree complex up to degree 3 has six facets, the
+    # supports of its six perfect matchings
+    g = complete_bipartite_graph(3, 3)
+    with pytest.raises(FiberOverflowError) as exc:
+        betti_table(g, 3, max_fiber=5)
+    assert exc.value.limit == 5
+    assert betti_table(g, 3, max_fiber=6).entries == betti_table(g, 3).entries

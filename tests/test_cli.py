@@ -247,15 +247,28 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     assert out == ""
     assert "max_degree must be nonnegative" in err
 
-    # the fiber search nests once per edge; a long path outgrows the stack
+    # the fiber search keeps its own stack, so a path longer than the
+    # recursion limit still has its one decomposition of zero
     graph = tmp_path / "path.edges"
     graph.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1500)))
     degree = tmp_path / "zero.json"
     degree.write_text(json.dumps([0] * 1501))
     code, out, err = _run(capsys, "fiber", str(graph), "--degree", str(degree))
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["count"] == 1 and report["decompositions"] == [[0] * 1500]
+
+    # in a scan --max-fiber caps the facets of each degree complex; K_{3,3}
+    # has six perfect matchings, the facets of its all-ones degree complex
+    k33 = tmp_path / "k33.edges"
+    k33.write_text("".join(f"a{i} b{j}\n" for i in (1, 2, 3) for j in (1, 2, 3)))
+    code, out, err = _run(capsys, "betti", str(k33), "--max-deg", "3", "--max-fiber", "5")
     assert code == 2
     assert out == ""
-    assert "recursion limit" in err and len(err.splitlines()) == 1
+    assert "fiber overflow: more than 5" in err and len(err.splitlines()) == 1
+    code, _, _ = _run(capsys, "betti", str(k33), "--max-deg", "3", "--max-fiber", "6")
+    assert code == 0
 
 
 def test_version(capsys):

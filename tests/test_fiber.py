@@ -65,16 +65,6 @@ def test_results_are_lex_sorted():
     assert len(got) == 3
 
 
-def test_order_greedy_same_set():
-    g = cycle_graph(5)
-    s = (2, 2, 2, 2, 2)
-    a = set(_coeffs(enumerate_fiber(g, s, order="input")))
-    b = set(_coeffs(enumerate_fiber(g, s, order="greedy")))
-    assert a == b
-    with pytest.raises(ValueError):
-        enumerate_fiber(g, s, order="sideways")
-
-
 def test_overflow_raises_with_limit():
     g = cycle_graph(4)
     with pytest.raises(FiberOverflowError) as exc:
