@@ -52,7 +52,6 @@ from .graph import (
 from .homology import (
     FieldSpec,
     RATIONALS,
-    boundary_matrices,
     boundary_matrix,
     euler_characteristic_check,
     homology_dimension,

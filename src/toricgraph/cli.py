@@ -8,7 +8,8 @@ Subcommands
     certify-noncm  search for (or verify) a pattern certificate
     bounds         reg/pd lower bounds from disjoint induced parts
 
-Exit codes: 0 success, 1 bad input, 2 a resource cap was exceeded.
+Exit codes: 0 success, 1 bad input or internal error, 2 a resource cap was
+exceeded.
 Given identical input files and flags the byte output is identical; the only
 stdout content is the JSON document.  Human-readable summaries go to stderr
 under --verbose.
@@ -462,6 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("toricgraph: error: search nested deeper than the recursion limit", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed internal cross-check
+        print(f"toricgraph: error: {exc}", file=sys.stderr)
+        return 1
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 1

@@ -67,24 +67,27 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
+    @cached_property
+    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Faces by dimension, from -1 to dim, each in lexicographic order."""
+        if self.is_void:
+            return ()
+        found: list[set[tuple[int, ...]]] = [set() for _ in range(self.dim + 2)]
+        for facet in self.facets:
+            base = sorted(facet)
+            for size in range(len(base) + 1):
+                found[size].update(combinations(base, size))
+        return tuple(tuple(sorted(faces)) for faces in found)
+
     def faces_of_dimension(self, d: int) -> list[tuple[int, ...]]:
         """All d-faces as sorted position tuples, in lexicographic order.
 
-        d = -1 returns the empty face [()] for every non-void complex.
+        d = -1 returns the empty face [()] for every non-void complex.  The
+        faces of every dimension are enumerated once, on the first call.
         """
         if d < -1:
             raise ValueError("face dimension must be at least -1")
-        if self.is_void:
-            return []
-        if d == -1:
-            return [()]
-        found: set[tuple[int, ...]] = set()
-        for facet in self.facets:
-            if len(facet) >= d + 1:
-                base = sorted(facet)
-                for comb in combinations(base, d + 1):
-                    found.add(comb)
-        return sorted(found)
+        return list(self._faces[d + 1]) if d + 1 < len(self._faces) else []
 
     def f_vector(self) -> dict[int, int]:
         """Face counts by dimension, from -1 up to dim (empty for void)."""
@@ -106,6 +109,44 @@ class SimplicialComplex:
             if not shared:
                 return None
         return min(shared) if shared else None
+
+    def core(self) -> "SimplicialComplex":
+        """The complex left after deleting dominated vertices until none is.
+
+        A vertex v is dominated when some other vertex lies in every facet
+        holding v; its link is then a cone, and deleting v (keeping the
+        faces without it) is a strong deformation retraction (Barmak-Minian,
+        "Strong homotopy types, nerves and collapses", DCG 47, 2012).  So the
+        core has the reduced homology of the complex over every field.  The
+        ground set is kept; a cone's core is a single vertex, and the void
+        and irrelevant complexes are their own cores.
+        """
+        masks = original = [sum(1 << x for x in f) for f in self.facets]
+        changed = True
+        while changed:
+            changed = False
+            for v in range(len(self.ground)):
+                bit = 1 << v
+                shared = -1
+                for mask in masks:
+                    if mask & bit:
+                        shared &= mask
+                if shared == -1 or shared == bit:
+                    continue  # v is in no facet, or no other vertex dominates it
+                # F - v lies in no facet holding v, so only those without v
+                # can swallow it
+                rest = [mask for mask in masks if not mask & bit]
+                masks = rest + [
+                    m for m in (mask ^ bit for mask in masks if mask & bit)
+                    if all(m & other != m for other in rest)
+                ]
+                changed = True
+        if masks is original:
+            return self
+        positions = range(len(self.ground))
+        return SimplicialComplex(
+            self.ground, tuple(frozenset(x for x in positions if m >> x & 1) for m in masks)
+        )
 
     def permuted(self, perm: Sequence[int]) -> "SimplicialComplex":
         """Relabel the ground set: old position i becomes perm[i]."""

@@ -173,11 +173,12 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     return comps
 
 
-def is_bipartite(g: Graph) -> list[bool]:
-    """Two-colorability of each connected component, aligned with connected_components."""
-    n = len(g.vertices)
-    color: list[Optional[int]] = [None] * n
-    out: list[bool] = []
+def _two_coloring(g: Graph) -> tuple[list[int], list[bool]]:
+    """Colors 0/1 by search from the first vertex of each component, and
+    whether they are proper on each component (aligned with
+    connected_components)."""
+    color = [-1] * len(g.vertices)
+    proper: list[bool] = []
     for comp in connected_components(g):
         ok = True
         start = g.index[comp[0]]
@@ -186,13 +187,18 @@ def is_bipartite(g: Graph) -> list[bool]:
         while queue:
             v = queue.pop()
             for w in g._adjacency[v]:
-                if color[w] is None:
-                    color[w] = 1 - color[v]  # type: ignore[operator]
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
                     queue.append(w)
                 elif color[w] == color[v]:
                     ok = False
-        out.append(ok)
-    return out
+        proper.append(ok)
+    return color, proper
+
+
+def is_bipartite(g: Graph) -> list[bool]:
+    """Two-colorability of each connected component, aligned with connected_components."""
+    return _two_coloring(g)[1]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[str]) -> Graph:
@@ -218,25 +224,15 @@ def recognize_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
         raise ValueError("recognize_complete_bipartite expects a connected graph")
     if not g.edges:
         return None
-    if not all(is_bipartite(g)):
+    color, proper = _two_coloring(g)
+    if not proper[0]:
         return None
-    # 2-color, then check every cross pair is an edge.
-    n = len(g.vertices)
-    color = [-1] * n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in g._adjacency[v]:
-            if color[w] < 0:
-                color[w] = 1 - color[v]
-                queue.append(w)
-    left = [i for i in range(n) if color[i] == 0]
-    right = [i for i in range(n) if color[i] == 1]
-    if len(g.edges) != len(left) * len(right):
+    # a proper 2-coloring; complete when every cross pair is an edge
+    left = color.count(0)
+    right = len(color) - left
+    if len(g.edges) != left * right:
         return None
-    sizes = (len(left), len(right))
-    return (min(sizes), max(sizes))
+    return (min(left, right), max(left, right))
 
 
 # -- parsing and serialization -------------------------------------------

@@ -1,16 +1,18 @@
 """Exact matrix rank over Q or a prime field, by sparse column reduction.
 
 Matrices arrive as column dictionaries {row: value} with integer values
-(boundary matrices are mostly +-1 and very sparse).  Rank is all the
-homology computation needs, so nothing else is implemented.
+(boundary matrices are mostly +-1 and very sparse).  The homology
+computation needs the rank and, for clearing, the rows that hold the
+pivots (see `homology`), so nothing else is implemented.
 
 The kernel is the standard column reduction of persistent homology
 (Zomorodian-Carlsson, DCG 2005; Bauer, "Ripser", JACT 2021): each column
 in turn is reduced against the stored pivot column that shares its largest
 row index, until it vanishes or its largest row has no pivot yet, in which
 case it becomes that row's pivot.  The pivots are linearly independent, so
-their number is the rank.  Columns stay sparse throughout, which keeps
-memory proportional to the fill-in rather than to rows x columns.
+their number is the rank, and each pivot row is the largest row of a
+nonzero vector in the column span.  Columns stay sparse throughout, which
+keeps memory proportional to the fill-in rather than to rows x columns.
 """
 
 from __future__ import annotations
@@ -29,8 +31,17 @@ def rank(
     modulus None means exact rational arithmetic; otherwise arithmetic is in
     GF(modulus) with modulus prime.
     """
-    if nrows == 0 or not columns:
+    if nrows == 0:
         return 0
+    return len(pivot_rows(columns, modulus))
+
+
+def pivot_rows(
+    columns: Sequence[Mapping[int, int]],
+    modulus: Optional[int] = None,
+) -> set[int]:
+    """The pivot rows of the column reduction of the given sparse columns,
+    one per unit of rank, over Q (modulus None) or GF(modulus)."""
     pivots: dict[int, dict] = {}
     for column in columns:
         if modulus:
@@ -55,7 +66,7 @@ def rank(
                     col[i] = x
                 else:
                     del col[i]
-    return len(pivots)
+    return set(pivots)
 
 
 def _exact_div(a, b):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from toricgraph import cli
 from toricgraph.cli import main
 
 
@@ -201,6 +202,18 @@ def test_exit_1_on_bad_input(capsys, data_dir):
         assert code == 1, argv
         assert out == ""
         assert "error" in err
+
+
+def test_internal_error_exits_1_with_one_line(capsys, data_dir, monkeypatch):
+    def contradiction(*args, **kwargs):
+        raise RuntimeError("internal error: scan contradicts itself")
+
+    monkeypatch.setattr(cli, "betti_table", contradiction)
+    for command in ("analyze", "betti"):
+        code, out, err = _run(capsys, command, _path(data_dir, "k23.json"))
+        assert code == 1, command
+        assert out == ""
+        assert err == "toricgraph: error: internal error: scan contradicts itself\n"
 
 
 def test_usage_errors_exit_1_not_2(capsys):

@@ -73,6 +73,43 @@ def test_common_vertex():
     assert irr.common_vertex() is None  # empty facet has no vertex
 
 
+def test_core_of_a_cone_is_one_vertex():
+    cone = SimplicialComplex.from_faces(range(5), [(0, 1, 2), (0, 2, 3), (0, 4)])
+    core = cone.core()
+    assert core.ground == cone.ground
+    assert len(core.facets) == 1 and len(core.facets[0]) == 1
+    simplex = SimplicialComplex.from_faces(range(3), [(0, 1, 2)])
+    assert len(simplex.core().facets[0]) == 1
+
+
+def test_core_keeps_complexes_without_dominated_vertices():
+    rp2 = SimplicialComplex.from_faces(range(7), [
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+    ])
+    assert rp2.core() == rp2
+    # boundary of the octahedron: antipodal pairs (0,1), (2,3), (4,5)
+    octahedron = SimplicialComplex.from_faces(
+        range(6), [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    )
+    assert octahedron.core() == octahedron
+    void = SimplicialComplex((), ())
+    assert void.core() == void
+    irr = SimplicialComplex(("a",), (frozenset(),))
+    assert irr.core() == irr
+    points = SimplicialComplex.from_faces(range(3), [(0,), (2,)])
+    assert points.core() == points
+
+
+def test_core_deletes_a_dominated_vertex_and_keeps_the_ground():
+    # a hollow triangle with a whisker 2-3 and a cone 0-1-4 on one side:
+    # 3 is dominated by 2, 4 by 0 (and by 1)
+    k = SimplicialComplex.from_faces("abcde", [(0, 1, 4), (1, 2), (0, 2), (2, 3)])
+    core = k.core()
+    assert core.ground == k.ground
+    assert core.facets == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+
+
 def test_permuted():
     k = SimplicialComplex.from_faces("abc", [(0, 1)])
     p = k.permuted([2, 0, 1])

@@ -3,12 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgraph import (
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
-    boundary_matrices,
     boundary_matrix,
     euler_characteristic_check,
     homology_dimension,
@@ -129,8 +129,6 @@ def test_boundary_matrix_shapes_and_signs():
     assert d1[0] == {1: 1, 0: -1}
     d0 = boundary_matrix(k, 0)
     assert d0 == [{0: 1}, {0: 1}, {0: 1}]
-    mats = boundary_matrices(k)
-    assert len(mats) == k.dim + 1
 
 
 def test_composition_is_zero_on_random_complexes():
@@ -165,3 +163,28 @@ def test_invariant_under_ground_permutation():
     for _ in range(6):
         assert permuted_homology(k, rng, GF2) == reduced_homology(k, GF2)
         assert permuted_homology(k, rng, RATIONALS) == reduced_homology(k, RATIONALS)
+
+
+@st.composite
+def _complexes(draw):
+    """Random complexes on at most 8 vertices, or RP2 with extra faces: some
+    add dominated vertices (7, 8, 0), others fill or join triangles."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        faces = draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=5), min_size=1, max_size=10
+        ))
+        return _complex(n, faces)
+    extra = draw(st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=4), max_size=4))
+    return _complex(9, RP2_FACETS + extra)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_complexes())
+def test_core_and_clearing_match_sympy(k):
+    # reduced_homology works on the core, top-down with clearing; the oracle
+    # takes sympy ranks of every boundary of the full complex
+    for field in (RATIONALS, GF2, FieldSpec(3)):
+        hom = reduced_homology(k, field)
+        assert hom == homology_via_sympy(k, field.modulus), (k, field)
+        assert [homology_dimension(k, d, field) for d in range(-1, k.dim + 1)] == hom
