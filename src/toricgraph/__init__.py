@@ -48,6 +48,7 @@ from .graph import (
     loads_graph,
     path_graph,
     recognize_complete_bipartite,
+    twin_classes,
 )
 from .homology import (
     FieldSpec,

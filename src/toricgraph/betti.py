@@ -16,6 +16,19 @@ bitmasks, and a complex is built only where homology needs it.
 `build_delta`, which enumerates the fiber, stays the route for a single
 multidegree (`betti_number`).
 
+The scan walks one multidegree per orbit of the twin group.  Twins are
+vertices with N(u) = N(v) (false twins) or N[u] = N[v] (true twins);
+swapping two is a graph automorphism sigma, which maps Delta_s onto
+Delta_{sigma s}, so beta_{i,sigma s} = beta_{i,s}.  The twin classes
+(`twin_classes`) generate a product of symmetric groups, and the canonical
+representative of an orbit has non-increasing weights along each class, in
+vertex order.  Each level holds representatives only; the facets of
+Delta_{s - a_e} are those of its representative, relabelled by at most two
+twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
+nonzero entry is written for every element of the orbit.  `max_scan` still
+counts every semigroup element: a level adds the sizes of its orbits, the
+products over the classes of the multinomials of the weights.
+
 The edge subring of a disjoint union is the tensor product of the
 components' rings, and so is its minimal free resolution (Kuenneth): with
 s_1, ..., s_r the parts of s on the components, beta_{i,s} is the sum over
@@ -32,7 +45,10 @@ certification question; see `known_complete_degree`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .complexes import SimplicialComplex, build_delta
@@ -43,6 +59,7 @@ from .graph import (
     incidence_rank,
     induced_subgraph,
     recognize_complete_bipartite,
+    twin_classes,
 )
 from .homology import RATIONALS, FieldSpec, reduced_homology
 
@@ -62,38 +79,182 @@ class ScanOverflowError(RuntimeError):
 
 
 def semigroup_levels(
-    g: Graph, max_degree: int, max_scan: int = DEFAULT_MAX_SCAN
+    g: Graph,
+    max_degree: int,
+    max_scan: int = DEFAULT_MAX_SCAN,
+    classes: Sequence[Sequence[int]] = (),
 ) -> list[list[tuple[int, ...]]]:
-    """Semigroup elements grouped by level: levels[d] holds every multidegree
-    that is a sum of exactly d edge columns (total degree 2d), sorted.
+    """Semigroup elements grouped by level, one canonical representative per
+    orbit of the twin group generated by `classes`: levels[d] holds, sorted,
+    the canonical multidegrees that are sums of exactly d edge columns (total
+    degree 2d).
+
+    `classes` are classes of mutually twin vertices, as increasing vertex
+    positions (see `twin_classes`); a multidegree is canonical when its
+    weights do not increase along each class.  With no classes the group is
+    trivial and every element is listed.  `max_scan` caps the elements of
+    the semigroup, not the representatives: each level adds its orbit sizes.
 
     Complete by construction: any sum of d columns is a sum of d-1 columns
-    plus one more, so translating the previous level by each column and
-    deduplicating loses nothing.
+    plus one more, and twin swaps permute the columns, so translating the
+    previous level's representatives by each column and taking canonical
+    forms loses no orbit.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    n = len(g.vertices)
-    cols = []
-    for iu, iv in g.edge_indices:
-        col = [0] * n
-        col[iu] = 1
-        col[iv] = 1
-        cols.append(tuple(col))
-    levels: list[list[tuple[int, ...]]] = [[(0,) * n]]
+    twins = _TwinGroup(g, classes)
+    ends = g.edge_indices
+    levels: list[list[tuple[int, ...]]] = [[(0,) * len(g.vertices)]]
     total = 1
     for d in range(1, max_degree + 1):
-        nxt: set[tuple[int, ...]] = set()
-        for s in levels[-1]:
-            for col in cols:
-                nxt.add(tuple(a + b for a, b in zip(s, col)))
+        nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
         if not nxt:
             break
-        total += len(nxt)
+        total += sum(map(twins.orbit_size, nxt))
         if total > max_scan:
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
     return levels
+
+
+class _TwinGroup:
+    """The twin group of a graph, the product of the symmetric groups on its
+    twin classes, acting on multidegrees by permuting coordinates and on
+    edge bitmasks by relabelling endpoints.
+
+    r is canonical when its weights do not increase along each class, in
+    vertex order.  For canonical r, a unit added at vertex i moves to the
+    first vertex of i's class holding r[i], and a unit removed moves to the
+    last one; that keeps the result canonical and is a twin transposition.
+    So r + a_e and r - a_e are canonical after at most two transpositions,
+    the second endpoint relabelled by the first, with no sorting.
+    """
+
+    def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
+        n = len(g.vertices)
+        self.classes = tuple(tuple(c) for c in classes)
+        self.before = [-1] * n  # the previous vertex of the class, or -1
+        self.after = [-1] * n
+        for cls in self.classes:
+            for a, b in zip(cls, cls[1:]):
+                self.after[a] = b
+                self.before[b] = a
+        bit = {frozenset(pair): 1 << e for e, pair in enumerate(g.edge_indices)}
+        adj = g._adjacency
+        # swaps[a, b]: for each edge pair {a, w} <-> {b, w}, the two bits
+        self.swaps: dict[tuple[int, int], tuple[int, ...]] = {}
+        for cls in self.classes:
+            for a, b in combinations(cls, 2):
+                if adj[a] - {b} != adj[b] - {a}:
+                    raise ValueError(f"vertices {a} and {b} are not twins")
+                pairs = tuple(bit[frozenset((a, w))] | bit[frozenset((b, w))]
+                              for w in sorted(adj[a] - {b}))
+                self.swaps[a, b] = self.swaps[b, a] = pairs
+
+    def up(self, r: tuple[int, ...], iu: int, iv: int) -> tuple[int, ...]:
+        """The canonical form of r + a_e, e = {iu, iv}, for canonical r."""
+        t = list(r)
+        p = _slide(t, iu, self.before)
+        t[p] += 1
+        q = _slide(t, iu if iv == p else iv, self.before)  # (iu p) relabels iv
+        t[q] += 1
+        return tuple(t)
+
+    def down(
+        self, r: tuple[int, ...], iu: int, iv: int
+    ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """The canonical form c of r - a_e, e = {iu, iv}, for canonical r
+        with r[iu], r[iv] >= 1, and the swaps that carry c's edge masks to
+        r - a_e's, in the order to apply them."""
+        c = list(r)
+        p = _slide(c, iu, self.after)
+        c[p] -= 1
+        w = iu if iv == p else iv  # (iu p) relabels iv
+        q = _slide(c, w, self.after)
+        c[q] -= 1
+        # r - a_e = (iu p)(w q) c: relabel by (w q) first
+        moves = [self.swaps[w, q]] if q != w else []
+        if p != iu:
+            moves.append(self.swaps[iu, p])
+        return tuple(c), moves
+
+    def orbit_size(self, r: tuple[int, ...]) -> int:
+        """The product over the classes of the multinomial coefficient of
+        r's weights on the class."""
+        size = 1
+        for cls in self.classes:
+            size *= factorial(len(cls))
+            for m in Counter(r[v] for v in cls).values():
+                size //= factorial(m)
+        return size
+
+    def orbit(self, r: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Every element of r's orbit: each class's weights in every
+        distinct order."""
+        orbit = [r]
+        for cls in self.classes:
+            orders = _arrangements(sorted(r[v] for v in cls))
+            nxt = []
+            for t in orbit:
+                for values in orders:
+                    u = list(t)
+                    for v, x in zip(cls, values):
+                        u[v] = x
+                    nxt.append(tuple(u))
+            orbit = nxt
+        return orbit
+
+    def moves(self, r: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Swaps carrying r's edge masks to those of t in r's orbit, in the
+        order to apply them: class by class, each vertex in turn takes its
+        weight in t from a later vertex of its class."""
+        cur = list(r)
+        out = []
+        for cls in self.classes:
+            for k, a in enumerate(cls):
+                if cur[a] != t[a]:
+                    b = next(b for b in cls[k + 1 :] if cur[b] == t[a])
+                    cur[a], cur[b] = cur[b], cur[a]
+                    out.append(self.swaps[a, b])
+        return out
+
+
+def _slide(t: list[int], i: int, link: list[int]) -> int:
+    """The farthest vertex from i along `link` (each vertex's previous or
+    next twin, -1 past the end of the class) that holds the weight t[i]."""
+    x, j = t[i], link[i]
+    while j >= 0 and t[j] == x:
+        i, j = j, link[j]
+    return i
+
+
+def _arrangements(values: list[int]) -> list[tuple[int, ...]]:
+    """The distinct orderings of a sorted multiset, in lexicographic order
+    (the next-permutation step)."""
+    a = list(values)
+    out = []
+    while True:
+        out.append(tuple(a))
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
+def _relabel(mask: int, swaps: tuple[int, ...]) -> int:
+    """An edge mask under one twin transposition: each pair of edges it
+    swaps is given as their two bits."""
+    for both in swaps:
+        x = mask & both
+        if x and x != both:
+            mask ^= both
+    return mask
 
 
 @dataclass(frozen=True)
@@ -168,15 +329,18 @@ def betti_table(
     Each connected component with an edge is scanned on its own, up to
     max_degree or its closed-form top degree, whichever is lower; the
     component tables are then convolved (Kuenneth) and cut at max_degree.
-    `max_scan` caps the semigroup elements of all components together.
+    `max_scan` caps the semigroup elements of all components together,
+    every element of every twin orbit counted (see `semigroup_levels`).
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
     more decompositions too.
-    `on_complex(s, delta)` is invoked for every degree complex the scan
-    builds, with s the component's own multidegree (aligned with the
-    component's vertices, in g's order), component by component in the order
-    of `connected_components`, each in scan order; it exists for audits.
+    `on_complex(s, delta)` is invoked for every element s of the scanned
+    semigroup, orbits expanded, with s the component's own multidegree
+    (aligned with the component's vertices, in g's order) and delta its
+    degree complex, component by component in the order of
+    `connected_components`, each level by level in sorted order; it exists
+    for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
@@ -187,12 +351,14 @@ def betti_table(
     scanned = 0
     for h, top in parts:
         degree = max_degree if top is None else min(max_degree, top)
+        classes = twin_classes(h)
         try:
-            levels = semigroup_levels(h, degree, max_scan - scanned)
+            levels = semigroup_levels(h, degree, max_scan - scanned, classes)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        scanned += sum(len(level) for level in levels)
-        local = _scan(h, levels, field, max_fiber, on_complex)
+        twins = _TwinGroup(h, classes)
+        scanned += sum(twins.orbit_size(r) for level in levels for r in level)
+        local = _scan(h, levels, twins, field, max_fiber, on_complex)
         positions = [g.index[v] for v in h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
 
@@ -221,79 +387,95 @@ def betti_table(
 def _scan(
     h: Graph,
     levels: list[list[tuple[int, ...]]],
+    twins: _TwinGroup,
     field: FieldSpec,
     max_fiber: int,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
 ) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Betti entries of one graph at the given semigroup elements.
+    """Betti entries of one graph at the semigroup elements whose canonical
+    representatives `levels` holds.
 
-    Degree complexes are built level by level from the facets of the level
-    below (`_facets`), held as edge bitmasks for two levels at a time; a
-    `SimplicialComplex` is made only for the complexes that are not cones,
-    or for every one when `on_complex` wants them.
+    Degree complexes of the representatives are built level by level from
+    the facets of the level below (`_facets`), held as edge bitmasks for two
+    levels at a time; a `SimplicialComplex` is made only for the complexes
+    that are not cones.  beta_{i,t} is the same for every t in an orbit, so
+    a nonzero entry is written for the whole orbit.  With `on_complex`, each
+    level is expanded: every element gets its representative's facets,
+    relabelled by twin swaps.
     """
     ground = tuple(h.edges)
     positions = range(len(ground))
     edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
+
+    def complex_of(masks) -> SimplicialComplex:
+        return SimplicialComplex(
+            ground, tuple(frozenset(e for e in positions if mask >> e & 1) for mask in masks)
+        )
+
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
-        keep = d + 1 < len(levels)  # the top level is never looked up
+        # the top level is never looked up, unless it is expanded
+        keep = d + 1 < len(levels) or on_complex is not None
         here: dict[tuple[int, ...], tuple[int, ...]] = {}
         shared: dict[int, int] = {}  # one object per distinct mask held
-        for s in level:
-            masks = _facets(s, below, edges) if d else [0]
+        for r in level:
+            masks = _facets(r, below, edges, twins) if d else [0]
             if len(masks) > max_fiber:
                 # facets are supports of distinct decompositions
                 raise FiberOverflowError(max_fiber)
             if keep:
-                here[s] = tuple([shared.setdefault(mask, mask) for mask in masks])
+                here[r] = tuple([shared.setdefault(mask, mask) for mask in masks])
             common = -1
             for mask in masks:
                 common &= mask
-            if common and on_complex is None:
-                continue
-            delta = SimplicialComplex(
-                ground, tuple(frozenset(e for e in positions if mask >> e & 1) for mask in masks)
-            )
-            if on_complex is not None:
-                on_complex(s, delta)
             if common:
                 continue  # every facet holds a common edge: a cone
-            for k, dim in enumerate(reduced_homology(delta, field), start=-1):
+            for k, dim in enumerate(reduced_homology(complex_of(masks), field), start=-1):
                 if not dim:
                     continue
                 i = k + 1
-                if 2 * i > sum(s):
+                if 2 * i > sum(r):
                     raise RuntimeError(
-                        f"internal error: beta_{{{i},{s}}} nonzero violates 2i <= |s|"
+                        f"internal error: beta_{{{i},{r}}} nonzero violates 2i <= |s|"
                     )
-                entries[(i, s)] = dim
+                for t in twins.orbit(r):
+                    entries[(i, t)] = dim
+        if on_complex is not None:
+            for t, r in sorted((t, r) for r in level for t in twins.orbit(r)):
+                masks = here[r]
+                for swaps in twins.moves(r, t):
+                    masks = [_relabel(mask, swaps) for mask in masks]
+                on_complex(t, complex_of(masks))
         below = here
-    return entries
+    # level by level, then by multidegree and index, as a plain scan finds them
+    return dict(sorted(entries.items(), key=lambda item: (sum(item[0][1]), item[0][1], item[0][0])))
 
 
 def _facets(
     s: tuple[int, ...],
     below: dict[tuple[int, ...], tuple[int, ...]],
     edges: list[tuple[int, int, int]],
+    twins: _TwinGroup,
 ) -> list[int]:
-    """Facets of the degree complex at s > 0, as edge bitmasks, from the
-    facets at the elements s - a_e of the level below.
+    """Facets of the degree complex at a canonical s > 0, as edge bitmasks,
+    from the facets held for the representatives of the level below.
 
     F holding e is a face of Delta_s exactly when F - {e} is a face of
     Delta_{s-a_e}, and s > 0 makes every facet nonempty, so the facets of
     Delta_s are the maximal sets among G | {e} over the edges e and the
-    facets G of Delta_{s-a_e}.  Taken largest first, a set is maximal
-    unless it lies in one already kept.
+    facets G of Delta_{s-a_e}.  Those are the facets of the representative
+    of s - a_e, relabelled by the twin swaps that carry it to s - a_e.
+    Taken largest first, a set is maximal unless it lies in one already
+    kept.
     """
     candidates: set[int] = set()
     for bit, iu, iv in edges:
         if s[iu] and s[iv]:
-            t = list(s)
-            t[iu] -= 1
-            t[iv] -= 1
-            for mask in below.get(tuple(t), ()):
+            c, moves = twins.down(s, iu, iv)
+            for mask in below.get(c, ()):
+                for swaps in moves:
+                    mask = _relabel(mask, swaps)
                 candidates.add(mask | bit)
     kept: list[int] = []
     for mask in sorted(candidates, key=int.bit_count, reverse=True):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import linalg
-
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph input; the message carries the location."""
@@ -138,13 +136,16 @@ class Graph:
 
 
 def incidence_rank(g: Graph) -> int:
-    """Rank of the vertex-by-edge incidence matrix over the rationals.
+    """Rank of the vertex-by-edge incidence matrix over the rationals, which
+    is the Krull dimension of k[G].
 
-    This equals the Krull dimension of k[G]: n minus the number of bipartite
-    connected components.
+    It is n minus the number of bipartite connected components: the columns
+    of a component on m vertices span a space of dimension m - 1 when it is
+    bipartite (a spanning tree's columns are independent, and the rows signed
+    by side sum to zero) and m otherwise (an odd cycle's columns span its
+    vertices, and the tree reaches the rest).
     """
-    cols = [{iu: 1, iv: 1} for iu, iv in g.edge_indices]
-    return linalg.rank(cols, len(g.vertices))
+    return len(g.vertices) - sum(_two_coloring(g)[1])
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
@@ -179,9 +180,11 @@ def _two_coloring(g: Graph) -> tuple[list[int], list[bool]]:
     connected_components)."""
     color = [-1] * len(g.vertices)
     proper: list[bool] = []
-    for comp in connected_components(g):
+    for start in range(len(g.vertices)):
+        if color[start] >= 0:
+            continue
+        # start is the smallest vertex of a new component
         ok = True
-        start = g.index[comp[0]]
         color[start] = 0
         queue = [start]
         while queue:
@@ -199,6 +202,22 @@ def _two_coloring(g: Graph) -> tuple[list[int], list[bool]]:
 def is_bipartite(g: Graph) -> list[bool]:
     """Two-colorability of each connected component, aligned with connected_components."""
     return _two_coloring(g)[1]
+
+
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Classes of two or more mutually twin vertices, as increasing vertex
+    positions, ordered by their first vertex.
+
+    u and v are false twins when N(u) = N(v) and true twins when N[u] = N[v].
+    Each relation is an equivalence, and no vertex has twins of both kinds
+    (a false twin w of u and a true twin v of u would make w a neighbor of
+    u).  Swapping two twins is an automorphism of g.
+    """
+    groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    for v, nbrs in enumerate(g._adjacency):
+        groups.setdefault((False, nbrs), []).append(v)
+        groups.setdefault((True, nbrs | {v}), []).append(v)
+    return tuple(sorted(tuple(c) for c in groups.values() if len(c) > 1))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[str]) -> Graph:

@@ -23,7 +23,8 @@ which changes the answer:
   d-face that is the pivot row of a reduced column of d_{d+1} is the
   largest face of a d-boundary, so its column of d_d lies in the span of
   the columns before it and is skipped (Bauer-Kerber-Reininghaus, "Clear
-  and Compress", 2014; Bauer, "Ripser", JACT 2021).
+  and Compress", 2014; Bauer, "Ripser", JACT 2021).  Only the columns that
+  survive clearing are built.
 """
 
 from __future__ import annotations
@@ -107,9 +108,16 @@ def boundary_matrix(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
     """
     if d < 0:
         raise ValueError("boundary_matrix is defined for d >= 0")
-    row_index = {f: i for i, f in enumerate(k.faces_of_dimension(d - 1))}
+    return _boundary_columns(k.faces_of_dimension(d), k.faces_of_dimension(d - 1))
+
+
+def _boundary_columns(
+    faces: list[tuple[int, ...]], rows: list[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Boundary columns of the given d-faces, over the (d-1)-faces `rows`."""
+    row_index = {f: i for i, f in enumerate(rows)}
     cols: list[dict[int, int]] = []
-    for face in k.faces_of_dimension(d):
+    for face in faces:
         col: dict[int, int] = {}
         sign = 1
         for j in range(len(face)):
@@ -130,13 +138,16 @@ def reduced_homology(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> list
     if k.is_void:
         return [0]
     core = k.core()
-    counts = [len(core.faces_of_dimension(d)) for d in range(-1, core.dim + 1)]
+    # faces[i] holds the faces of dimension i - 1
+    faces = [core.faces_of_dimension(d) for d in range(-1, core.dim + 1)]
+    counts = [len(level) for level in faces]
     # entry i covers degree d = i - 1 and ranks[i] is the rank of d_{i-1}:
     # nullity(d_d) = f_d - rank(d_d)
     ranks = [0] * (len(counts) + 1)
     cleared: set[int] = set()
     for d in range(core.dim, -1, -1):
-        columns = [col for j, col in enumerate(boundary_matrix(core, d)) if j not in cleared]
+        kept = [face for j, face in enumerate(faces[d + 1]) if j not in cleared]
+        columns = _boundary_columns(kept, faces[d])
         # the pivot rows of d_d are (d-1)-faces: columns cleared from d_{d-1}
         cleared = linalg.pivot_rows(columns, field.modulus)
         ranks[d + 1] = len(cleared)

@@ -21,7 +21,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
 from .fiber import DEFAULT_MAX_FIBER
-from .graph import Graph, connected_components, induced_subgraph, recognize_complete_bipartite
+from .graph import (
+    Graph,
+    connected_components,
+    incidence_rank,
+    induced_subgraph,
+    recognize_complete_bipartite,
+)
 from .homology import RATIONALS, FieldSpec, homology_dimension
 
 # exhaustive cycle search is exponential; above this many vertices callers
@@ -343,9 +349,12 @@ class NonCMCertificate:
 
     The degree complex at the certifying multidegree is computed from
     scratch: `facet_count` should be 4 and `h2_dim` (= beta3) at least 1.
-    When the ambient graph also satisfies |E| <= |V| + 2 the pattern defeats
-    Cohen-Macaulayness (`applicable`); otherwise the certificate still
-    witnesses a degree-3 syzygy but the verdict stays inconclusive.
+    beta3 >= 1 gives pd >= 3, so depth = |E| - pd <= |E| - 3 (Auslander-
+    Buchsbaum).  When the ambient graph also satisfies |E| - 3 < dim k[G]
+    (the incidence rank) the pattern defeats Cohen-Macaulayness
+    (`applicable`); otherwise the certificate still witnesses a degree-3
+    syzygy but the verdict stays inconclusive.  For a connected graph with
+    an odd cycle, dim k[G] = |V| and the condition reads |E| <= |V| + 2.
     """
 
     embedding: ForbiddenEmbedding
@@ -384,7 +393,7 @@ def noncm_certificate(
     s = certificate_degree(g, embedding)
     delta = build_delta(g, s, max_fiber=max_fiber)
     h2 = homology_dimension(delta, 2, field)
-    applicable = len(g.edges) <= len(g.vertices) + 2
+    applicable = len(g.edges) - 3 < incidence_rank(g)
     verdict = "not-cohen-macaulay" if applicable and h2 >= 1 else "inconclusive"
     return NonCMCertificate(
         embedding=embedding,

@@ -16,13 +16,16 @@ from toricgraph import (
     betti_number,
     betti_table,
     complete_bipartite_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     invariants,
     known_complete_degree,
     path_graph,
     semigroup_levels,
+    twin_classes,
 )
+from toricgraph import betti
 
 from oracles import box_fiber, random_graph
 from whole_scan import whole_graph_entries
@@ -283,3 +286,131 @@ def test_max_fiber_caps_facets_in_a_scan():
         betti_table(g, 3, max_fiber=5)
     assert exc.value.limit == 5
     assert betti_table(g, 3, max_fiber=6).entries == betti_table(g, 3).entries
+
+
+def _plant_twins(rng, g):
+    """g with one to three twins planted: each new vertex copies the
+    neighborhood of a random vertex, and about half of them (true twins)
+    are joined to that vertex as well.  Vertex and edge order is shuffled."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    for k in range(rng.randint(1, 3)):
+        v = rng.choice(vertices)
+        twin = f"t{k}"
+        edges += [(twin, b if a == v else a) for a, b in list(edges) if v in (a, b)]
+        if rng.random() < 0.5:
+            edges.append((twin, v))
+        vertices.append(twin)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges))
+
+
+def _complete_graph(n):
+    vs = tuple(f"k{i}" for i in range(n))
+    return Graph(vs, tuple((u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]))
+
+
+TWIN_GRAPHS = {
+    "K4": _complete_graph(4),
+    "C4": cycle_graph(4),
+    "K23+K22": disjoint_union(complete_bipartite_graph(2, 3), complete_bipartite_graph(2, 2, "c", "d")),
+    "K34": complete_bipartite_graph(3, 4),
+}
+
+
+def _canonical(t, classes):
+    # the canonical form by sorting, which the scan never does
+    t = list(t)
+    for cls in classes:
+        for v, x in zip(cls, sorted((t[v] for v in cls), reverse=True)):
+            t[v] = x
+    return tuple(t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_orbit_scan_matches_whole_graph_scan(rng, bound):
+    g = _plant_twins(rng, random_graph(rng, max_vertices=5, max_edges=6))
+    for field in (RATIONALS, FieldSpec(2)):
+        got = betti_table(g, bound, field=field).entries
+        assert got == whole_graph_entries(g, bound, field), (g, bound, field)
+
+
+@pytest.mark.parametrize("name, bound", [("K4", 4), ("C4", 3), ("K23+K22", 4)])
+def test_orbit_scan_matches_whole_graph_scan_on_twin_families(name, bound):
+    g = TWIN_GRAPHS[name]
+    for field in (RATIONALS, FieldSpec(2)):
+        assert betti_table(g, bound, field=field).entries == whole_graph_entries(g, bound, field)
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_GRAPHS))
+def test_representatives_cover_each_plain_level(name):
+    g = TWIN_GRAPHS[name]
+    classes = twin_classes(g)
+    assert classes
+    group = betti._TwinGroup(g, classes)
+    reps = semigroup_levels(g, 5, classes=classes)
+    plain = semigroup_levels(g, 5)
+    assert len(reps) == len(plain)
+    for level, full in zip(reps, plain):
+        assert all(_canonical(r, classes) == r for r in level)
+        assert sum(group.orbit_size(r) for r in level) == len(full)
+        assert {_canonical(t, classes) for t in full} == set(level)
+        assert sorted(t for r in level for t in group.orbit(r)) == full
+
+
+def test_orbit_scan_overflows_at_the_plain_degree():
+    rng = random.Random(2024)
+    graphs = [g for g in TWIN_GRAPHS.values() if len(connected_components(g)) == 1]
+    while len(graphs) < 15:
+        g = _plant_twins(rng, random_graph(rng, max_vertices=5, max_edges=7))
+        if g.edges and len(connected_components(g)) == 1:
+            graphs.append(g)
+    overflows = 0
+    for g in graphs:
+        top = known_complete_degree(g)
+        bound = 6 if top is None else min(6, top)  # where betti_table stops
+        for cap in (1, 4, 30, 200, 1000):
+            try:
+                semigroup_levels(g, bound, cap)
+                continue
+            except ScanOverflowError as exc:
+                degree = exc.degree
+            overflows += 1
+            with pytest.raises(ScanOverflowError) as exc:
+                semigroup_levels(g, bound, cap, twin_classes(g))
+            assert exc.value.degree == degree
+            with pytest.raises(ScanOverflowError) as exc:
+                betti_table(g, 6, max_scan=cap)
+            assert (exc.value.limit, exc.value.degree) == (cap, degree)
+    assert overflows >= 30
+
+
+def test_semigroup_levels_rejects_non_twins():
+    with pytest.raises(ValueError, match="not twins"):
+        semigroup_levels(path_graph(4), 2, classes=((0, 1),))
+
+
+def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
+    # 16,071 multidegrees to degree 8, 790 of them not cones; one scan per
+    # orbit leaves 366 and 46
+    g = complete_bipartite_graph(3, 4)
+    assert sum(map(len, semigroup_levels(g, 8))) == 16071
+    scanned, homology = [], []
+    levels, reduced = betti.semigroup_levels, betti.reduced_homology
+
+    def count_levels(*args, **kwargs):
+        result = levels(*args, **kwargs)
+        scanned.append(sum(map(len, result)))
+        return result
+
+    def count_homology(*args, **kwargs):
+        homology.append(1)
+        return reduced(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "semigroup_levels", count_levels)
+    monkeypatch.setattr(betti, "reduced_homology", count_homology)
+    table = betti_table(g, 8)
+    assert table.certified
+    assert scanned == [366]
+    assert len(homology) == 46

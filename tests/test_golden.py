@@ -1,0 +1,90 @@
+"""CLI outputs pinned byte for byte: the exit code, stdout and stderr of
+every `tests/data` graph under `analyze`, `betti` (over Q, GF(2), GF(3)),
+`bounds` and `certify-noncm`, plus a few single-degree, embedding and
+overflow runs, against the files in `tests/golden/`.
+
+After an intended change of output, regenerate the files from the repository
+root with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from toricgraph.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+GRAPHS = ["bad.json", "c4.edges", "dup.edges", "f.json", "k23.json", "k23k22.json", "tri.json"]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in GRAPHS:
+        path = f"tests/data/{name}"
+        stem = name.split(".")[0]
+        cases[f"{stem}.analyze"] = ["analyze", path]
+        for field in ("q", "2", "3"):
+            cases[f"{stem}.betti-{field}"] = ["betti", path, "--field", field]
+        cases[f"{stem}.bounds"] = ["bounds", path, "--parts", "tests/data/parts.json"]
+        cases[f"{stem}.certify-noncm"] = ["certify-noncm", path]
+    cases["f.analyze-max-deg-6"] = ["analyze", "tests/data/f.json", "--max-deg", "6"]
+    cases["f.certify-noncm-embedding"] = [
+        "certify-noncm", "tests/data/f.json", "--embedding", "tests/data/f_embedding.json"]
+    cases["k23.betti-max-scan-2"] = ["betti", "tests/data/k23.json", "--max-scan", "2"]
+    cases["tri.complex-s222"] = ["complex", "tests/data/tri.json", "--degree", "tests/data/s222.json"]
+    cases["c4.fiber-s1111"] = ["fiber", "tests/data/c4.edges", "--degree", "tests/data/s1111.json"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI run from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden_path(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    with open(_golden_path(name), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert expected["argv"] == CASES[name]
+    assert _run(CASES[name]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    on_disk = {f[: -len(".json")] for f in os.listdir(GOLDEN) if f.endswith(".json")}
+    assert on_disk == set(CASES)
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        with open(_golden_path(name), "w", encoding="utf-8") as fh:
+            json.dump(_run(argv), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(name, file=sys.stderr)

@@ -17,9 +17,10 @@ from toricgraph import (
     loads_graph,
     path_graph,
     recognize_complete_bipartite,
+    twin_classes,
 )
 
-from oracles import random_graph
+from oracles import random_graph, sympy_rank
 
 
 def test_json_parse_and_round_trip():
@@ -118,10 +119,47 @@ def test_incidence_rank_counts_bipartite_components():
     assert incidence_rank(g) == 11 - 2
 
 
+def test_incidence_rank_is_the_matrix_rank():
+    rng = random.Random(140)
+    for _ in range(60):
+        g = random_graph(rng)
+        cols = [{iu: 1, iv: 1} for iu, iv in g.edge_indices]
+        assert incidence_rank(g) == sympy_rank(cols, len(g.vertices)), g
+
+
 def test_components_and_bipartite():
     g = disjoint_union(path_graph(3, "p"), cycle_graph(3, "t"))
     assert connected_components(g) == [("p1", "p2", "p3"), ("t1", "t2", "t3")]
     assert is_bipartite(g) == [True, False]
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (cycle_graph(3), ((0, 1, 2),)),  # true twins
+        (cycle_graph(4), ((0, 2), (1, 3))),  # false twins
+        (cycle_graph(5), ()),
+        (path_graph(4), ()),
+        (path_graph(3), ((0, 2),)),
+        (complete_bipartite_graph(2, 3), ((0, 1), (2, 3, 4))),
+        (path_graph(2), ((0, 1),)),  # K_2: true twins
+        (Graph(("a", "b", "c"), (("a", "b"),)), ((0, 1),)),  # c has no twin
+        (Graph(("a", "b", "c", "d"), (("b", "c"),)), ((0, 3), (1, 2))),
+    ],
+)
+def test_twin_classes(g, expected):
+    assert twin_classes(g) == expected
+
+
+def test_twin_swaps_are_automorphisms():
+    rng = random.Random(17)
+    for _ in range(50):
+        g = random_graph(rng)
+        edges = {frozenset(e) for e in g.edge_indices}
+        for cls in twin_classes(g):
+            a, b = cls[0], cls[-1]
+            swap = {a: b, b: a}
+            assert {frozenset(swap.get(x, x) for x in e) for e in edges} == edges
 
 
 def test_induced_subgraph_keeps_order():

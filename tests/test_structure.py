@@ -270,6 +270,24 @@ def test_certificate_not_applicable_in_dense_ambient():
     assert cert.verdict == "inconclusive"
 
 
+def test_certificate_applicability_uses_the_dimension():
+    # beta3 >= 1 decides Cohen-Macaulayness only when |E| - 3 < dim k[G]
+    f, emb = forbidden_structure(3, 3, 2, 2)
+    for extra in ((), (("x2", "t"),)):  # the bare pattern, and with a pendant edge
+        g = Graph(f.vertices + tuple(v for _, v in extra), f.edges + extra)
+        cert = noncm_certificate(g, emb)
+        assert cert.applicable and cert.verdict == "not-cohen-macaulay"
+    # a vertex joined to x2 and y2, plus a disjoint edge: |E| = |V| + 2 but
+    # dim = 10 = |E| - 3, since the edge's component is bipartite
+    h = Graph(f.vertices + ("t",), f.edges + (("t", "x2"), ("t", "y2")))
+    g = disjoint_union(h, Graph(("k1", "k2"), (("k1", "k2"),)))
+    assert len(g.edges) == len(g.vertices) + 2 == 13
+    cert = noncm_certificate(g, emb)
+    assert cert.h2_dim == 1
+    assert not cert.applicable
+    assert cert.verdict == "inconclusive"
+
+
 def test_certificate_none_when_absent():
     assert noncm_certificate(_k4()) is None
 
