@@ -54,7 +54,6 @@ from .homology import (
     FieldSpec,
     RATIONALS,
     boundary_matrix,
-    euler_characteristic_check,
     homology_dimension,
     parse_field,
     reduced_homology,

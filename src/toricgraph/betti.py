@@ -25,9 +25,11 @@ representative of an orbit has non-increasing weights along each class, in
 vertex order.  Each level holds representatives only; the facets of
 Delta_{s - a_e} are those of its representative, relabelled by at most two
 twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
-nonzero entry is written for every element of the orbit.  `max_scan` still
-counts every semigroup element: a level adds the sizes of its orbits, the
-products over the classes of the multinomials of the weights.
+nonzero entry is written for every element of the orbit, which one walk
+(`_TwinGroup.orbit`) lists together with the transpositions that reach each
+element.  `max_scan` still counts every semigroup element: a level adds the
+sizes of its orbits, the products over the classes of the multinomials of
+the weights, read off the runs of equal weights.
 
 The edge subring of a disjoint union is the tensor product of the
 components' rings, and so is its minimal free resolution (Kuenneth): with
@@ -45,13 +47,11 @@ certification question; see `known_complete_degree`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
 from typing import Callable, Optional, Sequence
 
-from .complexes import SimplicialComplex, build_delta
+from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError
 from .graph import (
     Graph,
@@ -123,11 +123,13 @@ class _TwinGroup:
     edge bitmasks by relabelling endpoints.
 
     r is canonical when its weights do not increase along each class, in
-    vertex order.  For canonical r, a unit added at vertex i moves to the
-    first vertex of i's class holding r[i], and a unit removed moves to the
-    last one; that keeps the result canonical and is a twin transposition.
-    So r + a_e and r - a_e are canonical after at most two transpositions,
-    the second endpoint relabelled by the first, with no sorting.
+    vertex order, so equal weights sit on consecutive vertices of a class.
+    For canonical r, a unit added at vertex i moves to the first vertex of
+    i's class holding r[i], and a unit removed moves to the last one; that
+    keeps the result canonical and is a twin transposition.  So r + a_e and
+    r - a_e are canonical after at most two transpositions, the second
+    endpoint relabelled by the first, with no sorting.  `orbit` walks r's
+    orbit with the transpositions that reach each element.
     """
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
@@ -180,43 +182,43 @@ class _TwinGroup:
 
     def orbit_size(self, r: tuple[int, ...]) -> int:
         """The product over the classes of the multinomial coefficient of
-        r's weights on the class."""
+        canonical r's weights on the class: the product of (k + 1) / j over
+        the class's vertices, the k-th (from 0) being j-th in its run of
+        equal weights.  Each partial product is a multinomial, so every
+        division is exact."""
         size = 1
         for cls in self.classes:
-            size *= factorial(len(cls))
-            for m in Counter(r[v] for v in cls).values():
-                size //= factorial(m)
+            run = 0
+            for k, v in enumerate(cls):
+                run = run + 1 if k and r[v] == r[cls[k - 1]] else 1
+                size = size * (k + 1) // run
         return size
 
-    def orbit(self, r: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Every element of r's orbit: each class's weights in every
-        distinct order."""
-        orbit = [r]
+    def orbit(
+        self, r: tuple[int, ...]
+    ) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+        """Every element t of r's orbit, each once, with the swaps that
+        carry r's edge masks to t's, in the order to apply them.  Class by
+        class, each vertex in turn takes each distinct weight still to its
+        right, from the first vertex holding it."""
+        orbit = [(r, ())]
         for cls in self.classes:
-            orders = _arrangements(sorted(r[v] for v in cls))
-            nxt = []
-            for t in orbit:
-                for values in orders:
-                    u = list(t)
-                    for v, x in zip(cls, values):
-                        u[v] = x
-                    nxt.append(tuple(u))
-            orbit = nxt
+            for k, a in enumerate(cls[:-1]):
+                nxt = []
+                for t, swaps in orbit:
+                    taken = set()
+                    for b in cls[k:]:
+                        if t[b] in taken:
+                            continue
+                        taken.add(t[b])
+                        if b == a:
+                            nxt.append((t, swaps))
+                            continue
+                        u = list(t)
+                        u[a], u[b] = u[b], u[a]
+                        nxt.append((tuple(u), swaps + (self.swaps[a, b],)))
+                orbit = nxt
         return orbit
-
-    def moves(self, r: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Swaps carrying r's edge masks to those of t in r's orbit, in the
-        order to apply them: class by class, each vertex in turn takes its
-        weight in t from a later vertex of its class."""
-        cur = list(r)
-        out = []
-        for cls in self.classes:
-            for k, a in enumerate(cls):
-                if cur[a] != t[a]:
-                    b = next(b for b in cls[k + 1 :] if cur[b] == t[a])
-                    cur[a], cur[b] = cur[b], cur[a]
-                    out.append(self.swaps[a, b])
-        return out
 
 
 def _slide(t: list[int], i: int, link: list[int]) -> int:
@@ -226,25 +228,6 @@ def _slide(t: list[int], i: int, link: list[int]) -> int:
     while j >= 0 and t[j] == x:
         i, j = j, link[j]
     return i
-
-
-def _arrangements(values: list[int]) -> list[tuple[int, ...]]:
-    """The distinct orderings of a sorted multiset, in lexicographic order
-    (the next-permutation step)."""
-    a = list(values)
-    out = []
-    while True:
-        out.append(tuple(a))
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _relabel(mask: int, swaps: tuple[int, ...]) -> int:
@@ -397,21 +380,15 @@ def _scan(
 
     Degree complexes of the representatives are built level by level from
     the facets of the level below (`_facets`), held as edge bitmasks for two
-    levels at a time; a `SimplicialComplex` is made only for the complexes
-    that are not cones.  beta_{i,t} is the same for every t in an orbit, so
-    a nonzero entry is written for the whole orbit.  With `on_complex`, each
-    level is expanded: every element gets its representative's facets,
-    relabelled by twin swaps.
+    levels at a time; a `SimplicialComplex` is made (`from_masks`) only for
+    the complexes that are not cones.  beta_{i,t} is the same for every t
+    in an orbit (`_TwinGroup.orbit`), so a nonzero entry is written for the
+    whole orbit.  With `on_complex`, each level is expanded in sorted
+    order: every element t gets its representative's facets, relabelled by
+    the swaps that reach t.
     """
     ground = tuple(h.edges)
-    positions = range(len(ground))
     edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
-
-    def complex_of(masks) -> SimplicialComplex:
-        return SimplicialComplex(
-            ground, tuple(frozenset(e for e in positions if mask >> e & 1) for mask in masks)
-        )
-
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
@@ -431,7 +408,8 @@ def _scan(
                 common &= mask
             if common:
                 continue  # every facet holds a common edge: a cone
-            for k, dim in enumerate(reduced_homology(complex_of(masks), field), start=-1):
+            delta = SimplicialComplex.from_masks(ground, masks)
+            for k, dim in enumerate(reduced_homology(delta, field), start=-1):
                 if not dim:
                     continue
                 i = k + 1
@@ -439,14 +417,15 @@ def _scan(
                     raise RuntimeError(
                         f"internal error: beta_{{{i},{r}}} nonzero violates 2i <= |s|"
                     )
-                for t in twins.orbit(r):
+                for t, _ in twins.orbit(r):
                     entries[(i, t)] = dim
         if on_complex is not None:
-            for t, r in sorted((t, r) for r in level for t in twins.orbit(r)):
+            expanded = sorted((t, moves, r) for r in level for t, moves in twins.orbit(r))
+            for t, moves, r in expanded:
                 masks = here[r]
-                for swaps in twins.moves(r, t):
+                for swaps in moves:
                     masks = [_relabel(mask, swaps) for mask in masks]
-                on_complex(t, complex_of(masks))
+                on_complex(t, SimplicialComplex.from_masks(ground, masks))
         below = here
     # level by level, then by multidegree and index, as a plain scan finds them
     return dict(sorted(entries.items(), key=lambda item: (sum(item[0][1]), item[0][1], item[0][0])))
@@ -466,8 +445,6 @@ def _facets(
     Delta_s are the maximal sets among G | {e} over the edges e and the
     facets G of Delta_{s-a_e}.  Those are the facets of the representative
     of s - a_e, relabelled by the twin swaps that carry it to s - a_e.
-    Taken largest first, a set is maximal unless it lies in one already
-    kept.
     """
     candidates: set[int] = set()
     for bit, iu, iv in edges:
@@ -477,11 +454,7 @@ def _facets(
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
                 candidates.add(mask | bit)
-    kept: list[int] = []
-    for mask in sorted(candidates, key=int.bit_count, reverse=True):
-        if all(mask | other != other for other in kept):
-            kept.append(mask)
-    return kept
+    return maximal_masks(candidates)
 
 
 def _convolve(

@@ -460,13 +460,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FiberOverflowError, ScanOverflowError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("toricgraph: error: search nested deeper than the recursion limit", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a failed internal cross-check
-        print(f"toricgraph: error: {exc}", file=sys.stderr)
-        return 1
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (GraphFormatError, ValueError, OSError, RuntimeError) as exc:
+        # bad input, or a failed internal cross-check (RuntimeError)
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

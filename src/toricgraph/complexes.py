@@ -6,6 +6,11 @@ those supports.  Two degenerate complexes matter and are kept distinct:
 
 * the void complex (no faces at all) for s outside the semigroup, and
 * the irrelevant complex {emptyset} for s = 0.
+
+Sets of ground positions are also handled as int bitmasks (bit x for
+position x): the Betti scan and `SimplicialComplex.core` work on masks,
+`maximal_masks` is the one filter that keeps the maximal sets of a family,
+and `SimplicialComplex.from_masks` is the one step from masks to a complex.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .fiber import DEFAULT_MAX_FIBER, enumerate_fiber
 from .graph import Graph
@@ -36,8 +41,8 @@ class SimplicialComplex:
         n = len(self.ground)
         for f in self.facets:
             for x in f:
-                if not (0 <= x < n):
-                    raise ValueError(f"facet element {x} outside ground set of size {n}")
+                if not 0 <= x < n:
+                    raise _outside(x, n)
         for a in self.facets:
             for b in self.facets:
                 if a is not b and a <= b:
@@ -48,9 +53,26 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, ground: Sequence, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Normalize arbitrary generating faces: dedupe and drop non-maximal ones."""
-        sets = {frozenset(f) for f in faces}
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        return cls(tuple(ground), tuple(maximal))
+        n = len(ground)
+        masks = []
+        for face in faces:
+            mask = 0
+            for x in face:
+                if not 0 <= x < n:  # checked before the shift, which needs x >= 0
+                    raise _outside(x, n)
+                mask |= 1 << x
+            masks.append(mask)
+        return cls.from_masks(ground, maximal_masks(masks))
+
+    @classmethod
+    def from_masks(cls, ground: Sequence, masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex whose facets are the given pairwise incomparable sets,
+        as bitmasks of ground positions.  Every set bit is decoded, so a
+        position outside the ground set is rejected like any other."""
+        return cls(
+            tuple(ground),
+            tuple(frozenset(x for x in range(m.bit_length()) if m >> x & 1) for m in masks),
+        )
 
     @property
     def is_void(self) -> bool:
@@ -99,17 +121,6 @@ class SimplicialComplex:
         fs = frozenset(face)
         return any(fs <= facet for facet in self.facets)
 
-    def common_vertex(self) -> Optional[int]:
-        """A ground position lying in every facet, if one exists (a cone apex)."""
-        if self.is_void:
-            return None
-        shared = set(self.facets[0])
-        for f in self.facets[1:]:
-            shared &= f
-            if not shared:
-                return None
-        return min(shared) if shared else None
-
     def core(self) -> "SimplicialComplex":
         """The complex left after deleting dominated vertices until none is.
 
@@ -133,20 +144,11 @@ class SimplicialComplex:
                         shared &= mask
                 if shared == -1 or shared == bit:
                     continue  # v is in no facet, or no other vertex dominates it
-                # F - v lies in no facet holding v, so only those without v
-                # can swallow it
-                rest = [mask for mask in masks if not mask & bit]
-                masks = rest + [
-                    m for m in (mask ^ bit for mask in masks if mask & bit)
-                    if all(m & other != m for other in rest)
-                ]
+                masks = maximal_masks(mask & ~bit for mask in masks)
                 changed = True
         if masks is original:
             return self
-        positions = range(len(self.ground))
-        return SimplicialComplex(
-            self.ground, tuple(frozenset(x for x in positions if m >> x & 1) for m in masks)
-        )
+        return SimplicialComplex.from_masks(self.ground, masks)
 
     def permuted(self, perm: Sequence[int]) -> "SimplicialComplex":
         """Relabel the ground set: old position i becomes perm[i]."""
@@ -161,6 +163,23 @@ class SimplicialComplex:
     def facet_labels(self) -> list[list]:
         """Facets as lists of ground labels (positions mapped through `ground`)."""
         return [[self.ground[x] for x in sorted(f)] for f in self.facets]
+
+
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The maximal sets of a family of bitmasks, each once.  Taken largest
+    first, a set is kept unless it lies inside one already kept."""
+    kept: list[int] = []
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        for other in kept:
+            if mask | other == other:
+                break
+        else:
+            kept.append(mask)
+    return kept
+
+
+def _outside(x: int, n: int) -> ValueError:
+    return ValueError(f"facet element {x} outside ground set of size {n}")
 
 
 def build_delta(

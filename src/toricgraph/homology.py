@@ -160,16 +160,3 @@ def homology_dimension(k: SimplicialComplex, d: int, field: FieldSpec = RATIONAL
     if k.is_void or d < -1 or d > k.dim:
         return 0
     return reduced_homology(k, field)[d + 1]
-
-
-def euler_characteristic_check(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
-    """Reduced Euler characteristic from face counts equals the one from homology."""
-    if k.is_void:
-        return True
-    from_faces = 0
-    for d in range(-1, k.dim + 1):
-        sign = 1 if d % 2 == 0 else -1
-        from_faces += sign * len(k.faces_of_dimension(d))
-    hom = reduced_homology(k, field)
-    from_homology = sum((1 if i % 2 == 1 else -1) * h for i, h in enumerate(hom))
-    return from_faces == from_homology

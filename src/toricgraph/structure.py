@@ -54,37 +54,40 @@ def _induced_cycles(g: Graph, max_length: int) -> list[tuple[int, ...]]:
 
     Canonical form: the smallest vertex first, then the smaller of its two
     cycle neighbors, so each cycle appears exactly once (rotation and
-    reflection quotiented away).  Output sorted by (length, tuple).
+    reflection quotiented away).  Output sorted by (length, tuple).  The
+    depth-first search keeps an explicit stack, one iterator over the
+    neighbors of each path vertex past v0, so long cycles do not recurse.
     """
     n = len(g.vertices)
     adj = g._adjacency
     out: list[tuple[int, ...]] = []
-
-    def extend(v0: int, path: list[int], members: set[int]) -> None:
-        last = path[-1]
-        for u in sorted(adj[last]):
-            if u <= v0 or u in members:
-                continue
-            # interior chord would contradict inducedness
-            if any(u in adj[w] for w in path[1:-1]):
-                continue
-            if v0 in adj[u]:
-                # closing edge found; a longer cycle through u would retain it
-                # as a chord, so record and stop
-                if len(path) >= 2 and path[1] < u and len(path) + 1 <= max_length:
-                    out.append(tuple(path) + (u,))
-                continue
-            if len(path) + 2 <= max_length:
-                members.add(u)
-                path.append(u)
-                extend(v0, path, members)
-                path.pop()
-                members.remove(u)
-
-    if max_length >= 3:
-        for v0 in range(n):
-            for v1 in sorted(w for w in adj[v0] if w > v0):
-                extend(v0, [v0, v1], {v0, v1})
+    if max_length < 3:
+        return out
+    for v0 in range(n):
+        for v1 in sorted(w for w in adj[v0] if w > v0):
+            path, members = [v0, v1], {v0, v1}
+            stack = [iter(sorted(adj[v1]))]
+            while stack:
+                u = next(stack[-1], None)
+                if u is None:
+                    stack.pop()
+                    members.remove(path.pop())
+                    continue
+                if u <= v0 or u in members:
+                    continue
+                # interior chord would contradict inducedness
+                if any(u in adj[w] for w in path[1:-1]):
+                    continue
+                if v0 in adj[u]:
+                    # closing edge found; a longer cycle through u would
+                    # retain it as a chord, so record and stop
+                    if path[1] < u and len(path) + 1 <= max_length:
+                        out.append(tuple(path) + (u,))
+                    continue
+                if len(path) + 2 <= max_length:
+                    members.add(u)
+                    path.append(u)
+                    stack.append(iter(sorted(adj[u])))
     out.sort(key=lambda c: (len(c), c))
     return out
 
@@ -253,12 +256,19 @@ def _paths_between(
 ) -> Iterator[tuple[int, ...]]:
     """Simple paths (as position tuples) from a start to a target with at
     least 2 edges, interior vertices outside blocked/targets, in
-    lexicographic order."""
+    lexicographic order.  The depth-first search keeps an explicit stack,
+    one iterator over the neighbors of each path vertex, so long paths do
+    not recurse."""
     adj = g._adjacency
-
-    def walk(path: list[int], members: set[int]) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        for u in sorted(adj[last]):
+    for a in sorted(starts):
+        path, members = [a], {a}
+        stack = [iter(sorted(adj[a]))]
+        while stack:
+            u = next(stack[-1], None)
+            if u is None:
+                stack.pop()
+                members.remove(path.pop())
+                continue
             if u in members:
                 continue
             if u in targets:
@@ -269,12 +279,7 @@ def _paths_between(
                 continue
             members.add(u)
             path.append(u)
-            yield from walk(path, members)
-            path.pop()
-            members.remove(u)
-
-    for a in sorted(starts):
-        yield from walk([a], {a})
+            stack.append(iter(sorted(adj[u])))
 
 
 def detect_forbidden(

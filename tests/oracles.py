@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-import sympy
-from sympy.polys.domains import GF, QQ
+from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from toricgraph import Graph, boundary_matrix, reduced_homology
+from toricgraph import RATIONALS, Graph, boundary_matrix, reduced_homology
 
 
 def box_fiber(g: Graph, s) -> list[tuple[int, ...]]:
@@ -56,14 +55,17 @@ def random_graph(rng: random.Random, max_vertices: int = 7, max_edges: int = 9) 
 
 
 def sympy_rank(columns, nrows: int, modulus=None) -> int:
+    """Rank of the matrix with the given sparse columns ({row: entry}),
+    by sympy's sparse domain matrices over ZZ, converted to QQ or GF(p)."""
     ncols = len(columns)
     if nrows == 0 or ncols == 0:
         return 0
-    mat = sympy.zeros(nrows, ncols)
+    rows: dict = {}
     for j, col in enumerate(columns):
         for i, v in col.items():
-            mat[i, j] = v
-    dm = DomainMatrix.from_Matrix(mat)
+            if v:
+                rows.setdefault(i, {})[j] = ZZ(v)
+    dm = DomainMatrix(rows, (nrows, ncols), ZZ)
     domain = QQ if modulus is None else GF(modulus)
     return dm.convert_to(domain).rank()
 
@@ -81,6 +83,19 @@ def composition_vanishes(k) -> bool:
             if any(acc.values()):
                 return False
     return True
+
+
+def euler_characteristic_check(k, field=RATIONALS) -> bool:
+    """Reduced Euler characteristic from face counts equals the one from homology."""
+    if k.is_void:
+        return True
+    from_faces = 0
+    for d in range(-1, k.dim + 1):
+        sign = 1 if d % 2 == 0 else -1
+        from_faces += sign * len(k.faces_of_dimension(d))
+    hom = reduced_homology(k, field)
+    from_homology = sum((1 if i % 2 == 1 else -1) * h for i, h in enumerate(hom))
+    return from_faces == from_homology
 
 
 def homology_via_sympy(k, modulus=None) -> list[int]:

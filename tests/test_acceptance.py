@@ -22,7 +22,6 @@ from toricgraph import (
     cycle_graph,
     disjoint_union,
     enumerate_fiber,
-    euler_characteristic_check,
     forbidden_structure,
     graph_to_json,
     homology_dimension,
@@ -39,6 +38,7 @@ from oracles import (
     box_size,
     composition_vanishes,
     convolve_entries,
+    euler_characteristic_check,
     homology_via_sympy,
     permuted_homology,
     random_graph,

@@ -354,9 +354,10 @@ def test_representatives_cover_each_plain_level(name):
     assert len(reps) == len(plain)
     for level, full in zip(reps, plain):
         assert all(_canonical(r, classes) == r for r in level)
+        assert all(group.orbit_size(r) == len(group.orbit(r)) for r in level)
         assert sum(group.orbit_size(r) for r in level) == len(full)
         assert {_canonical(t, classes) for t in full} == set(level)
-        assert sorted(t for r in level for t in group.orbit(r)) == full
+        assert sorted(t for r in level for t, _ in group.orbit(r)) == full
 
 
 def test_orbit_scan_overflows_at_the_plain_degree():

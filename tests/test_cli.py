@@ -284,6 +284,22 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     assert code == 0
 
 
+def test_pattern_search_on_paths_longer_than_the_recursion_limit(capsys, tmp_path):
+    # the cycle and path searches keep their own stacks: 1,100-edge paths
+    # are found, not reported as a search nested too deep
+    from toricgraph import forbidden_structure, graph_to_json
+
+    g, _ = forbidden_structure(3, 3, 1100, 1100, "none")
+    path = tmp_path / "long.json"
+    path.write_text(graph_to_json(g))
+    payload, err = _run_json(
+        capsys, "certify-noncm", str(path), "--max-cycle", "3", "--max-path", "1105")
+    assert err == ""
+    assert payload["result"] == "not-cohen-macaulay"
+    embedding = payload["certificate"]["embedding"]
+    assert len(embedding["path1"]) == len(embedding["path2"]) == 1101
+
+
 def test_version(capsys):
     from toricgraph import __version__
 

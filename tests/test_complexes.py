@@ -21,6 +21,15 @@ def test_constructor_rejects_nested_facets():
         SimplicialComplex(("a",), (frozenset({3}),))
 
 
+def test_from_faces_and_from_masks_reject_positions_outside_the_ground_set():
+    with pytest.raises(ValueError, match="outside ground set"):
+        SimplicialComplex.from_faces("abc", [(0, 1), (3,)])
+    with pytest.raises(ValueError, match="outside ground set"):
+        SimplicialComplex.from_faces("abc", [(0, 1), (-1, 2)])
+    with pytest.raises(ValueError, match="outside ground set"):
+        SimplicialComplex.from_masks("abc", [0b011, 0b1000])
+
+
 def test_facets_are_canonically_sorted():
     k1 = SimplicialComplex(("a", "b", "c"), (frozenset({2}), frozenset({0, 1})))
     k2 = SimplicialComplex(("a", "b", "c"), (frozenset({0, 1}), frozenset({2})))
@@ -35,7 +44,6 @@ def test_void_and_irrelevant():
     assert void.faces_of_dimension(0) == []
     assert void.faces_of_dimension(-1) == []
     assert void.f_vector() == {}
-    assert void.common_vertex() is None
 
     irr = SimplicialComplex(("a",), (frozenset(),))
     assert irr.is_irrelevant and not irr.is_void
@@ -62,15 +70,6 @@ def test_has_face():
     assert k.has_face(())
     assert k.has_face((0, 2))
     assert not SimplicialComplex.from_faces(range(3), [(0, 1), (1, 2)]).has_face((0, 2))
-
-
-def test_common_vertex():
-    cone = SimplicialComplex.from_faces(range(4), [(0, 1, 2), (0, 3)])
-    assert cone.common_vertex() == 0
-    hollow = SimplicialComplex.from_faces(range(3), [(0, 1), (1, 2), (0, 2)])
-    assert hollow.common_vertex() is None
-    irr = SimplicialComplex(("a",), (frozenset(),))
-    assert irr.common_vertex() is None  # empty facet has no vertex
 
 
 def test_core_of_a_cone_is_one_vertex():

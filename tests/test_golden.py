@@ -44,6 +44,8 @@ def _cases() -> dict[str, list[str]]:
         "certify-noncm", "tests/data/f.json", "--embedding", "tests/data/f_embedding.json"]
     cases["k23.betti-max-scan-2"] = ["betti", "tests/data/k23.json", "--max-scan", "2"]
     cases["tri.complex-s222"] = ["complex", "tests/data/tri.json", "--degree", "tests/data/s222.json"]
+    cases["f.complex-s31131122"] = [
+        "complex", "tests/data/f.json", "--degree", "tests/data/s31131122.json"]
     cases["c4.fiber-s1111"] = ["fiber", "tests/data/c4.edges", "--degree", "tests/data/s1111.json"]
     return cases
 

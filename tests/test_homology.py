@@ -10,13 +10,17 @@ from toricgraph import (
     FieldSpec,
     SimplicialComplex,
     boundary_matrix,
-    euler_characteristic_check,
     homology_dimension,
     parse_field,
     reduced_homology,
 )
 
-from oracles import composition_vanishes, homology_via_sympy, permuted_homology
+from oracles import (
+    composition_vanishes,
+    euler_characteristic_check,
+    homology_via_sympy,
+    permuted_homology,
+)
 
 GF2 = FieldSpec(2)
 

@@ -7,9 +7,10 @@ complex.  It is built from the engine's layers (semigroup levels, degree
 complexes, reduced homology), so unlike `oracles.py` it checks the split
 and the convolution, not the layers themselves.
 
-Cones are skipped, by a test written here rather than the engine's
-`common_vertex`: a cone is contractible, and running homology on every cone
-of K_{2,2} + K_{2,3} up to degree 10 costs about 40 s instead of about 6 s.
+Cones are skipped, by a test on the facets written here rather than the
+engine's own test on facet masks: a cone is contractible, and running
+homology on every cone of K_{2,2} + K_{2,3} up to degree 10 costs about 40 s
+instead of about 6 s.
 """
 
 from __future__ import annotations
