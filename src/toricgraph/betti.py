@@ -380,7 +380,7 @@ def _scan(
 
     Degree complexes of the representatives are built level by level from
     the facets of the level below (`_facets`), held as edge bitmasks for two
-    levels at a time; a `SimplicialComplex` is made (`from_masks`) only for
+    levels at a time; a `SimplicialComplex` is made on those masks only for
     the complexes that are not cones.  beta_{i,t} is the same for every t
     in an orbit (`_TwinGroup.orbit`), so a nonzero entry is written for the
     whole orbit.  With `on_complex`, each level is expanded in sorted
@@ -408,7 +408,7 @@ def _scan(
                 common &= mask
             if common:
                 continue  # every facet holds a common edge: a cone
-            delta = SimplicialComplex.from_masks(ground, masks)
+            delta = SimplicialComplex(ground, masks)
             for k, dim in enumerate(reduced_homology(delta, field), start=-1):
                 if not dim:
                     continue
@@ -425,7 +425,7 @@ def _scan(
                 masks = here[r]
                 for swaps in moves:
                     masks = [_relabel(mask, swaps) for mask in masks]
-                on_complex(t, SimplicialComplex.from_masks(ground, masks))
+                on_complex(t, SimplicialComplex(ground, masks))
         below = here
     # level by level, then by multidegree and index, as a plain scan finds them
     return dict(sorted(entries.items(), key=lambda item: (sum(item[0][1]), item[0][1], item[0][0])))

@@ -456,6 +456,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("max_fiber", "max_scan"):  # a negative cap is bad input, not an overflow
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
         payload = args.func(args)
     except (FiberOverflowError, ScanOverflowError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)

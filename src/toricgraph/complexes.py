@@ -7,17 +7,17 @@ those supports.  Two degenerate complexes matter and are kept distinct:
 * the void complex (no faces at all) for s outside the semigroup, and
 * the irrelevant complex {emptyset} for s = 0.
 
-Sets of ground positions are also handled as int bitmasks (bit x for
-position x): the Betti scan and `SimplicialComplex.core` work on masks,
-`maximal_masks` is the one filter that keeps the maximal sets of a family,
-and `SimplicialComplex.from_masks` is the one step from masks to a complex.
+A complex holds its facets as int bitmasks of ground positions (bit x for
+position x), and everything built from it works on masks: `maximal_masks`
+is the one filter that keeps the maximal sets of a family, `core` deletes
+dominated vertices mask by mask, and the faces are the submasks of the
+facets.  Frozensets and position tuples are only views, for callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .fiber import DEFAULT_MAX_FIBER, enumerate_fiber
@@ -29,26 +29,29 @@ class SimplicialComplex:
     """Facet representation of a simplicial complex.
 
     `ground` is the ordered tuple of ground-set labels (for degree complexes
-    these are the graph's edges); faces are stored as frozensets of positions
-    into `ground`.  Facets are pairwise incomparable, deduplicated, and kept
-    sorted by their sorted position tuple.
+    these are the graph's edges); `masks` holds the facets as bitmasks of
+    positions into `ground`, distinct, pairwise incomparable and sorted (the
+    constructor sorts any iterable of masks, and checks the rest).
     """
 
     ground: tuple
-    facets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.ground)
-        for f in self.facets:
-            for x in f:
-                if not 0 <= x < n:
-                    raise _outside(x, n)
-        for a in self.facets:
-            for b in self.facets:
-                if a is not b and a <= b:
-                    raise ValueError("facets must be pairwise incomparable")
-        ordered = tuple(sorted(self.facets, key=lambda f: tuple(sorted(f))))
-        object.__setattr__(self, "facets", ordered)
+        masks = tuple(sorted(self.masks))
+        for mask in masks:
+            if mask < 0:
+                raise ValueError(f"facet mask must be nonnegative, got {mask}")
+            if mask >> n:
+                raise _outside(mask.bit_length() - 1, n)
+        # a subset has the smaller mask, so only later masks can contain one
+        for i, a in enumerate(masks):
+            for b in masks[i + 1 :]:
+                if a | b == b:
+                    raise ValueError("facets must be distinct and pairwise incomparable")
+        object.__setattr__(self, "ground", tuple(self.ground))
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_faces(cls, ground: Sequence, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -62,64 +65,49 @@ class SimplicialComplex:
                     raise _outside(x, n)
                 mask |= 1 << x
             masks.append(mask)
-        return cls.from_masks(ground, maximal_masks(masks))
+        return cls(ground, maximal_masks(masks))
 
-    @classmethod
-    def from_masks(cls, ground: Sequence, masks: Iterable[int]) -> "SimplicialComplex":
-        """The complex whose facets are the given pairwise incomparable sets,
-        as bitmasks of ground positions.  Every set bit is decoded, so a
-        position outside the ground set is rejected like any other."""
-        return cls(
-            tuple(ground),
-            tuple(frozenset(x for x in range(m.bit_length()) if m >> x & 1) for m in masks),
-        )
+    @cached_property
+    def facets(self) -> tuple[frozenset[int], ...]:
+        """The facets as frozensets of positions, sorted by position tuple."""
+        return tuple(frozenset(p) for p in sorted(map(_positions, self.masks)))
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.masks
 
     @property
     def is_irrelevant(self) -> bool:
-        return len(self.facets) == 1 and not self.facets[0]
+        return self.masks == (0,)
 
     @property
     def dim(self) -> int:
         """Top face dimension; -1 for the irrelevant complex, -2 for void."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.facets) - 1
+        return max((mask.bit_count() for mask in self.masks), default=-1) - 1
 
     @cached_property
-    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Faces by dimension, from -1 to dim, each in lexicographic order."""
+    def face_masks(self) -> tuple[list[int], ...]:
+        """Faces by dimension, from -1 to dim, as masks in increasing order:
+        the submasks of the facets, enumerated once."""
         if self.is_void:
             return ()
-        found: list[set[tuple[int, ...]]] = [set() for _ in range(self.dim + 2)]
-        for facet in self.facets:
-            base = sorted(facet)
-            for size in range(len(base) + 1):
-                found[size].update(combinations(base, size))
-        return tuple(tuple(sorted(faces)) for faces in found)
+        found: list[set[int]] = [{0}] + [set() for _ in range(self.dim + 1)]
+        for facet in self.masks:
+            sub = facet
+            while sub:
+                found[sub.bit_count()].add(sub)
+                sub = (sub - 1) & facet
+        return tuple(sorted(level) for level in found)
 
     def faces_of_dimension(self, d: int) -> list[tuple[int, ...]]:
         """All d-faces as sorted position tuples, in lexicographic order.
 
-        d = -1 returns the empty face [()] for every non-void complex.  The
-        faces of every dimension are enumerated once, on the first call.
+        d = -1 returns the empty face [()] for every non-void complex.
         """
         if d < -1:
             raise ValueError("face dimension must be at least -1")
-        return list(self._faces[d + 1]) if d + 1 < len(self._faces) else []
-
-    def f_vector(self) -> dict[int, int]:
-        """Face counts by dimension, from -1 up to dim (empty for void)."""
-        return {
-            d: len(self.faces_of_dimension(d)) for d in range(-1, self.dim + 1)
-        }
-
-    def has_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return any(fs <= facet for facet in self.facets)
+        faces = self.face_masks
+        return sorted(map(_positions, faces[d + 1])) if d + 1 < len(faces) else []
 
     def core(self) -> "SimplicialComplex":
         """The complex left after deleting dominated vertices until none is.
@@ -132,7 +120,7 @@ class SimplicialComplex:
         ground set is kept; a cone's core is a single vertex, and the void
         and irrelevant complexes are their own cores.
         """
-        masks = original = [sum(1 << x for x in f) for f in self.facets]
+        masks = self.masks
         changed = True
         while changed:
             changed = False
@@ -146,9 +134,7 @@ class SimplicialComplex:
                     continue  # v is in no facet, or no other vertex dominates it
                 masks = maximal_masks(mask & ~bit for mask in masks)
                 changed = True
-        if masks is original:
-            return self
-        return SimplicialComplex.from_masks(self.ground, masks)
+        return self if masks is self.masks else SimplicialComplex(self.ground, masks)
 
     def permuted(self, perm: Sequence[int]) -> "SimplicialComplex":
         """Relabel the ground set: old position i becomes perm[i]."""
@@ -157,8 +143,8 @@ class SimplicialComplex:
         new_ground: list = [None] * len(self.ground)
         for i, lab in enumerate(self.ground):
             new_ground[perm[i]] = lab
-        new_facets = [frozenset(perm[x] for x in f) for f in self.facets]
-        return SimplicialComplex(tuple(new_ground), tuple(new_facets))
+        new_masks = [sum(1 << perm[x] for x in _positions(mask)) for mask in self.masks]
+        return SimplicialComplex(new_ground, new_masks)
 
     def facet_labels(self) -> list[list]:
         """Facets as lists of ground labels (positions mapped through `ground`)."""
@@ -176,6 +162,11 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
         else:
             kept.append(mask)
     return kept
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, as increasing positions."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def _outside(x: int, n: int) -> ValueError:

@@ -66,18 +66,23 @@ def degree_vector(g: Graph, degrees: Union[Mapping[str, int], Sequence[int]]) ->
     """Normalize a multidegree to a tuple aligned with g.vertices.
 
     Mappings may omit vertices (treated as 0); unknown labels are an error.
+    Every entry must be an int: a bool, float, None or container is rejected.
     """
     if isinstance(degrees, Mapping):
         for lab in degrees:
             if lab not in g.index:
                 raise ValueError(f"unknown vertex {lab!r} in multidegree")
-        return tuple(int(degrees.get(v, 0)) for v in g.vertices)
-    vec = tuple(int(x) for x in degrees)
-    if len(vec) != len(g.vertices):
+        degrees = [degrees.get(v, 0) for v in g.vertices]
+    if isinstance(degrees, (str, bytes)) or not isinstance(degrees, Sequence):
+        raise ValueError(f"multidegree must be a mapping or a sequence, got {degrees!r}")
+    if len(degrees) != len(g.vertices):
         raise ValueError(
-            f"multidegree has {len(vec)} entries for {len(g.vertices)} vertices"
+            f"multidegree has {len(degrees)} entries for {len(g.vertices)} vertices"
         )
-    return vec
+    for v, x in zip(g.vertices, degrees):
+        if type(x) is not int:  # not isinstance: a bool is an int too
+            raise ValueError(f"multidegree entry {x!r} at vertex {v!r} is not an integer")
+    return tuple(degrees)
 
 
 def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):

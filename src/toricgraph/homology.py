@@ -2,13 +2,13 @@
 
 The chain complex is augmented: C_{-1} is one-dimensional, spanned by the
 empty face, so the irrelevant complex {emptyset} has H~_{-1} = k and a cone
-has no homology at all.  Boundary signs follow the usual convention on faces
-sorted by ground-set position: dropping the j-th smallest element carries
-sign (-1)^j.
+has no homology at all.  Faces are bitmasks of ground positions, and the
+boundary of a face drops one bit at a time: dropping the j-th smallest bit
+carries sign (-1)^j.
 
 Dimensions are all that is reported: dim H~_d = nullity(d_d) - rank(d_{d+1}),
 where the boundary d_d has one column per d-face and one row per (d-1)-face,
-both in the complex's canonical face order.
+in increasing mask order (`boundary_matrix`: in lexicographic order).
 
 Two reductions come before and during the rank computation, neither of
 which changes the answer:
@@ -108,22 +108,21 @@ def boundary_matrix(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
     """
     if d < 0:
         raise ValueError("boundary_matrix is defined for d >= 0")
-    return _boundary_columns(k.faces_of_dimension(d), k.faces_of_dimension(d - 1))
+    cols, rows = ([sum(1 << x for x in f) for f in k.faces_of_dimension(e)] for e in (d, d - 1))
+    return _boundary_columns(cols, rows)
 
 
-def _boundary_columns(
-    faces: list[tuple[int, ...]], rows: list[tuple[int, ...]]
-) -> list[dict[int, int]]:
-    """Boundary columns of the given d-faces, over the (d-1)-faces `rows`."""
+def _boundary_columns(faces: list[int], rows: list[int]) -> list[dict[int, int]]:
+    """Boundary columns of the given d-faces over the (d-1)-faces `rows`, all masks."""
     row_index = {f: i for i, f in enumerate(rows)}
     cols: list[dict[int, int]] = []
     for face in faces:
         col: dict[int, int] = {}
-        sign = 1
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            col[row_index[sub]] = sign
-            sign = -sign
+        rest, sign = face, 1
+        while rest:
+            low = rest & -rest  # the smallest bit still in rest
+            col[row_index[face ^ low]] = sign
+            rest, sign = rest ^ low, -sign
         cols.append(col)
     return cols
 
@@ -138,8 +137,8 @@ def reduced_homology(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> list
     if k.is_void:
         return [0]
     core = k.core()
-    # faces[i] holds the faces of dimension i - 1
-    faces = [core.faces_of_dimension(d) for d in range(-1, core.dim + 1)]
+    # faces[i] holds the faces of dimension i - 1, as masks
+    faces = core.face_masks
     counts = [len(level) for level in faces]
     # entry i covers degree d = i - 1 and ranks[i] is the rank of d_{i-1}:
     # nullity(d_d) = f_d - rank(d_d)

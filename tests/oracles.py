@@ -98,6 +98,16 @@ def euler_characteristic_check(k, field=RATIONALS) -> bool:
     return from_faces == from_homology
 
 
+def faces_from_facets(k) -> list[list[tuple[int, ...]]]:
+    """Faces by dimension, from -1 to dim, each in lexicographic order:
+    every subset of every facet, by itertools.combinations."""
+    found: list[set] = [set() for _ in range(k.dim + 2)]
+    for facet in k.facets:
+        for size in range(len(facet) + 1):
+            found[size].update(itertools.combinations(sorted(facet), size))
+    return [sorted(level) for level in found]
+
+
 def homology_via_sympy(k, modulus=None) -> list[int]:
     """Same rank-nullity bookkeeping as the engine but with sympy ranks."""
     if k.is_void:

@@ -204,6 +204,32 @@ def test_exit_1_on_bad_input(capsys, data_dir):
         assert "error" in err
 
 
+def test_malformed_degree_files_exit_1_with_one_line(capsys, data_dir, tmp_path):
+    # degree files hold integers: nothing is rounded, and no type error escapes
+    degree = tmp_path / "degree.json"
+    for text in ("[null,1,1,1]", "5", '{"v1":[1]}', "[1e400,1,1,1]", "[1.5,1,0.5,1]"):
+        degree.write_text(text)
+        for command in ("complex", "fiber"):
+            code, out, err = _run(
+                capsys, command, _path(data_dir, "c4.edges"), "--degree", str(degree))
+            assert code == 1, (text, command)
+            assert out == ""
+            assert err.startswith("toricgraph: error: multidegree") and len(err.splitlines()) == 1
+
+
+def test_negative_caps_are_bad_input(capsys, data_dir):
+    for argv in (
+        ["betti", _path(data_dir, "k23.json"), "--max-scan", "-5"],
+        ["analyze", _path(data_dir, "k23.json"), "--max-fiber", "-1"],
+        ["fiber", _path(data_dir, "c4.edges"), "--degree", _path(data_dir, "s1111.json"),
+         "--max-fiber", "-1"],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"toricgraph: error: {argv[-2]} must be nonnegative, got {argv[-1]}\n"
+
+
 def test_internal_error_exits_1_with_one_line(capsys, data_dir, monkeypatch):
     def contradiction(*args, **kwargs):
         raise RuntimeError("internal error: scan contradicts itself")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toricgraph import (
@@ -6,6 +8,8 @@ from toricgraph import (
     complete_bipartite_graph,
     cycle_graph,
 )
+
+from oracles import faces_from_facets
 
 
 def test_from_faces_drops_non_maximal_and_dedupes():
@@ -16,25 +20,45 @@ def test_from_faces_drops_non_maximal_and_dedupes():
 
 def test_constructor_rejects_nested_facets():
     with pytest.raises(ValueError, match="incomparable"):
-        SimplicialComplex(("a", "b"), (frozenset({0}), frozenset({0, 1})))
+        SimplicialComplex(("a", "b"), (0b01, 0b11))
     with pytest.raises(ValueError, match="outside ground"):
-        SimplicialComplex(("a",), (frozenset({3}),))
+        SimplicialComplex(("a",), (0b1000,))
 
 
-def test_from_faces_and_from_masks_reject_positions_outside_the_ground_set():
+def test_constructor_rejects_negative_repeated_and_out_of_range_masks():
+    # a negative int has infinitely many bits set, so it names no set
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimplicialComplex(("a", "b"), [-2])
+    with pytest.raises(ValueError, match="distinct"):
+        SimplicialComplex(("a", "b"), [0b01, 0b10, 0b01])
+    # bit 2 is the first one past a ground set of size 2
+    with pytest.raises(ValueError, match="element 2 outside ground set of size 2"):
+        SimplicialComplex(("a", "b"), [0b001, 0b100])
+    # nested in either order, and the empty face inside any other facet
+    for masks in ([0b110, 0b010], [0b010, 0b110], [0b000, 0b100]):
+        with pytest.raises(ValueError, match="incomparable"):
+            SimplicialComplex("abc", masks)
+
+
+def test_from_faces_and_constructor_reject_positions_outside_the_ground_set():
     with pytest.raises(ValueError, match="outside ground set"):
         SimplicialComplex.from_faces("abc", [(0, 1), (3,)])
     with pytest.raises(ValueError, match="outside ground set"):
         SimplicialComplex.from_faces("abc", [(0, 1), (-1, 2)])
     with pytest.raises(ValueError, match="outside ground set"):
-        SimplicialComplex.from_masks("abc", [0b011, 0b1000])
+        SimplicialComplex("abc", [0b011, 0b1000])
 
 
 def test_facets_are_canonically_sorted():
-    k1 = SimplicialComplex(("a", "b", "c"), (frozenset({2}), frozenset({0, 1})))
-    k2 = SimplicialComplex(("a", "b", "c"), (frozenset({0, 1}), frozenset({2})))
+    k1 = SimplicialComplex(("a", "b", "c"), (0b100, 0b011))
+    k2 = SimplicialComplex(("a", "b", "c"), (0b011, 0b100))
     assert k1 == k2
+    assert k1.masks == (0b011, 0b100)
     assert k1.facets == (frozenset({0, 1}), frozenset({2}))
+    # the facets view follows position tuples, not masks: (0, 2) < (1,)
+    k3 = SimplicialComplex("abc", (0b010, 0b101))
+    assert k3.masks == (0b010, 0b101)
+    assert k3.facets == (frozenset({0, 2}), frozenset({1}))
 
 
 def test_void_and_irrelevant():
@@ -43,14 +67,12 @@ def test_void_and_irrelevant():
     assert void.dim == -2
     assert void.faces_of_dimension(0) == []
     assert void.faces_of_dimension(-1) == []
-    assert void.f_vector() == {}
 
-    irr = SimplicialComplex(("a",), (frozenset(),))
+    irr = SimplicialComplex(("a",), (0,))
     assert irr.is_irrelevant and not irr.is_void
     assert irr.dim == -1
     assert irr.faces_of_dimension(-1) == [()]
     assert irr.faces_of_dimension(0) == []
-    assert irr.f_vector() == {-1: 1}
 
 
 def test_faces_of_dimension():
@@ -60,16 +82,21 @@ def test_faces_of_dimension():
     assert k.faces_of_dimension(0) == [(0,), (1,), (2,), (3,)]
     assert k.faces_of_dimension(1) == [(0, 1), (2, 3)]
     assert k.faces_of_dimension(2) == []
-    assert k.f_vector() == {-1: 1, 0: 4, 1: 2}
     with pytest.raises(ValueError):
         k.faces_of_dimension(-2)
 
 
-def test_has_face():
-    k = SimplicialComplex.from_faces(range(3), [(0, 1, 2)])
-    assert k.has_face(())
-    assert k.has_face((0, 2))
-    assert not SimplicialComplex.from_faces(range(3), [(0, 1), (1, 2)]).has_face((0, 2))
+def test_faces_match_combinations_of_the_facets():
+    # the sympy oracle and boundary_matrix both read faces_of_dimension, so
+    # the faces are checked against subsets taken straight from the facets
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        faces = [rng.sample(range(n), rng.randint(0, min(5, n))) for _ in range(rng.randint(0, 8))]
+        k = SimplicialComplex.from_faces(range(n), faces)
+        expected = faces_from_facets(k)
+        assert [k.faces_of_dimension(d) for d in range(-1, k.dim + 1)] == expected, k
+        assert k.faces_of_dimension(k.dim + 1) == []
 
 
 def test_core_of_a_cone_is_one_vertex():
@@ -94,7 +121,7 @@ def test_core_keeps_complexes_without_dominated_vertices():
     assert octahedron.core() == octahedron
     void = SimplicialComplex((), ())
     assert void.core() == void
-    irr = SimplicialComplex(("a",), (frozenset(),))
+    irr = SimplicialComplex(("a",), (0,))
     assert irr.core() == irr
     points = SimplicialComplex.from_faces(range(3), [(0,), (2,)])
     assert points.core() == points

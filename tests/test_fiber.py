@@ -94,6 +94,20 @@ def test_degree_vector_forms():
         degree_vector(g, [1, 2])
 
 
+def test_degree_vector_takes_only_integer_entries():
+    g = path_graph(3)
+    for bad, named in (
+        ([None, 1, 1], "None"), ([1.5, 1, 0.5], "1.5"), ([1.0, 1, 1], "1.0"),
+        ([True, 1, 1], "True"), ([float("inf"), 1, 1], "inf"), (["1", 1, 1], "'1'"),
+        ([1, [1], 1], r"\[1\]"), ({"v2": 2.0}, "2.0"), ({"v1": [1]}, r"\[1\]"),
+    ):
+        with pytest.raises(ValueError, match=f"entry {named} at vertex"):
+            degree_vector(g, bad)
+    for bad in (5, None, "121", 1.5):
+        with pytest.raises(ValueError, match="mapping or a sequence"):
+            degree_vector(g, bad)
+
+
 def test_decomposition_factory_validation():
     g = path_graph(3)
     d = Decomposition.for_graph(g, (1, 0), (1, 1, 0))

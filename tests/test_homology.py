@@ -71,7 +71,7 @@ def test_void_complex():
 
 def test_irrelevant_complex():
     # the empty face alone carries one dimension of (-1)-homology
-    irr = SimplicialComplex(("a",), (frozenset(),))
+    irr = SimplicialComplex(("a",), (0,))
     assert reduced_homology(irr) == [1]
 
 
