@@ -36,13 +36,25 @@ components' rings, and so is its minimal free resolution (Kuenneth): with
 s_1, ..., s_r the parts of s on the components, beta_{i,s} is the sum over
 i_1 + ... + i_r = i of the products of the components' beta_{i_j,s_j}.  The
 scan therefore walks each connected component on its own, stops a
-component at its closed-form top degree when it has one, and convolves the
-component tables.  That visits the sum of the components' element counts
-instead of their product.
+component at its top degree when it knows one, and convolves the component
+tables.  That visits the sum of the components' element counts instead of
+their product.
+
+A component knows its top degree, the largest standard degree of a Betti
+entry, when its ring is free (0), K_{u,v} ((u-1)v in closed form) or
+normal, that is bipartite or satisfying the odd cycle condition
+(Ohsugi-Hibi).  A normal ring of dimension d = `incidence_rank` is
+Cohen-Macaulay (Hochster) with negative a-invariant (Danilov-Stanley), so
+the level sizes H(0), ..., H(d - 1), which the scan counts anyway, fix its
+h-vector, and the resolution ends at degree pd + deg h with pd = |E| - d.
+Such a component is scanned to d - 1, and on to the top degree only if that
+lies further; homology stops at the top degree (`_top_degree`).  Each
+finished component table is cross-checked against its h-vector.
 
 The scan is exact for every entry it can see: beta_{i,j} with j <= D is the
 true value.  Whether the table is the *whole* resolution is a separate
-certification question; see `known_complete_degree`.
+certification question: it is when D reaches the sum of the components' top
+degrees (see `known_complete_degree`).
 """
 
 from __future__ import annotations
@@ -54,10 +66,13 @@ from typing import Callable, Optional, Sequence
 from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError
 from .graph import (
+    EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
     connected_components,
     incidence_rank,
     induced_subgraph,
+    is_bipartite,
+    odd_cycle_condition,
     recognize_complete_bipartite,
     twin_classes,
 )
@@ -76,6 +91,15 @@ class ScanOverflowError(RuntimeError):
         )
         self.limit = limit
         self.degree = degree
+
+
+class _Levels(list):
+    """`semigroup_levels`' list of levels, with `sizes`: the number of
+    semigroup elements on each level, every element of every orbit counted.
+    The sizes are the values H(0), H(1), ... of the Hilbert function, and
+    they are what `max_scan` counts."""
+
+    sizes: list[int]
 
 
 def semigroup_levels(
@@ -99,21 +123,27 @@ def semigroup_levels(
     plus one more, and twin swaps permute the columns, so translating the
     previous level's representatives by each column and taking canonical
     forms loses no orbit.
+
+    The list also carries each level's element count, orbits expanded, as
+    `sizes` (see `_Levels`).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     twins = _TwinGroup(g, classes)
     ends = g.edge_indices
-    levels: list[list[tuple[int, ...]]] = [[(0,) * len(g.vertices)]]
+    levels = _Levels([[(0,) * len(g.vertices)]])
+    levels.sizes = [1]
     total = 1
     for d in range(1, max_degree + 1):
         nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
         if not nxt:
             break
-        total += sum(map(twins.orbit_size, nxt))
+        size = sum(map(twins.orbit_size, nxt))
+        total += size
         if total > max_scan:
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
+        levels.sizes.append(size)
     return levels
 
 
@@ -310,8 +340,11 @@ def betti_table(
 
     max_degree defaults to the edge count (a safe but often generous bound).
     Each connected component with an edge is scanned on its own, up to
-    max_degree or its closed-form top degree, whichever is lower; the
-    component tables are then convolved (Kuenneth) and cut at max_degree.
+    max_degree or its top degree, whichever is lower; the component tables
+    are then convolved (Kuenneth) and cut at max_degree.  A normal
+    component's top degree comes from its levels up to d - 1, so it is
+    known only when max_degree >= d - 1 (see `_top_degree`); the table is
+    certified when max_degree reaches the sum of the top degrees.
     `max_scan` caps the semigroup elements of all components together,
     every element of every twin orbit counted (see `semigroup_levels`).
     Each degree complex is built from the facets of the level below, not
@@ -329,23 +362,33 @@ def betti_table(
         max_degree = len(g.edges)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    parts = _components(g)
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
+    tops: list[Optional[int]] = []
     scanned = 0
-    for h, top in parts:
-        degree = max_degree if top is None else min(max_degree, top)
+    for h, normal in _components(g):
+        d = incidence_rank(h)
         classes = twin_classes(h)
-        try:
-            levels = semigroup_levels(h, degree, max_scan - scanned, classes)
-        except ScanOverflowError as exc:
-            raise ScanOverflowError(max_scan, exc.degree) from None
-        twins = _TwinGroup(h, classes)
-        scanned += sum(twins.orbit_size(r) for level in levels for r in level)
-        local = _scan(h, levels, twins, field, max_fiber, on_complex)
+        top = _top_degree(h, normal)  # a closed form, or None before any level
+        stop = min(max_degree, top if top is not None else d - 1 if normal else max_degree)
+        while True:
+            try:
+                levels = semigroup_levels(h, stop, max_scan - scanned, classes)
+            except ScanOverflowError as exc:
+                raise ScanOverflowError(max_scan, exc.degree) from None
+            top = _top_degree(h, normal, levels.sizes)
+            if top is None or min(max_degree, top) <= stop:
+                break
+            stop = min(max_degree, top)  # past d - 1: scan again, this far
+        scanned += sum(levels.sizes)
+        local = _scan(h, levels if top is None else levels[: top + 1],
+                      _TwinGroup(h, classes), field, max_fiber, on_complex)
+        if top is not None and top <= max_degree and len(levels) >= d:
+            _check_k_polynomial(h, _h_vector(levels.sizes, d), local)
         positions = [g.index[v] for v in h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
+        tops.append(top)
 
-    known = _total_degree(parts)
+    known = None if None in tops else sum(tops)
     certified = assume_complete or (known is not None and max_degree >= known)
     caveats: list[str] = []
     if assume_complete and not (known is not None and max_degree >= known):
@@ -489,48 +532,129 @@ def complete_bipartite_reg_pd(u: int, v: int) -> tuple[int, int]:
     return u - 1, (u - 1) * (v - 1)
 
 
-def _top_degree(h: Graph) -> Optional[int]:
+def _is_normal(h: Graph) -> bool:
+    """Whether k[H] is normal, for a connected graph H: H is bipartite, or
+    every two induced odd cycles of H share a vertex or are joined by an
+    edge (the odd cycle condition; Ohsugi-Hibi, J. Algebra 207, 1998).  The
+    condition is searched exhaustively, which `odd_cycle_condition` does up
+    to EXHAUSTIVE_VERTEX_LIMIT vertices; a larger H that is not bipartite
+    is not known to be normal."""
+    if is_bipartite(h)[0]:
+        return True
+    return (
+        len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
+        and odd_cycle_condition(h).status == "satisfied"
+    )
+
+
+def _h_vector(sizes: Sequence[int], d: int) -> list[int]:
+    """The h-vector h_0, ..., h_{deg h} of a normal ring of dimension d
+    whose Hilbert function starts H(0), ..., H(d - 1) = sizes[:d].
+
+    The Hilbert series is h(t) / (1 - t)^d.  A normal ring has negative
+    a-invariant deg h - d (Danilov-Stanley; Bruns-Herzog, Cohen-Macaulay
+    Rings, 6.3), so deg h <= d - 1, and the coefficients of
+    (1 - t)^d * sum_{n < d} H(n) t^n below t^d are h.  A normal ring is
+    Cohen-Macaulay, so h is nonnegative; a negative coefficient is an
+    internal error.
+    """
+    h = _times_one_minus_t(sizes[:d], d)
+    while h[-1] == 0:
+        h.pop()
+    if min(h) < 0:
+        raise RuntimeError(f"internal error: h-vector {h} of a normal ring has a negative entry")
+    return h
+
+
+def _times_one_minus_t(coeffs: Sequence[int], power: int) -> list[int]:
+    """The coefficients of sum c_n t^n times (1 - t)^power, cut off after
+    as many terms as `coeffs` has."""
+    out = list(coeffs)
+    for _ in range(power):
+        for n in range(len(out) - 1, 0, -1):
+            out[n] -= out[n - 1]
+    return out
+
+
+def _check_k_polynomial(
+    h: Graph, hvec: list[int], table: dict[tuple[int, tuple[int, ...]], int]
+) -> None:
+    """Cross-check a connected graph's finished Betti table against its
+    h-vector: the alternating sum of the table, sum (-1)^i beta_{i,j} t^j,
+    is the K-polynomial, the numerator of the Hilbert series over the edge
+    polynomial ring, which is h(t) (1 - t)^{|E| - d}."""
+    codim = len(h.edges) - incidence_rank(h)
+    k = _times_one_minus_t(hvec + [0] * codim, codim)
+    euler: dict[int, int] = {}
+    for (i, s), b in table.items():
+        euler[sum(s) // 2] = euler.get(sum(s) // 2, 0) + (-1) ** i * b
+    if {j: c for j, c in euler.items() if c} != {j: c for j, c in enumerate(k) if c}:
+        raise RuntimeError(
+            f"internal error: the Betti table of a component disagrees with its h-vector {hvec}"
+        )
+
+
+def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> Optional[int]:
     """Largest standard degree any Betti entry of k[H] can live in, for a
-    connected graph H with at least one edge, when a closed form gives it;
-    None otherwise.
+    connected graph H with at least one edge, when it is known; None
+    otherwise.  `normal` says whether k[H] is normal (`_is_normal`), and
+    `sizes` are the element counts H(0), H(1), ... of H's semigroup levels,
+    as far as they have been scanned.
 
     H presents a free polynomial ring (no syzygies at all) when its incidence
-    rank equals its edge count; K_{u,v} with u <= v tops out at degree
-    reg + pd (`complete_bipartite_reg_pd`), which is (u-1)v.
+    rank d equals its edge count: the top degree is 0.  K_{u,v} with u <= v
+    tops out at degree reg + pd (`complete_bipartite_reg_pd`), which is
+    (u-1)v.  Any other normal ring is Cohen-Macaulay (Hochster, Ann. Math.
+    96, 1972), so pd = |E| - d (Auslander-Buchsbaum), reg = deg h and the
+    resolution ends at degree pd + deg h, which the levels up to d - 1 fix
+    (`_h_vector`).  Free and K_{u,v} rings are normal too; for K_{u,v} the
+    same sum, once the levels reach d - 1, cross-checks the closed form.
     """
-    if incidence_rank(h) == len(h.edges):
+    d = incidence_rank(h)
+    if d == len(h.edges):
         return 0
     sides = recognize_complete_bipartite(h)
-    if sides is None:
-        return None
-    return sum(complete_bipartite_reg_pd(*sides))
+    top = None if sides is None else sum(complete_bipartite_reg_pd(*sides))
+    if normal and len(sizes) >= d:
+        hilbert = len(h.edges) - d + len(_h_vector(sizes, d)) - 1
+        if top is not None and hilbert != top:
+            raise RuntimeError(
+                f"internal error: K_{{{sides[0]},{sides[1]}}} has pd + deg h = {hilbert}, "
+                f"not the closed-form top degree {top}"
+            )
+        top = hilbert
+    return top
 
 
-def _components(g: Graph) -> list[tuple[Graph, Optional[int]]]:
+def _components(g: Graph) -> list[tuple[Graph, bool]]:
     """Each connected component with at least one edge, as an induced
-    subgraph of g, paired with its closed-form top degree (or None)."""
+    subgraph of g, paired with whether its ring is normal (`_is_normal`)."""
     parts = []
     for comp in connected_components(g):
         h = induced_subgraph(g, comp)
         if h.edges:
-            parts.append((h, _top_degree(h)))
+            parts.append((h, _is_normal(h)))
     return parts
-
-
-def _total_degree(parts: list[tuple[Graph, Optional[int]]]) -> Optional[int]:
-    tops = [top for _, top in parts]
-    return None if None in tops else sum(tops)
 
 
 def known_complete_degree(g: Graph) -> Optional[int]:
     """Largest standard degree any Betti entry of k[G] can live in, when
-    every connected component is free or complete bipartite, the classes
-    whose top degree `_top_degree` knows in closed form; None otherwise.
+    every connected component has a known top degree (`_top_degree`): it
+    is free, complete bipartite, or normal; None otherwise.
 
-    Both classes are Cohen-Macaulay, so the top degree adds up across a
-    disjoint union.
+    A normal component's top degree is read off its Hilbert function up to
+    degree d - 1, so this scans those levels, under the default `max_scan`
+    (ScanOverflowError past it).  Every class is Cohen-Macaulay, so the top
+    degree adds up across a disjoint union.
     """
-    return _total_degree(_components(g))
+    tops = []
+    for h, normal in _components(g):
+        top = _top_degree(h, normal)
+        if top is None and normal:
+            levels = semigroup_levels(h, incidence_rank(h) - 1, classes=twin_classes(h))
+            top = _top_degree(h, normal, levels.sizes)
+        tops.append(top)
+    return None if None in tops else sum(tops)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,16 @@ def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):
     for v in range(n):
         if last_touch[v] >= 0:
             finished_at[last_touch[v]].append(v)
+    # far[x]: the other ends of x's edges, in edge order; after[e]: where
+    # the edges after e begin in far[] of each end of e.  The edges after e
+    # at an end can take at most the residuals of their other ends off it,
+    # so edge e must take at least the rest: less leads to no decomposition
+    far: list[list[int]] = [[] for _ in range(n)]
+    after: list[tuple[int, int]] = []
+    for iu, iv in g.edge_indices:
+        after.append((len(far[iu]) + 1, len(far[iv]) + 1))
+        far[iu].append(iv)
+        far[iv].append(iu)
 
     # depth-first over the edges in input order, weights ascending, so the
     # decompositions come out in lexicographic order; the stack is explicit
@@ -128,6 +138,21 @@ def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):
             residual[iu] += c
             residual[iv] += c
         cmax = min(residual[iu], residual[iv])
+        if c < 0 and cmax:  # start at the least weight the later edges allow
+            ku, kv = after[e]
+            sides = [(iu, ku), (iv, kv)]
+            if len(far[iu]) - ku > len(far[iv]) - kv:
+                sides.reverse()  # the end with fewer later edges first
+            lo = 0
+            for x, k in sides:
+                need, ends = residual[x], far[x]
+                while need > lo and k < len(ends):
+                    need -= residual[ends[k]]
+                    k += 1
+                lo = max(lo, need)
+                if lo >= cmax:  # the other end cannot rule out more
+                    break
+            c = lo - 1
         done = finished_at[e]
         for c in range(c + 1, cmax + 1):
             residual[iu] -= c

@@ -2,6 +2,10 @@
 two-odd-cycles-joined-by-two-paths pattern, and the certificates and bounds
 they induce on the edge subring.
 
+The induced odd cycle search and the odd cycle condition live in `graph`,
+because the Betti scan's normality test uses them; this module re-exports
+them with the rest of the criteria.
+
 The pattern of interest is a pair of vertex-disjoint induced odd cycles
 joined by two paths of length at least two that are disjoint from each other
 except possibly at their endpoint vertices, whose union is an induced
@@ -21,125 +25,20 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
 from .fiber import DEFAULT_MAX_FIBER
-from .graph import (
+from .graph import (  # the odd cycle names are re-exported
+    EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
+    OddCycleVerdict,
+    _induced_cycles,
+    _resolve_cycle_cap,
     connected_components,
+    find_induced_odd_cycles,
     incidence_rank,
     induced_subgraph,
+    odd_cycle_condition,
     recognize_complete_bipartite,
 )
 from .homology import RATIONALS, FieldSpec, homology_dimension
-
-# exhaustive cycle search is exponential; above this many vertices callers
-# must choose their own bound rather than get a silently incomplete answer
-EXHAUSTIVE_VERTEX_LIMIT = 16
-
-
-def _resolve_cycle_cap(g: Graph, max_length: Optional[int], what: str) -> int:
-    if max_length is not None:
-        if max_length < 3:
-            raise ValueError(f"{what}: max length must be at least 3, got {max_length}")
-        return max_length
-    n = len(g.vertices)
-    if n > EXHAUSTIVE_VERTEX_LIMIT:
-        raise ValueError(
-            f"{what}: graph has {n} > {EXHAUSTIVE_VERTEX_LIMIT} vertices; "
-            "pass an explicit search bound"
-        )
-    return max(n, 3)
-
-
-def _induced_cycles(g: Graph, max_length: int) -> list[tuple[int, ...]]:
-    """All induced cycles on at most max_length vertices, as position tuples.
-
-    Canonical form: the smallest vertex first, then the smaller of its two
-    cycle neighbors, so each cycle appears exactly once (rotation and
-    reflection quotiented away).  Output sorted by (length, tuple).  The
-    depth-first search keeps an explicit stack, one iterator over the
-    neighbors of each path vertex past v0, so long cycles do not recurse.
-    """
-    n = len(g.vertices)
-    adj = g._adjacency
-    out: list[tuple[int, ...]] = []
-    if max_length < 3:
-        return out
-    for v0 in range(n):
-        for v1 in sorted(w for w in adj[v0] if w > v0):
-            path, members = [v0, v1], {v0, v1}
-            stack = [iter(sorted(adj[v1]))]
-            while stack:
-                u = next(stack[-1], None)
-                if u is None:
-                    stack.pop()
-                    members.remove(path.pop())
-                    continue
-                if u <= v0 or u in members:
-                    continue
-                # interior chord would contradict inducedness
-                if any(u in adj[w] for w in path[1:-1]):
-                    continue
-                if v0 in adj[u]:
-                    # closing edge found; a longer cycle through u would
-                    # retain it as a chord, so record and stop
-                    if path[1] < u and len(path) + 1 <= max_length:
-                        out.append(tuple(path) + (u,))
-                    continue
-                if len(path) + 2 <= max_length:
-                    members.add(u)
-                    path.append(u)
-                    stack.append(iter(sorted(adj[u])))
-    out.sort(key=lambda c: (len(c), c))
-    return out
-
-
-def find_induced_odd_cycles(g: Graph, max_length: Optional[int] = None) -> list[tuple[str, ...]]:
-    """Induced odd cycles up to max_length vertices, canonically ordered.
-
-    The default bound is the vertex count (exhaustive); graphs above 16
-    vertices must pass an explicit bound.
-    """
-    cap = _resolve_cycle_cap(g, max_length, "find_induced_odd_cycles")
-    return [
-        tuple(g.vertices[i] for i in cyc)
-        for cyc in _induced_cycles(g, cap)
-        if len(cyc) % 2 == 1
-    ]
-
-
-@dataclass(frozen=True)
-class OddCycleVerdict:
-    """Outcome of the pairwise odd-cycle test.
-
-    satisfied: every two induced odd cycles share a vertex or are bridged by
-    an edge (only claimed when `complete`, i.e. the search was exhaustive;
-    the edge subring is then normal, hence Cohen-Macaulay).  violated:
-    `witness` holds the offending pair.  bounded-inconclusive: no violation
-    among cycles up to max_length, but longer cycles could exist.
-    """
-
-    status: str
-    witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]]
-    max_length: int
-    complete: bool
-    cycles_found: int
-
-
-def odd_cycle_condition(g: Graph, max_length: Optional[int] = None) -> OddCycleVerdict:
-    cap = _resolve_cycle_cap(g, max_length, "odd_cycle_condition")
-    complete = cap >= len(g.vertices)
-    cycles = find_induced_odd_cycles(g, cap)
-    adj = g._adjacency
-    idx = g.index
-    sets = [frozenset(idx[v] for v in c) for c in cycles]
-    for a, b in combinations(range(len(cycles)), 2):
-        if sets[a] & sets[b]:
-            continue
-        if any(w in sets[b] for v in sets[a] for w in adj[v]):
-            continue
-        return OddCycleVerdict("violated", (cycles[a], cycles[b]), cap, complete, len(cycles))
-    status = "satisfied" if complete else "bounded-inconclusive"
-    return OddCycleVerdict(status, None, cap, complete, len(cycles))
-
 
 @dataclass(frozen=True)
 class ForbiddenEmbedding:

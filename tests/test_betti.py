@@ -4,7 +4,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricgraph import (
     RATIONALS,
@@ -20,7 +20,10 @@ from toricgraph import (
     cycle_graph,
     disjoint_union,
     invariants,
+    induced_subgraph,
+    is_bipartite,
     known_complete_degree,
+    odd_cycle_condition,
     path_graph,
     semigroup_levels,
     twin_classes,
@@ -179,7 +182,7 @@ def test_known_complete_degree():
     assert known_complete_degree(cycle_graph(3)) == 0
     assert known_complete_degree(path_graph(4)) == 0
     assert known_complete_degree(complete_bipartite_graph(3, 3)) == 6
-    assert known_complete_degree(cycle_graph(6)) is None
+    assert known_complete_degree(cycle_graph(6)) == 3  # normal: h = 1 + t + t^2, pd 1
     two = disjoint_union(
         complete_bipartite_graph(2, 2),
         complete_bipartite_graph(2, 3, left="c", right="d"),
@@ -352,6 +355,7 @@ def test_representatives_cover_each_plain_level(name):
     reps = semigroup_levels(g, 5, classes=classes)
     plain = semigroup_levels(g, 5)
     assert len(reps) == len(plain)
+    assert reps.sizes == plain.sizes == [len(full) for full in plain]
     for level, full in zip(reps, plain):
         assert all(_canonical(r, classes) == r for r in level)
         assert all(group.orbit_size(r) == len(group.orbit(r)) for r in level)
@@ -370,7 +374,7 @@ def test_orbit_scan_overflows_at_the_plain_degree():
     overflows = 0
     for g in graphs:
         top = known_complete_degree(g)
-        bound = 6 if top is None else min(6, top)  # where betti_table stops
+        bound = 6 if top is None else min(6, top)  # betti_table scans this far at least
         for cap in (1, 4, 30, 200, 1000):
             try:
                 semigroup_levels(g, bound, cap)
@@ -415,3 +419,124 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     assert table.certified
     assert scanned == [366]
     assert len(homology) == 46
+
+
+def _bowtie(prefix="v"):
+    c, a, b, d, e = (f"{prefix}{x}" for x in "cabde")
+    return Graph((c, a, b, d, e), ((c, a), (a, b), (b, c), (c, d), (d, e), (e, c)))
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to betti.`name`."""
+    calls, original = [], getattr(betti, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(betti, name, counted)
+    return calls
+
+
+def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
+    # the bowtie is normal (its triangles share a vertex) with d = 5:
+    # H = 1, 6, 21, 55, 120 gives h = 1 + t + t^2, pd = 1 and top degree
+    # 3, so its levels stop at d - 1 = 4 and its homology at 3
+    g = disjoint_union(_bowtie("p"), _bowtie("q"))
+    assert semigroup_levels(_bowtie(), 4).sizes == [1, 6, 21, 55, 120]
+    levels = _count_calls(monkeypatch, "semigroup_levels")
+    seen = []
+    table = betti_table(g, 6, on_complex=lambda s, delta: seen.append(sum(s) // 2))
+    assert [args[1] for args in levels] == [4, 4]
+    assert max(seen) == 3
+    assert table.certified and table.caveats == ()
+    assert table.standard_graded() == {(0, 0): 1, (1, 3): 2, (2, 6): 1}
+    assert invariants(g, table).cohen_macaulay == "yes"
+    assert known_complete_degree(g) == 6
+
+
+def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
+    # K_4 has d = 4, h = 1 + 2t + t^2 and pd 2, so its top degree 4 lies
+    # past d - 1 = 3: the levels to 3 fix h, then the scan goes on to 4;
+    # K_{3,3} minus an edge likewise has top degree 5 > 4
+    minus = complete_bipartite_graph(3, 3)
+    for g, calls, top in (
+        (_complete_graph(4), [3, 4], 4),
+        (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
+    ):
+        levels = _count_calls(monkeypatch, "semigroup_levels")
+        table = betti_table(g)
+        assert [args[1] for args in levels] == calls
+        assert table.certified
+        assert table.entries == whole_graph_entries(g, len(g.edges))
+        assert max(sum(s) // 2 for _, s in table.entries) == top == known_complete_degree(g)
+        # below d - 1 the Hilbert function is not known: no certificate
+        assert not betti_table(g, calls[0] - 1).certified
+        monkeypatch.undo()
+
+
+def test_betti_table_counts_each_orbit_once(monkeypatch):
+    # the max_scan tally and the Hilbert function read the level sizes
+    # that semigroup_levels summed: orbit_size runs once per representative
+    # past level 0
+    calls = []
+    size = betti._TwinGroup.orbit_size
+
+    def counted(self, r):
+        calls.append(r)
+        return size(self, r)
+
+    monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
+    betti_table(complete_bipartite_graph(3, 4), 8)
+    assert len(calls) == len(set(calls)) == 365
+
+
+def _normal_graph(rng):
+    """A random graph on 4 to 7 vertices, with at least as many edges as a
+    spanning tree plus one, whose components are bipartite or satisfy the odd cycle
+    condition; about half of them are drawn bipartite."""
+    n = rng.randint(4, 7)
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    left = n if rng.random() < 0.5 else rng.randint(2, n - 2)
+    pairs = [
+        (u, v) for i, u in enumerate(labels) for j, v in enumerate(labels)
+        if i < j and (left == n or i < left <= j)
+    ]
+    rng.shuffle(pairs)
+    g = Graph(tuple(labels), tuple(pairs[: rng.randint(n, min(8, len(pairs)))]))
+    for comp in connected_components(g):
+        h = induced_subgraph(g, comp)
+        assume(is_bipartite(h)[0] or odd_cycle_condition(h).status == "satisfied")
+    return g
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_certified_normal_tables_match_a_scan_to_the_edge_count(rng):
+    g = _normal_graph(rng)
+    table = betti_table(g)
+    assert table.certified, g
+    assert table.entries == whole_graph_entries(g, len(g.edges)), g
+
+
+def test_hilbert_cross_checks_raise(monkeypatch):
+    # H = 1, 0, 0 is no Hilbert function of a normal ring: h = 1 - 3t + 3t^2
+    with pytest.raises(RuntimeError, match="negative"):
+        betti._h_vector([1, 0, 0], 3)
+    assert betti._h_vector([1, 6, 21, 55, 120], 5) == [1, 1, 1]
+
+    scan = betti._scan
+
+    def drop_top_entry(*args, **kwargs):
+        entries = scan(*args, **kwargs)
+        return dict(list(entries.items())[:-1])
+
+    monkeypatch.setattr(betti, "_scan", drop_top_entry)
+    with pytest.raises(RuntimeError, match="h-vector"):
+        betti_table(cycle_graph(6))
+    monkeypatch.undo()
+
+    monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
+    with pytest.raises(RuntimeError, match="closed-form"):
+        betti_table(complete_bipartite_graph(2, 3))

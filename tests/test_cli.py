@@ -242,6 +242,40 @@ def test_internal_error_exits_1_with_one_line(capsys, data_dir, monkeypatch):
         assert err == "toricgraph: error: internal error: scan contradicts itself\n"
 
 
+def test_failed_hilbert_cross_check_exits_1_with_one_line(capsys, data_dir, monkeypatch):
+    from toricgraph import betti
+
+    monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
+    code, out, err = _run(capsys, "betti", _path(data_dir, "k23.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricgraph: error: internal error: K_{2,3}") and err.count("\n") == 1
+
+
+def test_normal_components_are_certified(capsys, data_dir, tmp_path):
+    # each bowtie is normal with top degree 3 (h = 1 + t + t^2, pd 1), so
+    # --max-deg 6 covers the union; the odd cycle condition fails on the
+    # union (two far triangles), and the verdict comes from the table
+    payload, _ = _run_json(capsys, "analyze", _path(data_dir, "bowties.json"), "--max-deg", "6")
+    assert payload["betti"]["certified"] is True
+    assert payload["invariants"]["cohen_macaulay"] == "yes"
+    assert payload["odd_cycle_condition"]["status"] == "violated"
+    assert payload["cohen_macaulay"] == "yes"
+    # the 3-cube is bipartite: h = 1 + 5t + 9t^2 + t^3 gives reg 3, pd 5
+    # and top degree 8, inside the default scan cap
+    cube = [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit]
+    q3 = tmp_path / "q3.edges"
+    q3.write_text("".join(f"q{u} q{v}\n" for u, v in cube))
+    payload, _ = _run_json(capsys, "analyze", str(q3))
+    inv = payload["invariants"]
+    assert (inv["regularity"], inv["projective_dimension"], inv["certified"]) == (3, 5, True)
+    assert payload["cohen_macaulay"] == "yes"
+    # the pattern graph is not normal: its table stays uncertified
+    payload, _ = _run_json(capsys, "analyze", _path(data_dir, "f.json"), "--max-deg", "6")
+    assert payload["betti"]["certified"] is False
+    assert payload["cohen_macaulay"] == "no"
+
+
 def test_usage_errors_exit_1_not_2(capsys):
     code, _, err = _run(capsys)
     assert code == 1

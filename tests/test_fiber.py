@@ -1,6 +1,7 @@
 """Fiber enumeration: every way to write a multidegree as a sum of edge vectors."""
 
 import random
+import time
 
 import pytest
 
@@ -143,3 +144,14 @@ def test_degrees_recompute_to_s():
         s = tuple(rng.randint(0, 3) for _ in g.vertices)
         for d in enumerate_fiber(g, s):
             assert decomposition_degree(g, d.coefficients) == s
+
+
+def test_search_time_follows_the_fiber_not_the_entries():
+    # v3 and v4 carry nothing, so the edge v4-v1 takes nothing off v1 and
+    # v1-v2 must carry all of it: one decomposition, found without trying
+    # the ten million smaller weights
+    n = 10**7
+    start = time.perf_counter()
+    assert _coeffs(enumerate_fiber(cycle_graph(4), (n, n, 0, 0))) == [(n, 0, 0, 0)]
+    assert in_semigroup(cycle_graph(4), (n, n, 0, 0))
+    assert time.perf_counter() - start < 1.0

@@ -40,6 +40,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{stem}.bounds"] = ["bounds", path, "--parts", "tests/data/parts.json"]
         cases[f"{stem}.certify-noncm"] = ["certify-noncm", path]
     cases["f.analyze-max-deg-6"] = ["analyze", "tests/data/f.json", "--max-deg", "6"]
+    cases["bowties.analyze-max-deg-6"] = ["analyze", "tests/data/bowties.json", "--max-deg", "6"]
+    cases["c6.betti"] = ["betti", "tests/data/c6.edges"]
     cases["f.certify-noncm-embedding"] = [
         "certify-noncm", "tests/data/f.json", "--embedding", "tests/data/f_embedding.json"]
     cases["k23.betti-max-scan-2"] = ["betti", "tests/data/k23.json", "--max-scan", "2"]

@@ -320,8 +320,8 @@ def test_lower_bounds_scanned_part():
     g = disjoint_union(cycle_graph(6, "c"), path_graph(2, "p"))
     rep = lower_bounds(g, [["c1", "c2", "c3", "c4", "c5", "c6"]])
     (part,) = rep.parts
-    assert part.method == "scan (lower bound)"
-    assert not part.certified
+    assert part.method == "scan (certified)"  # C6 is bipartite, hence normal
+    assert part.certified
     assert (rep.regularity_lower_bound, rep.projective_dimension_lower_bound) == (2, 1)
 
 
