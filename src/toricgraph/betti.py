@@ -59,9 +59,8 @@ degrees (see `known_complete_degree`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError
@@ -107,6 +106,7 @@ def semigroup_levels(
     max_degree: int,
     max_scan: int = DEFAULT_MAX_SCAN,
     classes: Sequence[Sequence[int]] = (),
+    start: Optional[_Levels] = None,
 ) -> list[list[tuple[int, ...]]]:
     """Semigroup elements grouped by level, one canonical representative per
     orbit of the twin group generated by `classes`: levels[d] holds, sorted,
@@ -125,16 +125,19 @@ def semigroup_levels(
     forms loses no orbit.
 
     The list also carries each level's element count, orbits expanded, as
-    `sizes` (see `_Levels`).
+    `sizes` (see `_Levels`).  `start`, an earlier result for the same g and
+    classes, is extended rather than rebuilt: the new list holds its levels
+    and goes on from its top one, and its sizes count against `max_scan` as
+    if they had been scanned again.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     twins = _TwinGroup(g, classes)
     ends = g.edge_indices
-    levels = _Levels([[(0,) * len(g.vertices)]])
-    levels.sizes = [1]
-    total = 1
-    for d in range(1, max_degree + 1):
+    levels = _Levels(start or [[(0,) * len(g.vertices)]])
+    levels.sizes = list(start.sizes) if start else [1]
+    total = sum(levels.sizes)
+    for d in range(len(levels), max_degree + 1):
         nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
         if not nxt:
             break
@@ -270,8 +273,7 @@ def _relabel(mask: int, swaps: tuple[int, ...]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Nonzero multigraded Betti numbers found by a scan up to max_degree.
 
     entries maps (homological index i, multidegree tuple) to beta_{i,s}.
@@ -370,15 +372,16 @@ def betti_table(
         classes = twin_classes(h)
         top = _top_degree(h, normal)  # a closed form, or None before any level
         stop = min(max_degree, top if top is not None else d - 1 if normal else max_degree)
+        levels = None
         while True:
             try:
-                levels = semigroup_levels(h, stop, max_scan - scanned, classes)
+                levels = semigroup_levels(h, stop, max_scan - scanned, classes, levels)
             except ScanOverflowError as exc:
                 raise ScanOverflowError(max_scan, exc.degree) from None
             top = _top_degree(h, normal, levels.sizes)
             if top is None or min(max_degree, top) <= stop:
                 break
-            stop = min(max_degree, top)  # past d - 1: scan again, this far
+            stop = min(max_degree, top)  # past d - 1: scan on from there, this far
         scanned += sum(levels.sizes)
         local = _scan(h, levels if top is None else levels[: top + 1],
                       _TwinGroup(h, classes), field, max_fiber, on_complex)
@@ -657,8 +660,7 @@ def known_complete_degree(g: Graph) -> Optional[int]:
     return None if None in tops else sum(tops)
 
 
-@dataclass(frozen=True)
-class InvariantsReport:
+class InvariantsReport(NamedTuple):
     """Homological invariants read off a Betti table.
 
     Uncertified tables make regularity and projective dimension lower bounds

@@ -16,30 +16,31 @@ facets.  Frozensets and position tuples are only views, for callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fiber import DEFAULT_MAX_FIBER, enumerate_fiber
-from .graph import Graph
+from .graph import Graph, _read_only
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Facet representation of a simplicial complex.
 
     `ground` is the ordered tuple of ground-set labels (for degree complexes
     these are the graph's edges); `masks` holds the facets as bitmasks of
     positions into `ground`, distinct, pairwise incomparable and sorted (the
-    constructor sorts any iterable of masks, and checks the rest).
+    constructor sorts any iterable of masks, and checks the rest).  A
+    complex is an immutable value, equal to any complex with the same
+    ground and masks.
     """
 
     ground: tuple
     masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.ground)
-        masks = tuple(sorted(self.masks))
+    def __init__(self, ground: Iterable, masks: Iterable[int]) -> None:
+        ground = tuple(ground)
+        n = len(ground)
+        masks = tuple(sorted(masks))
         for mask in masks:
             if mask < 0:
                 raise ValueError(f"facet mask must be nonnegative, got {mask}")
@@ -50,8 +51,21 @@ class SimplicialComplex:
             for b in masks[i + 1 :]:
                 if a | b == b:
                     raise ValueError("facets must be distinct and pairwise incomparable")
-        object.__setattr__(self, "ground", tuple(self.ground))
+        object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "masks", masks)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.masks) == (other.ground, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.masks))
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(ground={self.ground!r}, masks={self.masks!r})"
 
     @classmethod
     def from_faces(cls, ground: Sequence, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":

@@ -9,11 +9,10 @@ the degree complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .graph import Graph
+from .graph import Graph, _read_only
 
 DEFAULT_MAX_FIBER = 10**6
 
@@ -28,11 +27,28 @@ class FiberOverflowError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    """One edge weighting; coefficients are aligned with the graph's edge order."""
+    """One edge weighting; coefficients are aligned with the graph's edge order.
+    An immutable value, equal to any decomposition with the same
+    coefficients."""
 
     coefficients: tuple[int, ...]
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
+
+    def __repr__(self) -> str:
+        return f"Decomposition(coefficients={self.coefficients!r})"
 
     @cached_property
     def support(self) -> frozenset[int]:

@@ -14,14 +14,20 @@ with the odd cycle condition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph input; the message carries the location."""
+
+
+def _read_only(self, name: str, *value: object) -> None:
+    """`__setattr__` and `__delattr__` of the immutable value classes (set
+    their attributes with object.__setattr__, in `__init__`); their
+    cached_property views write to the instance dict and are unaffected."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 def _check_label(label: object, where: str) -> str:
@@ -30,28 +36,29 @@ def _check_label(label: object, where: str) -> str:
     return label
 
 
-@dataclass(frozen=True)
 class Graph:
     """An ordered simple graph.
 
     `vertices` is the ordered label tuple; `edges` is the ordered tuple of
     endpoint pairs as given on input.  Loops and repeated edges are rejected.
+    A graph is an immutable value: equal vertex and edge tuples make equal
+    graphs, and its attributes cannot be assigned.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
+        vertices = tuple(vertices)
+        edges = tuple((u, v) for u, v in edges)
         seen: set[str] = set()
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             _check_label(v, f"vertices[{i}]")
             if v in seen:
                 raise GraphFormatError(f"vertices[{i}]: duplicate vertex {v!r}")
             seen.add(v)
         edge_keys: set[frozenset[str]] = set()
-        for i, (u, v) in enumerate(self.edges):
+        for i, (u, v) in enumerate(edges):
             for lab in (u, v):
                 if lab not in seen:
                     raise GraphFormatError(f"edges[{i}]: unknown vertex {lab!r}")
@@ -61,6 +68,21 @@ class Graph:
             if key in edge_keys:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge {u!r}--{v!r}")
             edge_keys.add(key)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(
@@ -339,8 +361,7 @@ def find_induced_odd_cycles(g: Graph, max_length: Optional[int] = None) -> list[
     ]
 
 
-@dataclass(frozen=True)
-class OddCycleVerdict:
+class OddCycleVerdict(NamedTuple):
     """Outcome of the pairwise odd-cycle test.
 
     satisfied: every two induced odd cycles share a vertex or are bridged by
@@ -379,9 +400,10 @@ def odd_cycle_condition(g: Graph, max_length: Optional[int] = None) -> OddCycleV
 
 
 def loads_graph(text: str) -> Graph:
-    """Parse a graph from JSON or whitespace edge-list text (auto-detected)."""
+    """Parse a graph from JSON or whitespace edge-list text: text whose first
+    non-blank character is '{' or '[' is JSON, and must hold an object."""
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return _parse_json(text)
     return _parse_edgelist(text)
 

@@ -29,11 +29,11 @@ which changes the answer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
 from .complexes import SimplicialComplex
+from .graph import _read_only
 
 
 # Miller-Rabin with the prime bases up to 37 is exact below this bound, the
@@ -66,20 +66,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: the rationals (modulus None) or GF(p), p prime."""
+    """Coefficient field: the rationals (modulus None) or GF(p), p prime.
+    An immutable value, equal to any field spec with the same modulus."""
 
-    modulus: Optional[int] = None
+    modulus: Optional[int]
 
-    def __post_init__(self) -> None:
-        p = self.modulus
-        if p is None:
-            return
-        if p >= _MR_LIMIT:
-            raise ValueError(f"modulus must be below {_MR_LIMIT}, got {p}")
-        if not _is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
+    def __init__(self, modulus: Optional[int] = None) -> None:
+        if modulus is not None:
+            if modulus >= _MR_LIMIT:
+                raise ValueError(f"modulus must be below {_MR_LIMIT}, got {modulus}")
+            if not _is_prime(modulus):
+                raise ValueError(f"modulus must be prime, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.modulus,))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(modulus={self.modulus!r})"
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"

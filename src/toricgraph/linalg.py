@@ -3,7 +3,10 @@
 Matrices arrive as column dictionaries {row: value} with integer values
 (boundary matrices are mostly +-1 and very sparse).  The homology
 computation needs the rank and, for clearing, the rows that hold the
-pivots (see `homology`), so nothing else is implemented.
+pivots (see `homology`), so nothing else is implemented.  Arithmetic over
+Q stays in integers: the reduction is fraction-free (a column is scaled by
+a nonzero integer where a quotient would not be one), which changes no
+column's support.
 
 The kernel is the standard column reduction of persistent homology
 (Zomorodian-Carlsson, DCG 2005; Bauer, "Ripser", JACT 2021): each column
@@ -17,7 +20,6 @@ keeps memory proportional to the fill-in rather than to rows x columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 
@@ -54,10 +56,16 @@ def pivot_rows(
             if pivot is None:
                 pivots[low] = col
                 break
+            c, p = col[low], pivot[low]
             if modulus:
-                f = col[low] * pow(pivot[low], -1, modulus) % modulus
+                f = c * pow(p, -1, modulus) % modulus
+            elif c % p:
+                # p does not divide c: scale the column by p, which then
+                # takes c times the pivot
+                col = {i: p * v for i, v in col.items()}
+                f = c
             else:
-                f = _exact_div(col[low], pivot[low])
+                f = c // p
             for i, pv in pivot.items():
                 x = col.get(i, 0) - f * pv
                 if modulus:
@@ -68,10 +76,3 @@ def pivot_rows(
                     del col[i]
     return set(pivots)
 
-
-def _exact_div(a, b):
-    # quotient a/b staying in int when exact, else Fraction
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return Fraction(a) / Fraction(b)

@@ -17,10 +17,9 @@ number of edges; for sparse graphs this defeats Cohen-Macaulayness outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
@@ -30,6 +29,7 @@ from .graph import (  # the odd cycle names are re-exported
     Graph,
     OddCycleVerdict,
     _induced_cycles,
+    _read_only,
     _resolve_cycle_cap,
     connected_components,
     find_induced_odd_cycles,
@@ -40,19 +40,51 @@ from .graph import (  # the odd cycle names are re-exported
 )
 from .homology import RATIONALS, FieldSpec, homology_dimension
 
-@dataclass(frozen=True)
 class ForbiddenEmbedding:
     """A concrete copy of the pattern: two induced odd cycles and two
     connecting paths, all by vertex labels.
 
     Cycles list their vertices in cyclic order (no repeated start); paths
-    include both endpoints, the first on cycle1 and the last on cycle2.
+    include both endpoints, the first on cycle1 and the last on cycle2.  An
+    embedding is an immutable value, equal to any embedding with the same
+    cycles and paths.
     """
 
     cycle1: tuple[str, ...]
     cycle2: tuple[str, ...]
     path1: tuple[str, ...]
     path2: tuple[str, ...]
+
+    def __init__(
+        self,
+        cycle1: tuple[str, ...],
+        cycle2: tuple[str, ...],
+        path1: tuple[str, ...],
+        path2: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "cycle1", cycle1)
+        object.__setattr__(self, "cycle2", cycle2)
+        object.__setattr__(self, "path1", path1)
+        object.__setattr__(self, "path2", path2)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def _key(self) -> tuple:
+        return (self.cycle1, self.cycle2, self.path1, self.path2)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ForbiddenEmbedding(cycle1={self.cycle1!r}, cycle2={self.cycle2!r}, "
+            f"path1={self.path1!r}, path2={self.path2!r})"
+        )
 
     @property
     def path_lengths(self) -> tuple[int, int]:
@@ -247,8 +279,7 @@ def forbidden_reg_bound_standard(emb: ForbiddenEmbedding) -> int:
     return total // 2 - 3
 
 
-@dataclass(frozen=True)
-class NonCMCertificate:
+class NonCMCertificate(NamedTuple):
     """Computational certificate attached to one copy of the pattern.
 
     The degree complex at the certifying multidegree is computed from
@@ -312,8 +343,7 @@ def noncm_certificate(
     )
 
 
-@dataclass(frozen=True)
-class PartBound:
+class PartBound(NamedTuple):
     vertices: tuple[str, ...]
     method: str
     regularity: int
@@ -321,8 +351,7 @@ class PartBound:
     certified: bool
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Lower bounds on reg and pd of k[G] from disjoint induced parts.
 
     Valid because the union of the parts is an induced subgraph whose edge

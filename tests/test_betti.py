@@ -475,6 +475,67 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
         monkeypatch.undo()
 
 
+def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
+    # the scan on to the top degree continues the levels to d - 1 instead
+    # of rebuilding them: its call is given them, shares their level lists,
+    # and sizes each representative's orbit once
+    minus = complete_bipartite_graph(3, 3)
+    for g in (_complete_graph(4), Graph(minus.vertices, minus.edges[1:])):
+        calls, results = [], []
+        original, size = betti.semigroup_levels, betti._TwinGroup.orbit_size
+
+        def recorded(*args):
+            calls.append(args)
+            results.append(original(*args))
+            return results[-1]
+
+        def counted(self, r):
+            sized.append(r)
+            return size(self, r)
+
+        sized = []
+        monkeypatch.setattr(betti, "semigroup_levels", recorded)
+        monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
+        betti_table(g)
+        first, second = results
+        assert calls[0][4] is None and calls[1][4] is first
+        assert all(a is b for a, b in zip(first, second)) and len(second) == len(first) + 1
+        assert len(sized) == len(set(sized))
+        monkeypatch.undo()
+        whole = semigroup_levels(g, len(second) - 1, classes=twin_classes(g))
+        assert second == whole and second.sizes == whole.sizes
+
+
+def test_semigroup_levels_extends_a_given_start():
+    g = _complete_graph(4)
+    for classes in ((), twin_classes(g)):
+        start = semigroup_levels(g, 2, classes=classes)
+        extended = semigroup_levels(g, 5, classes=classes, start=start)
+        whole = semigroup_levels(g, 5, classes=classes)
+        assert extended == whole and extended.sizes == whole.sizes
+        assert len(start) == 3 and len(start.sizes) == 3  # the start is not changed
+        # the start's elements count against the cap as if scanned again
+        cap = sum(whole.sizes[:5])
+        with pytest.raises(ScanOverflowError) as exc:
+            semigroup_levels(g, 5, cap, classes, start)
+        assert exc.value.degree == 5
+
+
+def test_scan_cap_between_d_minus_1_and_the_top_degree():
+    # K_4: levels to d - 1 = 3 fix its top degree 4.  A cap that holds
+    # levels 0..3 but not level 4 trips at degree 4, both for one copy and
+    # for the second of two, whose tally starts after the first's levels
+    k4 = _complete_graph(4)
+    sizes = semigroup_levels(k4, 4, classes=twin_classes(k4)).sizes
+    other = Graph.from_edges((f"{u}'", f"{v}'") for u, v in k4.edges)
+    for g, before in ((k4, 0), (disjoint_union(k4, other), sum(sizes))):
+        for cap in (before + sum(sizes[:4]), before + sum(sizes) - 1):
+            with pytest.raises(ScanOverflowError) as exc:
+                betti_table(g, max_scan=cap)
+            assert (exc.value.limit, exc.value.degree) == (cap, 4)
+        assert betti_table(g, max_scan=before + sum(sizes)).certified
+
+
 def test_betti_table_counts_each_orbit_once(monkeypatch):
     # the max_scan tally and the Hilbert function read the level sizes
     # that semigroup_levels summed: orbit_size runs once per representative

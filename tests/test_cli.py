@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -204,6 +206,24 @@ def test_exit_1_on_bad_input(capsys, data_dir):
         assert "error" in err
 
 
+def test_json_array_graph_files_exit_1_with_one_line(capsys, data_dir, tmp_path):
+    # a graph file holding a JSON array is malformed JSON input, not an
+    # edge list with bracketed labels
+    paths = [_path(data_dir, "parts.json")]
+    for k, text in enumerate(('[["a","b"]]', '["a", "b"]')):
+        paths.append(str(tmp_path / f"array{k}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for path in paths:
+        for command in ("analyze", "betti"):
+            code, out, err = _run(capsys, command, path)
+            assert code == 1, (path, command)
+            assert out == ""
+            assert err == (
+                "toricgraph: error: top level: expected an object with 'vertices' and 'edges'\n"
+            )
+
+
 def test_malformed_degree_files_exit_1_with_one_line(capsys, data_dir, tmp_path):
     # degree files hold integers: nothing is rounded, and no type error escapes
     degree = tmp_path / "degree.json"
@@ -366,3 +386,23 @@ def test_version(capsys):
     code, out, _ = _run(capsys, "--version")
     assert code == 0
     assert __version__ in out
+
+
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # start-up cost: importing the command line pulls in none of these
+    # modules (dataclasses alone brings inspect, ast, dis and tokenize)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import toricgraph.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "toricgraph.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}

@@ -75,6 +75,15 @@ def test_parse_errors_carry_location(text, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ['[["a", "b"]]', '["a", "b"]', '  \n[ "a", "b" ]\n', "[]"])
+def test_json_arrays_are_json_not_edge_lists(text):
+    # a JSON array is not a graph: it is rejected as JSON, never read as a
+    # vertex or an edge between bracketed labels
+    with pytest.raises(GraphFormatError) as exc:
+        loads_graph(text)
+    assert str(exc.value) == "top level: expected an object with 'vertices' and 'edges'"
+
+
 def test_duplicate_edge_ignores_orientation():
     with pytest.raises(GraphFormatError, match="duplicate edge"):
         Graph(("a", "b"), (("a", "b"), ("b", "a")))

@@ -34,7 +34,9 @@ def test_identity_and_duplicates():
 
 
 def test_fraction_pivots():
-    # no +-1 entries anywhere: forces the rational fallback path
+    # no +-1 entries anywhere, and in both matrices the pivot's low entry
+    # (3, then 4) does not divide the second column's (2): that column is
+    # scaled by the pivot entry before it takes 2 times the pivot
     assert rank([{0: 2, 1: 3}, {0: 3, 1: 2}], 2) == 2
     assert rank([{0: 2, 1: 4}, {0: 1, 1: 2}], 2) == 1
 
