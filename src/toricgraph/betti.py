@@ -27,9 +27,10 @@ Delta_{s - a_e} are those of its representative, relabelled by at most two
 twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
 nonzero entry is written for every element of the orbit, which one walk
 (`_TwinGroup.orbit`) lists together with the transpositions that reach each
-element.  `max_scan` still counts every semigroup element: a level adds the
-sizes of its orbits, the products over the classes of the multinomials of
-the weights, read off the runs of equal weights.
+element.  `max_scan` counts the representatives, the multidegrees the scan
+actually visits.  The Hilbert function still counts every element: a level's
+size adds the sizes of its orbits, the products over the classes of the
+multinomials of the weights, read off the runs of equal weights.
 
 The edge subring of a disjoint union is the tensor product of the
 components' rings, and so is its minimal free resolution (Kuenneth): with
@@ -75,18 +76,19 @@ from .graph import (
     recognize_complete_bipartite,
     twin_classes,
 )
-from .homology import RATIONALS, FieldSpec, reduced_homology
+from .homology import RATIONALS, FieldSpec, homology_dimension, reduced_homology
 
 DEFAULT_MAX_SCAN = 10**5
 
 
 class ScanOverflowError(RuntimeError):
-    """The semigroup scan visited more multidegrees than the configured cap."""
+    """The semigroup scan visited more multidegrees, one per twin orbit, than
+    the configured cap."""
 
     def __init__(self, limit: int, degree: int):
         super().__init__(
-            f"scan overflow: more than {limit} semigroup elements before degree "
-            f"{degree}; raise the cap or lower the degree bound"
+            f"scan overflow: more than {limit} scanned multidegrees (one per twin orbit) "
+            f"before degree {degree}; raise the cap or lower the degree bound"
         )
         self.limit = limit
         self.degree = degree
@@ -95,8 +97,8 @@ class ScanOverflowError(RuntimeError):
 class _Levels(list):
     """`semigroup_levels`' list of levels, with `sizes`: the number of
     semigroup elements on each level, every element of every orbit counted.
-    The sizes are the values H(0), H(1), ... of the Hilbert function, and
-    they are what `max_scan` counts."""
+    The sizes are the values H(0), H(1), ... of the Hilbert function;
+    `max_scan` counts the representatives, the levels' lengths."""
 
     sizes: list[int]
 
@@ -116,8 +118,9 @@ def semigroup_levels(
     `classes` are classes of mutually twin vertices, as increasing vertex
     positions (see `twin_classes`); a multidegree is canonical when its
     weights do not increase along each class.  With no classes the group is
-    trivial and every element is listed.  `max_scan` caps the elements of
-    the semigroup, not the representatives: each level adds its orbit sizes.
+    trivial and every element is listed.  `max_scan` caps the
+    representatives listed, over all levels, not the elements they stand
+    for.
 
     Complete by construction: any sum of d columns is a sum of d-1 columns
     plus one more, and twin swaps permute the columns, so translating the
@@ -127,8 +130,8 @@ def semigroup_levels(
     The list also carries each level's element count, orbits expanded, as
     `sizes` (see `_Levels`).  `start`, an earlier result for the same g and
     classes, is extended rather than rebuilt: the new list holds its levels
-    and goes on from its top one, and its sizes count against `max_scan` as
-    if they had been scanned again.
+    and goes on from its top one, and its representatives count against
+    `max_scan` as if they had been scanned again.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -136,17 +139,16 @@ def semigroup_levels(
     ends = g.edge_indices
     levels = _Levels(start or [[(0,) * len(g.vertices)]])
     levels.sizes = list(start.sizes) if start else [1]
-    total = sum(levels.sizes)
+    total = sum(map(len, levels))
     for d in range(len(levels), max_degree + 1):
         nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
         if not nxt:
             break
-        size = sum(map(twins.orbit_size, nxt))
-        total += size
+        total += len(nxt)
         if total > max_scan:
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
-        levels.sizes.append(size)
+        levels.sizes.append(sum(map(twins.orbit_size, nxt)))
     return levels
 
 
@@ -322,8 +324,6 @@ def betti_number(
     degree i - 1."""
     if i < 0:
         raise ValueError("homological index must be nonnegative")
-    from .homology import homology_dimension
-
     delta = build_delta(g, tuple(s), max_fiber=max_fiber)
     return homology_dimension(delta, i - 1, field)
 
@@ -347,8 +347,8 @@ def betti_table(
     component's top degree comes from its levels up to d - 1, so it is
     known only when max_degree >= d - 1 (see `_top_degree`); the table is
     certified when max_degree reaches the sum of the top degrees.
-    `max_scan` caps the semigroup elements of all components together,
-    every element of every twin orbit counted (see `semigroup_levels`).
+    `max_scan` caps the multidegrees scanned in all components together,
+    one representative per twin orbit (see `semigroup_levels`).
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -382,7 +382,7 @@ def betti_table(
             if top is None or min(max_degree, top) <= stop:
                 break
             stop = min(max_degree, top)  # past d - 1: scan on from there, this far
-        scanned += sum(levels.sizes)
+        scanned += sum(map(len, levels))
         local = _scan(h, levels if top is None else levels[: top + 1],
                       _TwinGroup(h, classes), field, max_fiber, on_complex)
         if top is not None and top <= max_degree and len(levels) >= d:

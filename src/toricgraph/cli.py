@@ -383,74 +383,88 @@ def _summarize(payload: dict) -> list[str]:
     return lines
 
 
-def _build_parser() -> _Parser:
+def _common(p):
+    p.add_argument("graph", help="graph file (JSON or edge-list text)")
+    p.add_argument("--max-fiber", type=int, default=DEFAULT_MAX_FIBER,
+                   help="cap on decompositions per multidegree, and on facets "
+                   "per degree complex in a Betti scan")
+    p.add_argument("--verbose", action="store_true", help="human summary on stderr")
+
+
+def _field(p):
+    p.add_argument("--field", default="q", help="coefficient field: q or a prime")
+
+
+def _max_scan(p):
+    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
+                   help="cap on scanned multidegrees, one per twin orbit")
+
+
+def _scan_flags(p):
+    p.add_argument("--max-deg", type=int, default=None,
+                   help="scan bound in the standard grading (default: edge count)")
+    _field(p)
+    p.add_argument("--assume-complete", action="store_true",
+                   help="assert that the scan bound covers the whole resolution")
+    _max_scan(p)
+
+
+def _search_flags(p):
+    p.add_argument("--max-cycle", type=int, default=None,
+                   help="cap on induced cycle length (default: exhaustive up to 16 vertices)")
+    p.add_argument("--max-path", type=int, default=None,
+                   help="cap on connecting path length")
+
+
+def _degree(p):
+    p.add_argument("--degree", required=True, help="multidegree file (JSON object or array)")
+
+
+# name: (help, handler, argument groups in help order)
+_COMMANDS = {
+    "analyze": ("full homological and structural report", _cmd_analyze,
+                (_common, _scan_flags, _search_flags)),
+    "betti": ("multigraded Betti table", _cmd_betti, (_common, _scan_flags)),
+    "complex": ("facets of one degree complex", _cmd_complex, (_common, _degree)),
+    "fiber": ("decompositions of one multidegree", _cmd_fiber, (_common, _degree)),
+    "certify-noncm": ("find or verify a pattern certificate", _cmd_certify, (
+        _common,
+        lambda p: p.add_argument("--embedding", default=None, help="embedding file (JSON) to verify"),
+        _field,
+        _search_flags,
+    )),
+    "bounds": ("reg/pd lower bounds from disjoint induced parts", _cmd_bounds, (
+        _common,
+        lambda p: p.add_argument("--parts", required=True,
+                                 help="JSON array of arrays of vertex labels"),
+        _field,
+        _max_scan,
+    )),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with only `command`'s subparser, or with all of them when
+    `command` names none (top-level help and errors)."""
     parser = _Parser(prog="toricgraph", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"toricgraph {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("graph", help="graph file (JSON or edge-list text)")
-        p.add_argument("--max-fiber", type=int, default=DEFAULT_MAX_FIBER,
-                       help="cap on decompositions per multidegree, and on facets "
-                       "per degree complex in a Betti scan")
-        p.add_argument("--verbose", action="store_true", help="human summary on stderr")
-
-    def scan_flags(p):
-        p.add_argument("--max-deg", type=int, default=None,
-                       help="scan bound in the standard grading (default: edge count)")
-        p.add_argument("--field", default="q", help="coefficient field: q or a prime")
-        p.add_argument("--assume-complete", action="store_true",
-                       help="assert that the scan bound covers the whole resolution")
-        p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
-                       help="cap on scanned semigroup elements")
-
-    def search_flags(p):
-        p.add_argument("--max-cycle", type=int, default=None,
-                       help="cap on induced cycle length (default: exhaustive up to 16 vertices)")
-        p.add_argument("--max-path", type=int, default=None,
-                       help="cap on connecting path length")
-
-    p = sub.add_parser("analyze", help="full homological and structural report")
-    common(p)
-    scan_flags(p)
-    search_flags(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("betti", help="multigraded Betti table")
-    common(p)
-    scan_flags(p)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("complex", help="facets of one degree complex")
-    common(p)
-    p.add_argument("--degree", required=True, help="multidegree file (JSON object or array)")
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("fiber", help="decompositions of one multidegree")
-    common(p)
-    p.add_argument("--degree", required=True, help="multidegree file (JSON object or array)")
-    p.set_defaults(func=_cmd_fiber)
-
-    p = sub.add_parser("certify-noncm", help="find or verify a pattern certificate")
-    common(p)
-    p.add_argument("--embedding", default=None, help="embedding file (JSON) to verify")
-    p.add_argument("--field", default="q", help="coefficient field: q or a prime")
-    search_flags(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("bounds", help="reg/pd lower bounds from disjoint induced parts")
-    common(p)
-    p.add_argument("--parts", required=True, help="JSON array of arrays of vertex labels")
-    p.add_argument("--field", default="q", help="coefficient field: q or a prime")
-    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
-                   help="cap on scanned semigroup elements")
-    p.set_defaults(func=_cmd_bounds)
-
+    known = command in _COMMANDS
+    # a lone subparser would shrink the usage line's list of commands; with
+    # all six, a metavar would change the "required" and "invalid choice" errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                **({"metavar": "{%s}" % ",".join(_COMMANDS)} if known else {}))
+    for name in [command] if known else _COMMANDS:
+        help_, func, groups = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for add in groups:
+            add(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

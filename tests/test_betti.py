@@ -1,7 +1,7 @@
 """The multigraded Betti table scan and the invariants derived from it."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -138,14 +138,16 @@ def test_semigroup_levels_validation_and_overflow():
 def test_scan_overflow_propagates_from_betti_table():
     with pytest.raises(ScanOverflowError):
         betti_table(complete_bipartite_graph(3, 3), 3, max_scan=10)
-    # the cap covers all components together: each K_{2,3} has 65 elements
-    # up to its top degree 3, so 100 admits either one but not both
+    # the cap covers all components together: each K_{2,3} has 12
+    # representatives up to its top degree 3, so 23 admits either one but
+    # not both
     one = complete_bipartite_graph(2, 3)
     two = disjoint_union(one, complete_bipartite_graph(2, 3, left="c", right="d"))
-    betti_table(one, max_scan=100)
+    betti_table(one, max_scan=23)
     with pytest.raises(ScanOverflowError) as exc:
-        betti_table(two, max_scan=100)
-    assert exc.value.limit == 100
+        betti_table(two, max_scan=23)
+    assert exc.value.limit == 23
+    assert betti_table(two, max_scan=24).certified
     # a negative bound is refused even when there is nothing to scan
     with pytest.raises(ValueError):
         betti_table(Graph(("a", "b"), ()), -1)
@@ -364,7 +366,9 @@ def test_representatives_cover_each_plain_level(name):
         assert sorted(t for r in level for t, _ in group.orbit(r)) == full
 
 
-def test_orbit_scan_overflows_at_the_plain_degree():
+def test_orbit_scan_cap_counts_representatives():
+    # the cap trips at the first degree where the representatives listed so
+    # far exceed it; the plain scan lists every element, so it trips no later
     rng = random.Random(2024)
     graphs = [g for g in TWIN_GRAPHS.values() if len(connected_components(g)) == 1]
     while len(graphs) < 15:
@@ -375,12 +379,13 @@ def test_orbit_scan_overflows_at_the_plain_degree():
     for g in graphs:
         top = known_complete_degree(g)
         bound = 6 if top is None else min(6, top)  # betti_table scans this far at least
+        levels = semigroup_levels(g, bound, classes=twin_classes(g))
+        totals = list(accumulate(map(len, levels)))
         for cap in (1, 4, 30, 200, 1000):
-            try:
-                semigroup_levels(g, bound, cap)
+            if totals[-1] <= cap:
+                assert semigroup_levels(g, bound, cap, twin_classes(g)) == levels
                 continue
-            except ScanOverflowError as exc:
-                degree = exc.degree
+            degree = next(d for d, total in enumerate(totals) if total > cap)
             overflows += 1
             with pytest.raises(ScanOverflowError) as exc:
                 semigroup_levels(g, bound, cap, twin_classes(g))
@@ -388,7 +393,26 @@ def test_orbit_scan_overflows_at_the_plain_degree():
             with pytest.raises(ScanOverflowError) as exc:
                 betti_table(g, 6, max_scan=cap)
             assert (exc.value.limit, exc.value.degree) == (cap, degree)
+            with pytest.raises(ScanOverflowError) as exc:
+                semigroup_levels(g, bound, cap)
+            assert exc.value.degree <= degree
     assert overflows >= 30
+
+
+def test_max_scan_equal_to_the_representative_count_passes():
+    # K_{2,3} to its top degree 3: 12 representatives stand for 65 elements
+    g = complete_bipartite_graph(2, 3)
+    levels = semigroup_levels(g, 3, classes=twin_classes(g))
+    count = sum(map(len, levels))
+    assert (count, sum(levels.sizes)) == (12, 65)
+    assert semigroup_levels(g, 3, count, twin_classes(g)) == levels
+    assert betti_table(g, max_scan=count).certified
+    with pytest.raises(ScanOverflowError) as exc:
+        semigroup_levels(g, 3, count - 1, twin_classes(g))
+    assert exc.value.degree == 3
+    with pytest.raises(ScanOverflowError) as exc:
+        betti_table(g, max_scan=count - 1)
+    assert (exc.value.limit, exc.value.degree) == (count - 1, 3)
 
 
 def test_semigroup_levels_rejects_non_twins():
@@ -514,26 +538,27 @@ def test_semigroup_levels_extends_a_given_start():
         whole = semigroup_levels(g, 5, classes=classes)
         assert extended == whole and extended.sizes == whole.sizes
         assert len(start) == 3 and len(start.sizes) == 3  # the start is not changed
-        # the start's elements count against the cap as if scanned again
-        cap = sum(whole.sizes[:5])
+        # the start's representatives count against the cap as if scanned again
+        cap = sum(map(len, whole[:5]))
         with pytest.raises(ScanOverflowError) as exc:
             semigroup_levels(g, 5, cap, classes, start)
         assert exc.value.degree == 5
 
 
 def test_scan_cap_between_d_minus_1_and_the_top_degree():
-    # K_4: levels to d - 1 = 3 fix its top degree 4.  A cap that holds
-    # levels 0..3 but not level 4 trips at degree 4, both for one copy and
-    # for the second of two, whose tally starts after the first's levels
+    # K_4: levels to d - 1 = 3 fix its top degree 4.  A cap that holds the
+    # representatives of levels 0..3 but not of level 4 trips at degree 4,
+    # both for one copy and for the second of two, whose tally starts after
+    # the first's levels
     k4 = _complete_graph(4)
-    sizes = semigroup_levels(k4, 4, classes=twin_classes(k4)).sizes
+    counts = [len(level) for level in semigroup_levels(k4, 4, classes=twin_classes(k4))]
     other = Graph.from_edges((f"{u}'", f"{v}'") for u, v in k4.edges)
-    for g, before in ((k4, 0), (disjoint_union(k4, other), sum(sizes))):
-        for cap in (before + sum(sizes[:4]), before + sum(sizes) - 1):
+    for g, before in ((k4, 0), (disjoint_union(k4, other), sum(counts))):
+        for cap in (before + sum(counts[:4]), before + sum(counts) - 1):
             with pytest.raises(ScanOverflowError) as exc:
                 betti_table(g, max_scan=cap)
             assert (exc.value.limit, exc.value.degree) == (cap, 4)
-        assert betti_table(g, max_scan=before + sum(sizes)).certified
+        assert betti_table(g, max_scan=before + sum(counts)).certified
 
 
 def test_betti_table_counts_each_orbit_once(monkeypatch):

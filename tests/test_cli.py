@@ -1,5 +1,6 @@
 """End-to-end CLI tests: real files in, JSON documents out, exact exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -64,13 +65,14 @@ def test_analyze_pattern_graph_combines_verdicts(capsys, data_dir):
     assert any("depth" in note for note in payload["annotations"])
 
 
-def test_analyze_default_depth_can_hit_scan_cap(capsys, data_dir):
-    # the default scan depth is the edge count, which on this graph exceeds
-    # the default element cap; the documented contract is exit code 2
-    code, out, err = _run(capsys, "analyze", _path(data_dir, "f.json"))
-    assert code == 2
-    assert out == ""
-    assert "scan overflow" in err
+def test_analyze_default_flags_scan_the_pattern_graph(capsys, data_dir):
+    # the default scan depth is the edge count, 10: 135,707 elements, but
+    # 33,235 twin-orbit representatives, under the default cap of 100,000
+    payload, err = _run_json(capsys, "analyze", _path(data_dir, "f.json"))
+    assert err == ""
+    inv = payload["invariants"]
+    assert (inv["regularity"], inv["projective_dimension"], inv["certified"]) == (4, 3, False)
+    assert payload["cohen_macaulay"] == "no"
 
 
 def test_betti_triangle(capsys, data_dir):
@@ -317,20 +319,29 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     assert out == ""
     assert "more than 1" in err
 
+    # the cap counts twin-orbit representatives: K_{2,3} has 12 up to its
+    # top degree 3 (65 elements), so a cap of 12 passes and 11 trips
     code, _, err = _run(capsys, "betti", _path(data_dir, "k23.json"), "--max-scan", "2")
     assert code == 2
     assert "scan overflow" in err
+    code, _, err = _run(capsys, "betti", _path(data_dir, "k23.json"), "--max-scan", "11")
+    assert code == 2
+    assert "scan overflow: more than 11" in err and "before degree 3" in err
+    code, _, err = _run(capsys, "betti", _path(data_dir, "k23.json"), "--max-scan", "12")
+    assert code == 0 and err == ""
 
-    # the cap covers all components together: each K_{2,3} has 65 elements
-    # up to its top degree 3, so 100 admits either one but not both
+    # the cap covers all components together, so 23 admits either K_{2,3}
+    # but not both
     union = tmp_path / "k23k23.edges"
     union.write_text(
         "".join(f"{a}{i} {b}{j}\n" for a, b in ("ab", "cd") for i in (1, 2) for j in (1, 2, 3))
     )
-    code, out, err = _run(capsys, "betti", str(union), "--max-scan", "100")
+    code, out, err = _run(capsys, "betti", str(union), "--max-scan", "23")
     assert code == 2
     assert out == ""
-    assert "scan overflow: more than 100" in err and len(err.splitlines()) == 1
+    assert "scan overflow: more than 23" in err and len(err.splitlines()) == 1
+    code, _, _ = _run(capsys, "betti", str(union), "--max-scan", "24")
+    assert code == 0
 
     # a negative bound is bad input (exit 1), not a cap, even with nothing to scan
     edgeless = tmp_path / "edgeless.edges"
@@ -378,6 +389,61 @@ def test_pattern_search_on_paths_longer_than_the_recursion_limit(capsys, tmp_pat
     assert payload["result"] == "not-cohen-macaulay"
     embedding = payload["certificate"]["embedding"]
     assert len(embedding["path1"]) == len(embedding["path2"]) == 1101
+
+
+PARSER_ARGVS = [
+    ["analyze", "g"],
+    ["analyze", "g", "--max-fiber", "7", "--verbose", "--max-deg", "3", "--field", "2",
+     "--assume-complete", "--max-scan", "9", "--max-cycle", "5", "--max-path", "4"],
+    ["analyze", "--field", "2", "g", "--field", "3", "--max-scan", "5", "--max-scan", "6"],
+    ["betti", "g"],
+    ["betti", "g", "--max-fiber", "7", "--verbose", "--max-deg", "3", "--field", "5",
+     "--assume-complete", "--max-scan", "9"],
+    ["betti", "g", "--field", "2", "--field", "q", "--max-scan", "5", "--max-scan", "6"],
+    ["complex", "g", "--degree", "s"],
+    ["complex", "--degree", "s", "g", "--max-fiber", "3", "--verbose", "--degree", "t"],
+    ["fiber", "g", "--degree", "s"],
+    ["fiber", "g", "--degree", "s", "--max-fiber", "3", "--verbose"],
+    ["certify-noncm", "g"],
+    ["certify-noncm", "g", "--max-fiber", "7", "--verbose", "--embedding", "e", "--field", "3",
+     "--max-cycle", "5", "--max-path", "4"],
+    ["certify-noncm", "g", "--field", "2", "--field", "7"],
+    ["bounds", "g", "--parts", "p"],
+    ["bounds", "g", "--parts", "p", "--max-fiber", "7", "--verbose", "--field", "3",
+     "--max-scan", "9"],
+    ["bounds", "g", "--parts", "p", "--field", "2", "--field", "3", "--max-scan", "5",
+     "--max-scan", "6"],
+]
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[f"{a[0]}-{i}" for i, a in enumerate(PARSER_ARGVS)])
+def test_one_command_parser_matches_the_full_parser(argv):
+    full = cli._build_parser().parse_args(argv)
+    assert cli._build_parser(argv[0]).parse_args(argv) == full
+    assert full.func.__name__.startswith("_cmd_")
+
+
+def test_main_builds_only_the_invoked_command(capsys, data_dir, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    _run_json(capsys, "fiber", _path(data_dir, "c4.edges"), "--degree", _path(data_dir, "s1111.json"))
+    assert _subcommands(built[-1]) == ["fiber"]
+    # with no known command first, every command is there for help and errors
+    for argv in ([], ["-h"], ["frobnicate"]):
+        _run(capsys, *argv)
+        assert _subcommands(built[-1]) == [
+            "analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
 
 
 def test_version(capsys):

@@ -1,7 +1,9 @@
 """CLI outputs pinned byte for byte: the exit code, stdout and stderr of
 every `tests/data` graph under `analyze`, `betti` (over Q, GF(2), GF(3)),
 `bounds` and `certify-noncm`, plus a few single-degree, embedding and
-overflow runs, against the files in `tests/golden/`.
+overflow runs, and the help and usage-error output of the parser, against
+the files in `tests/golden/`.  argparse wraps help to the terminal width, so
+every run sees COLUMNS=80.
 
 After an intended change of output, regenerate the files from the repository
 root with
@@ -26,6 +28,7 @@ from toricgraph.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 
+COMMANDS = ["analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
 GRAPHS = ["bad.json", "c4.edges", "dup.edges", "f.json", "k23.json", "k23k22.json", "tri.json"]
 
 
@@ -49,6 +52,15 @@ def _cases() -> dict[str, list[str]]:
     cases["f.complex-s31131122"] = [
         "complex", "tests/data/f.json", "--degree", "tests/data/s31131122.json"]
     cases["c4.fiber-s1111"] = ["fiber", "tests/data/c4.edges", "--degree", "tests/data/s1111.json"]
+    cases["usage.none"] = []
+    cases["usage.help"] = ["-h"]
+    cases["usage.version"] = ["--version"]
+    cases["usage.unknown-command"] = ["frobnicate"]
+    for command in COMMANDS:
+        cases[f"usage.{command}-help"] = [command, "-h"]
+    cases["usage.analyze-unknown-flag"] = ["analyze", "tests/data/c4.edges", "--bogus"]
+    cases["usage.betti-bad-int"] = ["betti", "tests/data/c4.edges", "--max-deg", "x"]
+    cases["usage.complex-missing-degree"] = ["complex", "tests/data/c4.edges"]
     return cases
 
 
@@ -58,13 +70,18 @@ CASES = _cases()
 def _run(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI run from the repository root."""
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
