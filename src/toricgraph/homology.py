@@ -10,7 +10,7 @@ Dimensions are all that is reported: dim H~_d = nullity(d_d) - rank(d_{d+1}),
 where the boundary d_d has one column per d-face and one row per (d-1)-face,
 in increasing mask order (`boundary_matrix`: in lexicographic order).
 
-Two reductions come before and during the rank computation, neither of
+Three reductions come before and during the rank computation, none of
 which changes the answer:
 
 * The core.  Homology is taken on `SimplicialComplex.core()`, the complex
@@ -25,14 +25,27 @@ which changes the answer:
   the columns before it and is skipped (Bauer-Kerber-Reininghaus, "Clear
   and Compress", 2014; Bauer, "Ripser", JACT 2021).  Only the columns that
   survive clearing are built.
+* The star quotient.  The chains are those of the core relative to the
+  closed star st v of one vertex v, the one in the most facets: the faces
+  that miss v and are no faces of its link.  st v is a cone with apex v,
+  so it is acyclic over every coefficient ring, and the long exact sequence
+  of the pair (Munkres, Elements of Algebraic Topology, ch. 3) gives
+  H~_d(core) = H_d(core, st v) for every d.  H~_{-1} is 0 then, as the
+  empty face lies in the star.  Deleting the star is the first step of a
+  coreduction (Mrozek-Batko, "Coreduction homology algorithm", DCG 41,
+  2009); on K_{4,4}'s degree complexes it leaves 34,861 of 550,526 faces.
+  A boundary term that is no chain lies in the link and is dropped.  The
+  d_d above are those of the relative complex, which `boundary_matrix` and
+  `faces_of_dimension` do not build: they keep describing the whole
+  complex.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from . import linalg
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, maximal_masks
 from .graph import _read_only
 
 
@@ -124,8 +137,11 @@ def boundary_matrix(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
     return _boundary_columns(cols, rows)
 
 
-def _boundary_columns(faces: list[int], rows: list[int]) -> list[dict[int, int]]:
-    """Boundary columns of the given d-faces over the (d-1)-faces `rows`, all masks."""
+def _boundary_columns(
+    faces: list[int], rows: list[int], dropped: Callable[[int], bool] = lambda face: False
+) -> list[dict[int, int]]:
+    """Boundary columns of the given d-faces over the (d-1)-faces `rows`, all
+    masks.  A boundary term that is not a row must be `dropped`."""
     row_index = {f: i for i, f in enumerate(rows)}
     cols: list[dict[int, int]] = []
     for face in faces:
@@ -133,24 +149,93 @@ def _boundary_columns(faces: list[int], rows: list[int]) -> list[dict[int, int]]
         rest, sign = face, 1
         while rest:
             low = rest & -rest  # the smallest bit still in rest
-            col[row_index[face ^ low]] = sign
+            term = face ^ low
+            i = row_index.get(term)
+            if i is not None:
+                col[i] = sign
+            elif not dropped(term):
+                raise KeyError(term)
             rest, sign = rest ^ low, -sign
         cols.append(col)
     return cols
+
+
+def _relative_faces(core: SimplicialComplex) -> tuple[list[list[int]], Callable[[int], bool]]:
+    """The chains of C(core)/C(st v), by dimension like `face_masks`, and the
+    test for a face of lk v.  v is the vertex in the most facets, the lowest
+    position on ties.
+
+    A face lies outside the star exactly when it misses v and is no face of
+    lk v.  Each chain is listed once, from the first facet without v that
+    holds it: the chains from facet F are the subsets of F that lie in no
+    earlier facet and no link facet, that is, that meet F - M for each of
+    those facets M.
+    """
+    masks = core.masks
+    v = max(range(len(core.ground)), key=lambda x: (sum(m >> x & 1 for m in masks), -x))
+    bit = 1 << v
+    link = maximal_masks(m ^ bit for m in masks if m & bit)
+    chains: list[list[int]] = [[] for _ in range(core.dim + 2)]
+    earlier: list[int] = []
+    for facet in masks:
+        if facet & bit:
+            continue
+        # each entry: the chains holding `chosen` inside chosen | free that
+        # still have to meet every mask in `unmet`
+        stack = [(0, facet, list({facet & ~m for m in earlier + link}))]
+        earlier.append(facet)
+        while stack:
+            chosen, free, unmet = stack.pop()
+            unmet = [c & free for c in unmet if not c & chosen]
+            if not unmet:
+                sub = free
+                while True:
+                    face = chosen | sub
+                    chains[face.bit_count()].append(face)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+                continue
+            # branch on the first element of the smallest mask to meet
+            least = min(unmet, key=int.bit_count)
+            while least:
+                low = least & -least
+                free ^= low
+                stack.append((chosen | low, free, unmet))
+                least ^= low
+
+    # bit j of holders[1 << x] is set when the j-th link facet holds x
+    holders = dict.fromkeys((1 << x for x in range(len(core.ground))), 0)
+    for j, m in enumerate(link):
+        for x in holders:
+            if m & x:
+                holders[x] |= 1 << j
+
+    def in_link(face: int) -> bool:
+        common = (1 << len(link)) - 1
+        while face and common:
+            low = face & -face
+            common &= holders[low]
+            face ^= low
+        return common != 0
+
+    return [sorted(level) for level in chains], in_link
 
 
 def reduced_homology(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> list[int]:
     """Dimensions [dim H~_{-1}, dim H~_0, ..., dim H~_dim].
 
     The void complex yields [0] (nothing in any degree, reported at -1 for
-    shape stability).  The ranks are those of the core's boundaries, and the
-    list is padded with zeros to the dimension of k.
+    shape stability), and the irrelevant complex [1].  Otherwise the ranks
+    are those of the core relative to a vertex star, and the list is padded
+    with zeros to the dimension of k.
     """
     if k.is_void:
         return [0]
+    if k.is_irrelevant:
+        return [1]
     core = k.core()
-    # faces[i] holds the faces of dimension i - 1, as masks
-    faces = core.face_masks
+    faces, in_link = _relative_faces(core)
     counts = [len(level) for level in faces]
     # entry i covers degree d = i - 1 and ranks[i] is the rank of d_{i-1}:
     # nullity(d_d) = f_d - rank(d_d)
@@ -158,7 +243,8 @@ def reduced_homology(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> list
     cleared: set[int] = set()
     for d in range(core.dim, -1, -1):
         kept = [face for j, face in enumerate(faces[d + 1]) if j not in cleared]
-        columns = _boundary_columns(kept, faces[d])
+        # a boundary term outside the chains lies in the star: it is dropped
+        columns = _boundary_columns(kept, faces[d], in_link)
         # the pivot rows of d_d are (d-1)-faces: columns cleared from d_{d-1}
         cleared = linalg.pivot_rows(columns, field.modulus)
         ranks[d + 1] = len(cleared)

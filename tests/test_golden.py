@@ -29,7 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 COMMANDS = ["analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
-GRAPHS = ["bad.json", "c4.edges", "dup.edges", "f.json", "k23.json", "k23k22.json", "tri.json"]
+GRAPHS = [
+    "bad.json", "c4.edges", "dup.edges", "f.json", "k23.json", "k23k22.json", "k34.json", "tri.json"
+]
 
 
 def _cases() -> dict[str, list[str]]:

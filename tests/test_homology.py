@@ -15,6 +15,8 @@ from toricgraph import (
     reduced_homology,
 )
 
+from toricgraph import homology
+
 from oracles import (
     composition_vanishes,
     euler_characteristic_check,
@@ -33,6 +35,16 @@ RP2_FACETS = [
 
 def _complex(n, faces):
     return SimplicialComplex.from_faces(range(n), faces)
+
+
+def _cross_polytope(dim):
+    """Facets of the boundary of the (dim + 1)-dimensional cross-polytope, a
+    dim-sphere on the antipodal pairs (0, 1), (2, 3), ...: one vertex of
+    each pair."""
+    facets = [()]
+    for i in range(dim + 1):
+        facets = [f + (x,) for f in facets for x in (2 * i, 2 * i + 1)]
+    return facets
 
 
 def test_field_spec():
@@ -105,6 +117,41 @@ def test_tetrahedron_boundary_is_a_sphere():
     assert reduced_homology(_complex(4, faces)) == [0, 0, 0, 1]
 
 
+def test_octahedron_boundary_is_its_own_core():
+    # every vertex lies in four triangles and no other vertex lies in all
+    # four, so the core keeps the whole sphere
+    k = _complex(6, _cross_polytope(2))
+    assert k.core() == k
+    assert reduced_homology(k, RATIONALS) == [0, 0, 0, 1]
+    assert reduced_homology(k, GF2) == [0, 0, 0, 1]
+
+
+def test_star_quotient_builds_fewer_boundary_columns(monkeypatch):
+    # the whole octahedron takes 8 + 5 + 1 = 14 columns under clearing; the
+    # chains outside the star of vertex 0 are 4 triangles, 4 edges and a
+    # vertex, and clearing leaves 4 + 1 + 0 of them to build
+    built = []
+    columns = homology._boundary_columns
+
+    def counting(faces, *args):
+        built.append(len(faces))
+        return columns(faces, *args)
+
+    monkeypatch.setattr(homology, "_boundary_columns", counting)
+    assert reduced_homology(_complex(6, _cross_polytope(2))) == [0, 0, 0, 1]
+    assert sum(built) < 14
+
+
+def test_boundary_terms_outside_the_rows_must_be_dropped():
+    # the edge {0, 1} over the row {0}: the term {1} is dropped as a link
+    # face, or raises when it is not one
+    assert homology._boundary_columns([0b11], [0b01], lambda face: face == 0b10) == [{0: -1}]
+    with pytest.raises(KeyError):
+        homology._boundary_columns([0b11], [0b01], lambda face: False)
+    with pytest.raises(KeyError):
+        homology._boundary_columns([0b11], [0b01])
+
+
 def test_projective_plane_feels_the_characteristic():
     k = _complex(7, [tuple(v for v in f) for f in RP2_FACETS])
     # sanity on the triangulation itself
@@ -171,16 +218,26 @@ def test_invariant_under_ground_permutation():
 
 @st.composite
 def _complexes(draw):
-    """Random complexes on at most 8 vertices, or RP2 with extra faces: some
-    add dominated vertices (7, 8, 0), others fill or join triangles."""
-    if draw(st.booleans()):
+    """Random complexes on at most 8 vertices; RP2 with extra faces, some of
+    which add dominated vertices (7, 8, 0) and others fill or join
+    triangles; or a cross-polytope boundary of dimension 1 to 3, where no
+    vertex is dominated and no vertex star is the whole complex, in
+    dimension 2 with up to one extra facet, which may reach a new vertex 6."""
+    shape = draw(st.sampled_from(("random", "rp2", "cross-polytope")))
+    if shape == "random":
         n = draw(st.integers(1, 8))
         faces = draw(st.lists(
             st.sets(st.integers(0, n - 1), min_size=1, max_size=5), min_size=1, max_size=10
         ))
         return _complex(n, faces)
-    extra = draw(st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=4), max_size=4))
-    return _complex(9, RP2_FACETS + extra)
+    if shape == "rp2":
+        extra = draw(st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=4), max_size=4))
+        return _complex(9, RP2_FACETS + extra)
+    dim = draw(st.integers(1, 3))
+    if dim != 2:
+        return _complex(2 * dim + 2, _cross_polytope(dim))
+    extra = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), max_size=1))
+    return _complex(7, _cross_polytope(2) + extra)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -192,3 +249,12 @@ def test_core_and_clearing_match_sympy(k):
         hom = reduced_homology(k, field)
         assert hom == homology_via_sympy(k, field.modulus), (k, field)
         assert [homology_dimension(k, d, field) for d in range(-1, k.dim + 1)] == hom
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_complexes(), st.randoms(use_true_random=False))
+def test_invariant_under_ground_permutation_on_random_complexes(k, rng):
+    # a permutation moves the star vertex and the ties between vertices in
+    # equally many facets
+    for field in (RATIONALS, GF2):
+        assert permuted_homology(k, rng, field) == reduced_homology(k, field), (k, field)
