@@ -64,17 +64,24 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
+def _decode(data: bytes, what: str, path: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file {path}: {exc}") from None
+
+
 def _load_graph_arg(path: str) -> tuple[Graph, dict]:
     data = _read_file(path)
-    g = loads_graph(data.decode("utf-8"))
+    g = loads_graph(_decode(data, "graph", path))
     meta = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     return g, meta
 
 
 def _load_json_file(path: str, what: str):
-    data = _read_file(path)
+    text = _decode(_read_file(path), what, path)
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
 
@@ -162,10 +169,9 @@ def _exhaustive(g: Graph, args) -> bool:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_analyze(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
-    field = parse_field(args.field)
-    table = betti_table(
+def _table(g: Graph, field, args):
+    """The Betti table that the scan flags of `args` ask for."""
+    return betti_table(
         g,
         args.max_deg,
         field=field,
@@ -173,6 +179,12 @@ def _cmd_analyze(args) -> dict:
         max_fiber=args.max_fiber,
         max_scan=args.max_scan,
     )
+
+
+def _cmd_analyze(args) -> dict:
+    g, meta = _load_graph_arg(args.graph)
+    field = parse_field(args.field)
+    table = _table(g, field, args)
     inv = invariants(g, table)
     occ = odd_cycle_condition(g, args.max_cycle)
     cert = noncm_certificate(
@@ -228,14 +240,7 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_betti(args) -> dict:
     g, meta = _load_graph_arg(args.graph)
-    table = betti_table(
-        g,
-        args.max_deg,
-        field=parse_field(args.field),
-        assume_complete=args.assume_complete,
-        max_fiber=args.max_fiber,
-        max_scan=args.max_scan,
-    )
+    table = _table(g, parse_field(args.field), args)
     inv = invariants(g, table)
     return {
         **_base(meta, "betti"),

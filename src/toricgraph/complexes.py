@@ -20,10 +20,10 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fiber import DEFAULT_MAX_FIBER, enumerate_fiber
-from .graph import Graph, _read_only
+from .graph import Graph, _Value
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Facet representation of a simplicial complex.
 
     `ground` is the ordered tuple of ground-set labels (for degree complexes
@@ -51,21 +51,7 @@ class SimplicialComplex:
             for b in masks[i + 1 :]:
                 if a | b == b:
                     raise ValueError("facets must be distinct and pairwise incomparable")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "masks", masks)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ground, self.masks) == (other.ground, other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.masks))
-
-    def __repr__(self) -> str:
-        return f"SimplicialComplex(ground={self.ground!r}, masks={self.masks!r})"
+        self._set(ground, masks)
 
     @classmethod
     def from_faces(cls, ground: Sequence, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .graph import Graph, _read_only
+from .graph import Graph, _Value
 
 DEFAULT_MAX_FIBER = 10**6
 
@@ -27,7 +27,7 @@ class FiberOverflowError(RuntimeError):
         self.limit = limit
 
 
-class Decomposition:
+class Decomposition(_Value):
     """One edge weighting; coefficients are aligned with the graph's edge order.
     An immutable value, equal to any decomposition with the same
     coefficients."""
@@ -35,20 +35,7 @@ class Decomposition:
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients,))
-
-    def __repr__(self) -> str:
-        return f"Decomposition(coefficients={self.coefficients!r})"
+        self._set(coefficients)
 
     @cached_property
     def support(self) -> frozenset[int]:

@@ -23,11 +23,48 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph input; the message carries the location."""
 
 
-def _read_only(self, name: str, *value: object) -> None:
-    """`__setattr__` and `__delattr__` of the immutable value classes (set
-    their attributes with object.__setattr__, in `__init__`); their
-    cached_property views write to the instance dict and are unaffected."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+class _Value:
+    """Base of the immutable value classes.  A subclass names its fields once,
+    in its class annotations, in order; its validating `__init__` ends in
+    `self._set(...)` with the field values.  Instances of one class are equal
+    when their fields are, hash by the field tuple, repr as
+    `Name(field=value, ...)`, and refuse assignment and deletion (the
+    cached_property views write to the instance dict and are unaffected)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+def _first_appearance(edges: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    """The endpoints of `edges` in order of first appearance."""
+    return tuple(dict.fromkeys(lab for edge in edges for lab in edge))
 
 
 def _check_label(label: object, where: str) -> str:
@@ -36,7 +73,7 @@ def _check_label(label: object, where: str) -> str:
     return label
 
 
-class Graph:
+class Graph(_Value):
     """An ordered simple graph.
 
     `vertices` is the ordered label tuple; `edges` is the ordered tuple of
@@ -68,21 +105,7 @@ class Graph:
             if key in edge_keys:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge {u!r}--{v!r}")
             edge_keys.add(key)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
+        self._set(vertices, edges)
 
     @classmethod
     def from_edges(
@@ -90,16 +113,7 @@ class Graph:
     ) -> "Graph":
         """Build a graph from edge pairs; vertices default to first-appearance order."""
         edges = tuple((u, v) for u, v in edges)
-        if vertices is None:
-            ordered: list[str] = []
-            seen: set[str] = set()
-            for u, v in edges:
-                for lab in (u, v):
-                    if lab not in seen:
-                        seen.add(lab)
-                        ordered.append(lab)
-            vertices = ordered
-        return cls(tuple(vertices), edges)
+        return cls(_first_appearance(edges) if vertices is None else tuple(vertices), edges)
 
     # -- basic lookups ---------------------------------------------------
 
@@ -125,24 +139,26 @@ class Graph:
     def _edge_lookup(self) -> dict[frozenset[int], int]:
         return {frozenset(pair): e for e, pair in enumerate(self.edge_indices)}
 
+    def _position(self, v: str) -> int:
+        """Position of the label `v`; an unknown label is a GraphFormatError."""
+        i = self.index.get(v)
+        if i is None:
+            raise GraphFormatError(f"unknown vertex {v!r}")
+        return i
+
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbors of `v` in vertex order."""
-        i = self.index[v]
-        return tuple(self.vertices[j] for j in sorted(self._adjacency[i]))
+        return tuple(self.vertices[j] for j in sorted(self._adjacency[self._position(v)]))
 
     def degree(self, v: str) -> int:
-        return len(self._adjacency[self.index[v]])
+        return len(self._adjacency[self._position(v)])
 
     def has_edge(self, u: str, v: str) -> bool:
-        try:
-            key = frozenset((self.index[u], self.index[v]))
-        except KeyError as exc:
-            raise GraphFormatError(f"unknown vertex {exc.args[0]!r}") from None
-        return key in self._edge_lookup
+        return frozenset((self._position(u), self._position(v))) in self._edge_lookup
 
     def edge_position(self, u: str, v: str) -> int:
         """Index of the edge {u, v} in edge order (orientation-insensitive)."""
-        key = frozenset((self.index[u], self.index[v]))
+        key = frozenset((self._position(u), self._position(v)))
         e = self._edge_lookup.get(key)
         if e is None:
             raise GraphFormatError(f"no edge {u!r}--{v!r} in graph")
@@ -490,14 +506,7 @@ def graph_to_edgelist(g: Graph) -> str:
     for v in g.vertices:
         if any(c.isspace() for c in v) or "#" in v:
             raise GraphFormatError(f"label {v!r} cannot be written in edge-list format")
-    implied: list[str] = []
-    seen: set[str] = set()
-    for u, v in g.edges:
-        for lab in (u, v):
-            if lab not in seen:
-                seen.add(lab)
-                implied.append(lab)
-    lines = [] if tuple(implied) == g.vertices else list(g.vertices)
+    lines = [] if _first_appearance(g.edges) == g.vertices else list(g.vertices)
     lines += [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 from . import linalg
 from .complexes import SimplicialComplex, maximal_masks
-from .graph import _read_only
+from .graph import _Value
 
 
 # Miller-Rabin with the prime bases up to 37 is exact below this bound, the
@@ -79,7 +79,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class FieldSpec(_Value):
     """Coefficient field: the rationals (modulus None) or GF(p), p prime.
     An immutable value, equal to any field spec with the same modulus."""
 
@@ -91,20 +91,7 @@ class FieldSpec:
                 raise ValueError(f"modulus must be below {_MR_LIMIT}, got {modulus}")
             if not _is_prime(modulus):
                 raise ValueError(f"modulus must be prime, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash((self.modulus,))
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(modulus={self.modulus!r})"
+        self._set(modulus)
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"

@@ -29,7 +29,7 @@ from .graph import (  # the odd cycle names are re-exported
     Graph,
     OddCycleVerdict,
     _induced_cycles,
-    _read_only,
+    _Value,
     _resolve_cycle_cap,
     connected_components,
     find_induced_odd_cycles,
@@ -40,7 +40,7 @@ from .graph import (  # the odd cycle names are re-exported
 )
 from .homology import RATIONALS, FieldSpec, homology_dimension
 
-class ForbiddenEmbedding:
+class ForbiddenEmbedding(_Value):
     """A concrete copy of the pattern: two induced odd cycles and two
     connecting paths, all by vertex labels.
 
@@ -62,29 +62,7 @@ class ForbiddenEmbedding:
         path1: tuple[str, ...],
         path2: tuple[str, ...],
     ) -> None:
-        object.__setattr__(self, "cycle1", cycle1)
-        object.__setattr__(self, "cycle2", cycle2)
-        object.__setattr__(self, "path1", path1)
-        object.__setattr__(self, "path2", path2)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def _key(self) -> tuple:
-        return (self.cycle1, self.cycle2, self.path1, self.path2)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ForbiddenEmbedding(cycle1={self.cycle1!r}, cycle2={self.cycle2!r}, "
-            f"path1={self.path1!r}, path2={self.path2!r})"
-        )
+        self._set(cycle1, cycle2, path1, path2)
 
     @property
     def path_lengths(self) -> tuple[int, int]:

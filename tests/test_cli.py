@@ -239,6 +239,22 @@ def test_malformed_degree_files_exit_1_with_one_line(capsys, data_dir, tmp_path)
             assert err.startswith("toricgraph: error: multidegree") and len(err.splitlines()) == 1
 
 
+def test_undecodable_files_are_named_in_one_line(capsys, data_dir, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff")
+    for argv, what in (
+        (["analyze", str(bad)], "graph"),
+        (["fiber", _path(data_dir, "c4.edges"), "--degree", str(bad)], "degree"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == (
+            f"toricgraph: error: {what} file {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
+
 def test_negative_caps_are_bad_input(capsys, data_dir):
     for argv in (
         ["betti", _path(data_dir, "k23.json"), "--max-scan", "-5"],

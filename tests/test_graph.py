@@ -98,6 +98,15 @@ def test_lookups():
     assert g.edge_position("v1", "v4") == 3
     with pytest.raises(GraphFormatError):
         g.edge_position("v1", "v3")
+    for lookup in (
+        lambda: g.neighbors("zz"),
+        lambda: g.degree("zz"),
+        lambda: g.has_edge("v1", "zz"),
+        lambda: g.edge_position("zz", "v1"),
+        lambda: g.incidence_column(("v1", "zz")),
+    ):
+        with pytest.raises(GraphFormatError, match="unknown vertex 'zz'"):
+            lookup()
 
 
 def test_incidence_columns():

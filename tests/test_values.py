@@ -1,6 +1,9 @@
 """Value semantics of the library's immutable classes and result records:
 construction in field order, equality, hashing, repr and read-only
-attributes."""
+attributes, and round trips through pickle and deepcopy."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -99,3 +102,14 @@ def test_cached_views_survive_read_only_attributes():
     # the views do not take part in equality or hashing
     fresh = Graph(g.vertices, g.edges)
     assert fresh == g and hash(fresh) == hash(g)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    g = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    emb = ForbiddenEmbedding(*PATTERN)
+    assert g.index and emb.vertex_set  # fill the cached views first
+    instances = [cls(*values) for cls, _, values, _ in CASES if cls is not BettiTable]
+    for a in instances + [g, emb]:
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(b) is type(a) and b == a and hash(b) == hash(a)
+    assert pickle.loads(pickle.dumps(g)).index == g.index
