@@ -35,6 +35,7 @@ from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, degree_vector, enumera
 from .graph import (
     Graph,
     GraphFormatError,
+    _read_text,
     connected_components,
     is_bipartite,
     loads_graph,
@@ -42,9 +43,6 @@ from .graph import (
 from .homology import parse_field
 from .structure import (
     ForbiddenEmbedding,
-    detect_forbidden,
-    forbidden_reg_bound,
-    forbidden_reg_bound_standard,
     lower_bounds,
     noncm_certificate,
     odd_cycle_condition,
@@ -59,27 +57,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _decode(data: bytes, what: str, path: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} file {path}: {exc}") from None
-
-
 def _load_graph_arg(path: str) -> tuple[Graph, dict]:
-    data = _read_file(path)
-    g = loads_graph(_decode(data, "graph", path))
+    data, text = _read_text(path)
+    g = loads_graph(text)
     meta = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     return g, meta
 
 
 def _load_json_file(path: str, what: str):
-    text = _decode(_read_file(path), what, path)
+    text = _read_text(path, what)[1]
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -116,19 +102,6 @@ def _table_section(table) -> dict:
     }
 
 
-def _invariants_section(inv) -> dict:
-    return {
-        "regularity": inv.regularity,
-        "projective_dimension": inv.projective_dimension,
-        "depth": inv.depth,
-        "dimension": inv.dimension,
-        "cohen_macaulay": inv.cohen_macaulay,
-        "certified": inv.certified,
-        "max_degree": inv.max_degree,
-        "caveats": list(inv.caveats),
-    }
-
-
 def _certificate_section(cert) -> dict:
     return {
         "embedding": cert.embedding.as_dict(),
@@ -156,14 +129,18 @@ def _parse_embedding(obj) -> ForbiddenEmbedding:
     return ForbiddenEmbedding(**parts)
 
 
-def _exhaustive(g: Graph, args) -> bool:
-    """Whether --max-cycle and --max-path leave the pattern search unbounded
-    on this graph: no induced cycle is longer than |V| and no connecting
-    path longer than |V| - 1 (paths have length at least 2)."""
+def _search(g: Graph, args) -> dict:
+    """The pattern search's bounds, and whether --max-cycle and --max-path
+    leave it unbounded on this graph: no induced cycle is longer than |V|
+    and no connecting path longer than |V| - 1 (paths have length at least
+    2)."""
     n = len(g.vertices)
-    return (args.max_cycle is None or args.max_cycle >= n) and (
-        args.max_path is None or args.max_path >= max(n - 1, 2)
-    )
+    return {
+        "max_cycle": args.max_cycle,
+        "max_path": args.max_path,
+        "exhaustive": (args.max_cycle is None or args.max_cycle >= n)
+        and (args.max_path is None or args.max_path >= max(n - 1, 2)),
+    }
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -217,20 +194,9 @@ def _cmd_analyze(args) -> dict:
     report = {
         "graph": _graph_section(g),
         "betti": _table_section(table),
-        "invariants": _invariants_section(inv),
-        "odd_cycle_condition": {
-            "status": occ.status,
-            "witness": [list(occ.witness[0]), list(occ.witness[1])] if occ.witness else None,
-            "max_length": occ.max_length,
-            "complete": occ.complete,
-            "cycles_found": occ.cycles_found,
-        },
-        "forbidden_structure": {
-            "found": cert is not None,
-            "max_cycle": args.max_cycle,
-            "max_path": args.max_path,
-            "exhaustive": _exhaustive(g, args),
-        },
+        "invariants": inv._asdict(),
+        "odd_cycle_condition": occ._asdict(),
+        "forbidden_structure": {"found": cert is not None, **_search(g, args)},
         "certificate": _certificate_section(cert) if cert is not None else None,
         "cohen_macaulay": combined,
         "annotations": annotations,
@@ -246,7 +212,7 @@ def _cmd_betti(args) -> dict:
         **_base(meta, "betti"),
         "graph": _graph_section(g),
         "betti": _table_section(table),
-        "invariants": _invariants_section(inv),
+        "invariants": inv._asdict(),
     }
 
 
@@ -294,21 +260,17 @@ def _cmd_certify(args) -> dict:
         max_cycle=args.max_cycle,
         max_path=args.max_path,
     )
-    exhaustive = _exhaustive(g, args)
+    search = _search(g, args)
     if cert is not None:
         result = cert.verdict
     else:
-        result = "none found" if exhaustive else "none found (bounded)"
+        result = "none found" if search["exhaustive"] else "none found (bounded)"
     return {
         **_base(meta, "certify-noncm"),
         "graph": _graph_section(g),
         "found": cert is not None,
         "result": result,
-        "search": {
-            "max_cycle": args.max_cycle,
-            "max_path": args.max_path,
-            "exhaustive": exhaustive,
-        },
+        "search": search,
         "certificate": _certificate_section(cert) if cert is not None else None,
     }
 
@@ -330,16 +292,7 @@ def _cmd_bounds(args) -> dict:
         "graph": _graph_section(g),
         "regularity_lower_bound": report.regularity_lower_bound,
         "projective_dimension_lower_bound": report.projective_dimension_lower_bound,
-        "parts": [
-            {
-                "vertices": list(p.vertices),
-                "method": p.method,
-                "regularity": p.regularity,
-                "projective_dimension": p.projective_dimension,
-                "certified": p.certified,
-            }
-            for p in report.parts
-        ],
+        "parts": [p._asdict() for p in report.parts],
     }
 
 

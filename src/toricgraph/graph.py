@@ -136,6 +136,32 @@ class Graph(_Value):
         return tuple(frozenset(s) for s in adj)
 
     @cached_property
+    def _components(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
+        """One search from the first vertex of each connected component, in
+        vertex order.  Per component: its positions in increasing order, their
+        colors 0/1 (0 at the first vertex), and whether the coloring is proper,
+        that is, whether the component is bipartite."""
+        color = [-1] * len(self.vertices)
+        comps = []
+        for start in range(len(self.vertices)):
+            if color[start] >= 0:
+                continue
+            color[start] = 0
+            stack, members, proper = [start], [], True
+            while stack:
+                v = stack.pop()
+                members.append(v)
+                for w in self._adjacency[v]:
+                    if color[w] < 0:
+                        color[w] = 1 - color[v]
+                        stack.append(w)
+                    elif color[w] == color[v]:
+                        proper = False
+            members.sort()
+            comps.append((tuple(members), tuple(color[v] for v in members), proper))
+        return tuple(comps)
+
+    @cached_property
     def _edge_lookup(self) -> dict[frozenset[int], int]:
         return {frozenset(pair): e for e, pair in enumerate(self.edge_indices)}
 
@@ -189,7 +215,7 @@ def incidence_rank(g: Graph) -> int:
     by side sum to zero) and m otherwise (an odd cycle's columns span its
     vertices, and the tree reaches the rest).
     """
-    return len(g.vertices) - sum(_two_coloring(g)[1])
+    return len(g.vertices) - sum(is_bipartite(g))
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
@@ -198,54 +224,12 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     Components are ordered by their smallest vertex index; vertices inside a
     component come out in vertex order.
     """
-    n = len(g.vertices)
-    seen = [False] * n
-    comps: list[tuple[str, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in g._adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(g.vertices[i] for i in sorted(members)))
-    return comps
-
-
-def _two_coloring(g: Graph) -> tuple[list[int], list[bool]]:
-    """Colors 0/1 by search from the first vertex of each component, and
-    whether they are proper on each component (aligned with
-    connected_components)."""
-    color = [-1] * len(g.vertices)
-    proper: list[bool] = []
-    for start in range(len(g.vertices)):
-        if color[start] >= 0:
-            continue
-        # start is the smallest vertex of a new component
-        ok = True
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g._adjacency[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    ok = False
-        proper.append(ok)
-    return color, proper
+    return [tuple(g.vertices[i] for i in members) for members, _, _ in g._components]
 
 
 def is_bipartite(g: Graph) -> list[bool]:
     """Two-colorability of each connected component, aligned with connected_components."""
-    return _two_coloring(g)[1]
+    return [proper for _, _, proper in g._components]
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -282,13 +266,12 @@ def recognize_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
     A single vertex counts as K_{1,0}-like and returns None (no edges to
     grade); a single edge is K_{1,1}.  Raises on disconnected input.
     """
-    comps = connected_components(g)
-    if len(comps) != 1:
+    if len(g._components) != 1:
         raise ValueError("recognize_complete_bipartite expects a connected graph")
     if not g.edges:
         return None
-    color, proper = _two_coloring(g)
-    if not proper[0]:
+    ((_, color, proper),) = g._components
+    if not proper:
         return None
     # a proper 2-coloring; complete when every cross pair is an edge
     left = color.count(0)
@@ -425,8 +408,18 @@ def loads_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_graph(fh.read())
+    return loads_graph(_read_text(path)[1])
+
+
+def _read_text(path: str, what: str = "graph") -> tuple[bytes, str]:
+    """The bytes of the file at `path` and their UTF-8 text.  Bytes that are
+    not UTF-8 raise a GraphFormatError naming the `what` file and its path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{what} file {path}: {exc}") from None
 
 
 def _parse_json(text: str) -> Graph:

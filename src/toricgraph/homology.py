@@ -191,20 +191,12 @@ def _relative_faces(core: SimplicialComplex) -> tuple[list[list[int]], Callable[
                 stack.append((chosen | low, free, unmet))
                 least ^= low
 
-    # bit j of holders[1 << x] is set when the j-th link facet holds x
-    holders = dict.fromkeys((1 << x for x in range(len(core.ground))), 0)
-    for j, m in enumerate(link):
-        for x in holders:
-            if m & x:
-                holders[x] |= 1 << j
-
     def in_link(face: int) -> bool:
-        common = (1 << len(link)) - 1
-        while face and common:
-            low = face & -face
-            common &= holders[low]
-            face ^= low
-        return common != 0
+        # a plain loop: any() over a generator costs more than the test
+        for m in link:
+            if face | m == m:
+                return True
+        return False
 
     return [sorted(level) for level in chains], in_link
 

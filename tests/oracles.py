@@ -54,6 +54,35 @@ def random_graph(rng: random.Random, max_vertices: int = 7, max_edges: int = 9) 
     return Graph(labels, tuple(pairs[:m]))
 
 
+def union_find_components(g: Graph) -> list[tuple[str, ...]]:
+    """Connected components by union-find over the edge list, each in vertex
+    order, ordered by their first vertex."""
+    parent = list(range(len(g.vertices)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for iu, iv in g.edge_indices:
+        parent[find(iu)] = find(iv)
+    groups: dict[int, list[str]] = {}
+    for i, v in enumerate(g.vertices):
+        groups.setdefault(find(i), []).append(v)
+    return [tuple(members) for members in groups.values()]
+
+
+def two_colorings(g: Graph) -> list[tuple[int, ...]]:
+    """Every proper 2-coloring of the vertices, out of all 2^n colorings
+    (at most 7 vertices)."""
+    n = len(g.vertices)
+    assert n <= 7, "brute force is for small graphs"
+    return [
+        c for c in itertools.product((0, 1), repeat=n)
+        if all(c[iu] != c[iv] for iu, iv in g.edge_indices)
+    ]
+
+
 def sympy_rank(columns, nrows: int, modulus=None) -> int:
     """Rank of the matrix with the given sparse columns ({row: entry}),
     by sympy's sparse domain matrices over ZZ, converted to QQ or GF(p)."""

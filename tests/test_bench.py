@@ -19,14 +19,28 @@ COUNTERS = {
 }
 
 
-@pytest.mark.parametrize("workload", list(COUNTERS))
-def test_bench_smoke_run_traced(workload):
+def _bench(workload: str, trace: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", "1", "--trace", "1"],
+         "--seconds", "1", "--trace", trace],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0, proc.stderr
-    assert result["metrics"][COUNTERS[workload]]["value"] > 0
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("workload", list(COUNTERS))
+def test_bench_smoke_run_traced(workload):
+    assert _bench(workload, "1")[COUNTERS[workload]]["value"] > 0
+
+
+@pytest.mark.parametrize("workload", list(COUNTERS))
+def test_bench_smoke_run_untraced(workload):
+    # the measured run reports the end-to-end metrics BENCHMARK.json declares
+    metrics = _bench(workload, "0")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert sorted(metrics) == sorted(declared)
+    assert metrics["certified_frac"]["value"] == metrics["decided_frac"]["value"] == 1.0

@@ -14,13 +14,14 @@ from toricgraph import (
     incidence_rank,
     induced_subgraph,
     is_bipartite,
+    load_graph,
     loads_graph,
     path_graph,
     recognize_complete_bipartite,
     twin_classes,
 )
 
-from oracles import random_graph, sympy_rank
+from oracles import random_graph, sympy_rank, two_colorings, union_find_components
 
 
 def test_json_parse_and_round_trip():
@@ -151,6 +152,26 @@ def test_components_and_bipartite():
     assert is_bipartite(g) == [True, False]
 
 
+def test_components_and_bipartite_match_the_oracles():
+    rng = random.Random(148)
+    for _ in range(80):
+        g = random_graph(rng)
+        comps = union_find_components(g)
+        assert connected_components(g) == comps, g
+        parts = [induced_subgraph(g, comp) for comp in comps]
+        assert is_bipartite(g) == [bool(two_colorings(h)) for h in parts], g
+        for h in parts:
+            # a connected bipartite graph has one 2-coloring up to the swap
+            colorings = two_colorings(h)
+            expected = None
+            if h.edges and colorings:
+                left = colorings[0].count(0)
+                right = len(h.vertices) - left
+                if len(h.edges) == left * right:
+                    expected = (min(left, right), max(left, right))
+            assert recognize_complete_bipartite(h) == expected, h
+
+
 @pytest.mark.parametrize(
     "g, expected",
     [
@@ -226,3 +247,14 @@ def test_random_round_trips():
         g = random_graph(rng)
         assert loads_graph(graph_to_json(g)) == g
         assert loads_graph(graph_to_edgelist(g)) == g
+
+
+def test_load_graph_names_an_undecodable_file(tmp_path):
+    bad = tmp_path / "latin1.edges"
+    bad.write_bytes(b"\xff")
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(str(bad))
+    assert str(info.value) == (
+        f"graph file {bad}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte"
+    )

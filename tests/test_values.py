@@ -107,9 +107,10 @@ def test_cached_views_survive_read_only_attributes():
 def test_pickle_and_deepcopy_round_trip():
     g = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
     emb = ForbiddenEmbedding(*PATTERN)
-    assert g.index and emb.vertex_set  # fill the cached views first
+    assert g.index and g._components and emb.vertex_set  # fill the cached views first
     instances = [cls(*values) for cls, _, values, _ in CASES if cls is not BettiTable]
     for a in instances + [g, emb]:
         for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
             assert type(b) is type(a) and b == a and hash(b) == hash(a)
-    assert pickle.loads(pickle.dumps(g)).index == g.index
+    copied = pickle.loads(pickle.dumps(g))
+    assert copied.index == g.index and copied._components == g._components
