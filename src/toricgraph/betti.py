@@ -491,7 +491,11 @@ def _facets(
     Delta_s are the maximal sets among G | {e} over the edges e and the
     facets G of Delta_{s-a_e}.  Those are the facets of the representative
     of s - a_e, relabelled by the twin swaps that carry it to s - a_e.
+    When e is not in G, G | {e} is a facet already: a larger face F would
+    make F - {e} a face of Delta_{s-a_e} larger than G.  So only the
+    candidates G with e in G are tested.
     """
+    facets: set[int] = set()
     candidates: set[int] = set()
     for bit, iu, iv in edges:
         if s[iu] and s[iv]:
@@ -499,8 +503,11 @@ def _facets(
             for mask in below.get(c, ()):
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
-                candidates.add(mask | bit)
-    return maximal_masks(candidates)
+                if mask & bit:
+                    candidates.add(mask)
+                else:
+                    facets.add(mask | bit)
+    return maximal_masks(candidates, facets)
 
 
 def _convolve(

@@ -151,11 +151,13 @@ class SimplicialComplex(_Value):
         return [[self.ground[x] for x in sorted(f)] for f in self.facets]
 
 
-def maximal_masks(masks: Iterable[int]) -> list[int]:
+def maximal_masks(masks: Iterable[int], known: Iterable[int] = ()) -> list[int]:
     """The maximal sets of a family of bitmasks, each once.  Taken largest
-    first, a set is kept unless it lies inside one already kept."""
-    kept: list[int] = []
-    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+    first, a set is kept unless it lies inside one already kept.  `known`
+    holds sets of the family already known to be maximal: they are kept
+    without a test, and `masks` need not repeat them."""
+    kept = list(set(known))
+    for mask in sorted(set(masks).difference(kept), key=int.bit_count, reverse=True):
         for other in kept:
             if mask | other == other:
                 break

@@ -5,6 +5,23 @@ nonnegative integers on the edges with sum(c_e * column_e) = s, i.e. every
 vertex x sees total weight s_x on its incident edges.  These are exactly the
 monomials of multidegree s in the edge subring, and their supports generate
 the degree complex.
+
+The search branches on the lowest-index edge without a weight, weights
+ascending, so decompositions come out in lexicographic order.  After each
+weight it chooses it propagates what that weight forces (forward checking,
+Haralick-Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", AI 14, 1980), with x's residual the part of s_x
+its weighted edges do not cover yet:
+
+* a vertex whose residual is 0 puts weight 0 on its other edges;
+* a vertex with one edge left puts its residual on that edge, and the
+  branch fails if that exceeds the residual at the edge's other end;
+* a vertex with no edge left and a nonzero residual fails the branch.
+
+Forced weights go on a trail and are taken off when the search backs up.
+A branching edge starts at the least weight the other free edges at its
+ends leave to it (each can take at most its far end's residual), so the
+work follows the size of the fiber, not the size of its entries.
 """
 
 from __future__ import annotations
@@ -88,7 +105,7 @@ def degree_vector(g: Graph, degrees: Union[Mapping[str, int], Sequence[int]]) ->
     return tuple(degrees)
 
 
-def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):
+def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool) -> list[Decomposition]:
     n, m = len(g.vertices), len(g.edges)
     s = tuple(s)
     if len(s) != n:
@@ -96,80 +113,105 @@ def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool):
     if any(x < 0 for x in s) or sum(s) % 2 == 1:
         return []
 
-    # last edge that can still change each vertex's residual
-    last_touch = [-1] * n
-    for e, (iu, iv) in enumerate(g.edge_indices):
-        last_touch[iu] = e
-        last_touch[iv] = e
-    if any(s[v] > 0 and last_touch[v] < 0 for v in range(n)):
-        return []
-    finished_at: list[list[int]] = [[] for _ in range(m)]
-    for v in range(n):
-        if last_touch[v] >= 0:
-            finished_at[last_touch[v]].append(v)
-    # far[x]: the other ends of x's edges, in edge order; after[e]: where
-    # the edges after e begin in far[] of each end of e.  The edges after e
-    # at an end can take at most the residuals of their other ends off it,
-    # so edge e must take at least the rest: less leads to no decomposition
-    far: list[list[int]] = [[] for _ in range(n)]
-    after: list[tuple[int, int]] = []
-    for iu, iv in g.edge_indices:
-        after.append((len(far[iu]) + 1, len(far[iv]) + 1))
-        far[iu].append(iv)
-        far[iv].append(iu)
-
-    # depth-first over the edges in input order, weights ascending, so the
-    # decompositions come out in lexicographic order; the stack is explicit
-    # (coeffs[e] is the weight on edge e, or -1 while edge e holds none yet),
-    # so long graphs do not outgrow the interpreter's recursion limit
+    ends = g.edge_indices
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge, other end)
+    for e, (iu, iv) in enumerate(ends):
+        incident[iu].append((e, iv))
+        incident[iv].append((e, iu))
     residual = list(s)
-    coeffs = [-1] * m
+    free = [len(inc) for inc in incident]  # unweighted edges at each vertex
+    coeffs = [-1] * m  # the weight on each edge, -1 while it has none
+    trail: list[int] = []  # weighted edges, in the order they got weights
+
+    def fix(e: int, c: int) -> None:
+        coeffs[e] = c
+        trail.append(e)
+        iu, iv = ends[e]
+        residual[iu] -= c
+        residual[iv] -= c
+        free[iu] -= 1
+        free[iv] -= 1
+
+    def settle(queue: list[int]) -> bool:
+        """Weigh the edges the vertices in queue force, and the edges those
+        force in turn; False when some vertex can no longer be met."""
+        while queue:
+            x = queue.pop()
+            left = residual[x]
+            if not free[x]:
+                if left:
+                    return False
+            elif not left:  # x is met: its other edges carry nothing
+                for e, y in incident[x]:
+                    if coeffs[e] < 0:
+                        fix(e, 0)
+                        queue.append(y)
+            elif free[x] == 1:  # x's last edge carries what x still needs
+                for e, y in incident[x]:
+                    if coeffs[e] < 0:
+                        break
+                if left > residual[y]:
+                    return False
+                fix(e, left)
+                queue.append(y)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            c = coeffs[e]
+            coeffs[e] = -1
+            iu, iv = ends[e]
+            residual[iu] += c
+            residual[iv] += c
+            free[iu] += 1
+            free[iv] += 1
+
     out: list[Decomposition] = []
-    e = 0
-    while e >= 0:
+    if not settle(list(range(n))):
+        return out
+    # the stack is explicit, so long graphs do not outgrow the interpreter's
+    # recursion limit: one frame per branching edge, [edge, next weight,
+    # last weight, trail length before the edge got its weight]
+    frames: list[list[int]] = []
+    e = -1
+    while True:
+        e += 1
+        while e < m and coeffs[e] >= 0:
+            e += 1
         if e == m:
-            if first_only:
-                return True
             if len(out) >= max_size:
                 raise FiberOverflowError(max_size)
             out.append(Decomposition(tuple(coeffs)))
-            e -= 1
-            continue
-        iu, iv = g.edge_indices[e]
-        c = coeffs[e]
-        if c >= 0:  # back from edge e + 1: take weight c off and try the next
-            residual[iu] += c
-            residual[iv] += c
-        cmax = min(residual[iu], residual[iv])
-        if c < 0 and cmax:  # start at the least weight the later edges allow
-            ku, kv = after[e]
-            sides = [(iu, ku), (iv, kv)]
-            if len(far[iu]) - ku > len(far[iv]) - kv:
-                sides.reverse()  # the end with fewer later edges first
-            lo = 0
-            for x, k in sides:
-                need, ends = residual[x], far[x]
-                while need > lo and k < len(ends):
-                    need -= residual[ends[k]]
-                    k += 1
-                lo = max(lo, need)
-                if lo >= cmax:  # the other end cannot rule out more
-                    break
-            c = lo - 1
-        done = finished_at[e]
-        for c in range(c + 1, cmax + 1):
-            residual[iu] -= c
-            residual[iv] -= c
-            if all(residual[v] == 0 for v in done):
-                coeffs[e] = c
-                e += 1
-                break
-            residual[iu] += c
-            residual[iv] += c
+            if first_only:
+                return out
         else:
-            coeffs[e] = -1
-            e -= 1
-    return False if first_only else out
+            iu, iv = ends[e]
+            # the other free edges at an end take at most what their far
+            # ends still need, so edge e must take at least the rest
+            lo = 0
+            for x in (iu, iv):
+                need = residual[x]
+                for f, y in incident[x]:
+                    if f != e and coeffs[f] < 0:
+                        need -= residual[y]
+                        if need <= lo:
+                            break
+                lo = max(lo, need)
+            frames.append([e, lo, min(residual[iu], residual[iv]), len(trail)])
+        while frames:
+            frame = frames[-1]
+            e, c, cmax, mark = frame
+            undo(mark)
+            if c > cmax:
+                frames.pop()
+                continue
+            frame[1] = c + 1
+            fix(e, c)
+            if settle(list(ends[e])):
+                break
+        else:
+            return out
 
 
 def enumerate_fiber(
@@ -188,5 +230,4 @@ def enumerate_fiber(
 
 def in_semigroup(g: Graph, s: Sequence[int]) -> bool:
     """Whether s admits at least one decomposition (short-circuiting search)."""
-    res = _search(g, s, max_size=1, first_only=True)
-    return bool(res)
+    return bool(_search(g, s, max_size=1, first_only=True))

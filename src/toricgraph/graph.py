@@ -136,6 +136,11 @@ class Graph(_Value):
         return tuple(frozenset(s) for s in adj)
 
     @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbor positions of each vertex, increasing."""
+        return tuple(tuple(sorted(a)) for a in self._adjacency)
+
+    @cached_property
     def _components(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
         """One search from the first vertex of each connected component, in
         vertex order.  Per component: its positions in increasing order, their
@@ -174,7 +179,7 @@ class Graph(_Value):
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbors of `v` in vertex order."""
-        return tuple(self.vertices[j] for j in sorted(self._adjacency[self._position(v)]))
+        return tuple(self.vertices[j] for j in self._neighbors[self._position(v)])
 
     def degree(self, v: str) -> int:
         return len(self._adjacency[self._position(v)])
@@ -311,26 +316,32 @@ def _induced_cycles(g: Graph, max_length: int) -> list[tuple[int, ...]]:
     reflection quotiented away).  Output sorted by (length, tuple).  The
     depth-first search keeps an explicit stack, one iterator over the
     neighbors of each path vertex past v0, so long cycles do not recurse.
+    `chords[u]` counts the interior path vertices (all but v0 and the tip)
+    adjacent to u, kept up to date as the path grows and shrinks, so a
+    vertex that would close a chord is refused without scanning the path.
     """
     n = len(g.vertices)
-    adj = g._adjacency
+    adj, nbrs = g._adjacency, g._neighbors
     out: list[tuple[int, ...]] = []
     if max_length < 3:
         return out
+    chords = [0] * n
     for v0 in range(n):
-        for v1 in sorted(w for w in adj[v0] if w > v0):
+        for v1 in nbrs[v0]:
+            if v1 < v0:
+                continue
             path, members = [v0, v1], {v0, v1}
-            stack = [iter(sorted(adj[v1]))]
+            stack = [iter(nbrs[v1])]
             while stack:
                 u = next(stack[-1], None)
                 if u is None:
                     stack.pop()
                     members.remove(path.pop())
+                    if len(path) > 1:  # the new tip is no longer interior
+                        for w in nbrs[path[-1]]:
+                            chords[w] -= 1
                     continue
-                if u <= v0 or u in members:
-                    continue
-                # interior chord would contradict inducedness
-                if any(u in adj[w] for w in path[1:-1]):
+                if u <= v0 or u in members or chords[u]:
                     continue
                 if v0 in adj[u]:
                     # closing edge found; a longer cycle through u would
@@ -339,9 +350,11 @@ def _induced_cycles(g: Graph, max_length: int) -> list[tuple[int, ...]]:
                         out.append(tuple(path) + (u,))
                     continue
                 if len(path) + 2 <= max_length:
+                    for w in nbrs[path[-1]]:  # the old tip becomes interior
+                        chords[w] += 1
                     members.add(u)
                     path.append(u)
-                    stack.append(iter(sorted(adj[u])))
+                    stack.append(iter(nbrs[u]))
     out.sort(key=lambda c: (len(c), c))
     return out
 

@@ -168,10 +168,10 @@ def _paths_between(
     lexicographic order.  The depth-first search keeps an explicit stack,
     one iterator over the neighbors of each path vertex, so long paths do
     not recurse."""
-    adj = g._adjacency
+    nbrs = g._neighbors
     for a in sorted(starts):
         path, members = [a], {a}
-        stack = [iter(sorted(adj[a]))]
+        stack = [iter(nbrs[a])]
         while stack:
             u = next(stack[-1], None)
             if u is None:
@@ -188,7 +188,7 @@ def _paths_between(
                 continue
             members.add(u)
             path.append(u)
-            stack.append(iter(sorted(adj[u])))
+            stack.append(iter(nbrs[u]))
 
 
 def detect_forbidden(

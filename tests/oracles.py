@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the engine's algorithms: fibers come
-from an exhaustive product-box sweep, ranks come from sympy's exact domain
-matrices, and the convolution is written from the definition.
+from an exhaustive product-box sweep, induced cycles from testing every
+vertex subset, ranks come from sympy's exact domain matrices, and the
+convolution is written from the definition.
 """
 
 from __future__ import annotations
@@ -36,6 +37,34 @@ def box_fiber(g: Graph, s) -> list[tuple[int, ...]]:
         if tuple(total) == s:
             hits.append(combo)
     return sorted(hits)
+
+
+def induced_cycles(g: Graph, max_length: int) -> list[tuple[str, ...]]:
+    """Every induced cycle on 3..max_length vertices, by testing each vertex
+    subset: its induced subgraph must be 2-regular and connected.  A cycle
+    is written from its least vertex position, towards the smaller of that
+    vertex's two neighbors; cycles come by length, then by position tuple."""
+    n = len(g.vertices)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for iu, iv in g.edge_indices:
+        nbrs[iu].add(iv)
+        nbrs[iv].add(iu)
+    found = []
+    for k in range(3, min(n, max_length) + 1):
+        for subset in itertools.combinations(range(n), k):
+            inside = set(subset)
+            if any(len(nbrs[v] & inside) != 2 for v in subset):
+                continue
+            start = subset[0]  # the least position
+            walk = [start, min(nbrs[start] & inside)]
+            while len(walk) < k:
+                (step,) = (nbrs[walk[-1]] & inside) - {walk[-2]}
+                if step == start:
+                    break  # closed early: two or more cycles, not connected
+                walk.append(step)
+            if len(walk) == k:
+                found.append(tuple(walk))
+    return [tuple(g.vertices[i] for i in cyc) for cyc in sorted(found, key=lambda c: (len(c), c))]
 
 
 def box_size(g: Graph, s) -> int:

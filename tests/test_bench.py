@@ -33,7 +33,13 @@ def _bench(workload: str, trace: str) -> dict:
 
 @pytest.mark.parametrize("workload", list(COUNTERS))
 def test_bench_smoke_run_traced(workload):
-    assert _bench(workload, "1")[COUNTERS[workload]]["value"] > 0
+    metrics = _bench(workload, "1")
+    assert metrics[COUNTERS[workload]]["value"] > 0
+    if workload == "pattern-certify":
+        # one fiber per pattern, holding its four decompositions: a search
+        # that drops or repeats one is caught here
+        assert metrics["fiber.calls"]["value"] == 3
+        assert metrics["fiber.decompositions"]["value"] == 12
 
 
 @pytest.mark.parametrize("workload", list(COUNTERS))

@@ -9,15 +9,18 @@ from toricgraph import (
     Decomposition,
     FiberOverflowError,
     Graph,
+    certificate_degree,
     cycle_graph,
     decomposition_degree,
     degree_vector,
     enumerate_fiber,
+    forbidden_structure,
     in_semigroup,
     path_graph,
 )
+from toricgraph import fiber
 
-from oracles import box_fiber, random_graph
+from oracles import box_fiber, box_size, random_graph
 
 
 def _coeffs(decomps):
@@ -154,4 +157,75 @@ def test_search_time_follows_the_fiber_not_the_entries():
     start = time.perf_counter()
     assert _coeffs(enumerate_fiber(cycle_graph(4), (n, n, 0, 0))) == [(n, 0, 0, 0)]
     assert in_semigroup(cycle_graph(4), (n, n, 0, 0))
+    assert time.perf_counter() - start < 1.0
+
+
+def _oracle_cases():
+    """Small patterns at their certifying degree, and pattern and sparse
+    random graphs at degrees that are random or sums of random edge
+    weights, with entries up to 6; boxes stay small enough for the
+    exhaustive sweep."""
+    rng = random.Random(2718)
+
+    def degrees(g, top):
+        while True:
+            if rng.random() < 0.5:
+                s = tuple(rng.randint(0, top) for _ in g.vertices)
+            else:
+                s = decomposition_degree(g, [rng.randint(0, 3) for _ in g.edges])
+            if max(s, default=0) <= 6 and box_size(g, s) <= 20000:
+                return s
+
+    for lengths in ((3, 3, 2, 2), (3, 5, 2, 3), (5, 3, 3, 2)):
+        for share in ("both", "one", "none"):
+            g, emb = forbidden_structure(*lengths, share)
+            yield g, certificate_degree(g, emb)
+            for _ in range(4):
+                yield g, degrees(g, 2)
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6, max_edges=6)
+        yield g, degrees(g, 6)
+
+
+def test_against_box_oracle_on_patterns_and_sparse_graphs():
+    nonempty = 0
+    for g, s in _oracle_cases():
+        got = _coeffs(enumerate_fiber(g, s))
+        assert got == box_fiber(g, s), (g, s)
+        assert in_semigroup(g, s) == bool(got), (g, s)
+        nonempty += bool(got)
+    assert nonempty >= 40  # the cases are not nearly all empty fibers
+
+
+def test_certifying_degree_of_the_pattern_has_four_decompositions():
+    for share in ("both", "one", "none"):
+        g, emb = forbidden_structure(7, 7, 6, 6, share)
+        assert len(enumerate_fiber(g, certificate_degree(g, emb))) == 4
+
+
+def test_overflow_stops_at_the_first_decomposition_past_the_cap(monkeypatch):
+    built = []
+
+    class Counted(Decomposition):
+        def __init__(self, coefficients):
+            built.append(coefficients)
+            super().__init__(coefficients)
+
+    monkeypatch.setattr(fiber, "Decomposition", Counted)
+    g = cycle_graph(4)
+    assert len(enumerate_fiber(g, (4, 4, 4, 4))) == 5
+    for k in range(5):
+        built.clear()
+        with pytest.raises(FiberOverflowError):
+            enumerate_fiber(g, (4, 4, 4, 4), max_size=k)
+        assert len(built) <= k + 1
+
+
+def test_search_skips_weights_the_other_edges_cannot_balance():
+    # v1's other edge can take at most 1 off v1 (v4 needs only 1), so the
+    # first edge starts at n - 1 instead of trying every smaller weight
+    n = 10**7
+    start = time.perf_counter()
+    assert _coeffs(enumerate_fiber(cycle_graph(4), (n, n, 1, 1))) == [
+        (n - 1, 1, 0, 1), (n, 0, 1, 0)]
     assert time.perf_counter() - start < 1.0

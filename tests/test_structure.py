@@ -1,5 +1,8 @@
 """Odd cycle condition, the two-cycles-two-paths pattern, and derived bounds."""
 
+import itertools
+import random
+
 import pytest
 
 from toricgraph import (
@@ -22,6 +25,8 @@ from toricgraph import (
     path_graph,
     verify_embedding,
 )
+
+from oracles import induced_cycles, random_graph
 
 
 def _k4():
@@ -71,7 +76,52 @@ def test_cycle_search_cap_policy():
         find_induced_odd_cycles(cycle_graph(3), 2)
 
 
+def _odd_cycle_graphs():
+    # half are two random graphs side by side, joined by at most two edges,
+    # so that disjoint odd cycles with no edge between them occur
+    rng = random.Random(8128)
+    for i in range(160):
+        if i % 2:
+            g = random_graph(rng, max_vertices=8, max_edges=14)
+        else:
+            sides = []
+            for side in "ab":
+                h = random_graph(rng, max_vertices=4, max_edges=6)
+                sides.append(Graph([side + v for v in h.vertices],
+                                   [(side + u, side + v) for u, v in h.edges]))
+            g = disjoint_union(*sides)
+            pairs = [(u, v) for u, v in itertools.combinations(g.vertices, 2)
+                     if u[0] != v[0] and not g.has_edge(u, v)]
+            g = Graph(g.vertices, g.edges + tuple(rng.sample(pairs, min(len(pairs), i % 3))))
+        for cap in sorted({3, 5, max(len(g.vertices), 3)}):
+            yield g, cap
+
+
+def test_cycle_search_against_subset_oracle():
+    for g, cap in _odd_cycle_graphs():
+        odd = [c for c in induced_cycles(g, cap) if len(c) % 2]
+        assert find_induced_odd_cycles(g, cap) == odd, (g, cap)
+
+
 # -- odd cycle condition ----------------------------------------------------
+
+
+def test_occ_against_subset_oracle():
+    # the witness is the first pair, in the search's order, of disjoint odd
+    # cycles with no edge between them
+    for g, cap in _odd_cycle_graphs():
+        odd = [c for c in induced_cycles(g, cap) if len(c) % 2]
+        witness = next(
+            ((a, b) for a, b in itertools.combinations(odd, 2)
+             if not set(a) & set(b)
+             and not any(g.has_edge(u, v) for u in a for v in b)),
+            None,
+        )
+        complete = cap >= len(g.vertices)
+        status = "violated" if witness else "satisfied" if complete else "bounded-inconclusive"
+        v = odd_cycle_condition(g, cap)
+        assert (v.status, v.witness, v.complete, v.cycles_found) == (
+            status, witness, complete, len(odd)), (g, cap)
 
 
 def test_occ_satisfied_when_cycles_share_a_vertex():
