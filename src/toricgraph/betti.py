@@ -52,6 +52,29 @@ Such a component is scanned to d - 1, and on to the top degree only if that
 lies further; homology stops at the top degree (`_top_degree`).  Each
 finished component table is cross-checked against its h-vector.
 
+A bipartite component H is scanned only inside its degree box, the
+multidegrees s <= deg_H entrywise, because no Betti number of k[H] lives
+outside it:
+
+1. The incidence matrix A of a bipartite graph is totally unimodular, so
+   every initial ideal of I_H is squarefree (Sturmfels, Groebner Bases and
+   Convex Polytopes, 1996, ch. 8).
+2. beta_{i,s}(S/I) <= beta_{i,s}(S/in I) in every A-degree s, by upper
+   semicontinuity along the Groebner degeneration, which is A-graded
+   (Herzog-Hibi, Monomial Ideals, 3.3).
+3. A squarefree monomial ideal has Betti numbers only in the degrees of
+   squarefree monomials x^b, b a 0/1 vector on the edges, and
+   A b <= A 1 = deg_H.
+
+The box is closed under s -> s - a_e, so every degree complex inside it is
+built exactly as without the box, and the scan builds no complex and runs
+no homology outside it.  The levels up to d - 1 stay whole, since the
+Hilbert function needs them; the levels past d - 1 hold only box
+representatives (`_levels`), and `max_scan` counts what they hold.  K_{3,4}
+to degree 8 keeps 122 of its 366 representatives and 38 of its 46 homology
+calls.  Non-bipartite components are scanned whole: no such theorem is
+known for them.
+
 The scan is exact for every entry it can see: beta_{i,j} with j <= D is the
 true value.  Whether the table is the *whole* resolution is a separate
 certification question: it is when D reaches the sum of the components' top
@@ -97,8 +120,9 @@ class ScanOverflowError(RuntimeError):
 class _Levels(list):
     """`semigroup_levels`' list of levels, with `sizes`: the number of
     semigroup elements on each level, every element of every orbit counted.
-    The sizes are the values H(0), H(1), ... of the Hilbert function;
-    `max_scan` counts the representatives, the levels' lengths."""
+    The sizes are the values H(0), H(1), ... of the Hilbert function, one
+    for each whole level (levels cut to a degree box, see `_levels`, have
+    none); `max_scan` counts the representatives, the levels' lengths."""
 
     sizes: list[int]
 
@@ -133,23 +157,57 @@ def semigroup_levels(
     and goes on from its top one, and its representatives count against
     `max_scan` as if they had been scanned again.
     """
+    return _levels(g, max_degree, max_scan, _TwinGroup(g, classes), start)
+
+
+def _levels(
+    g: Graph,
+    max_degree: int,
+    max_scan: int,
+    twins: _TwinGroup,
+    start: Optional[_Levels],
+    box: Optional[tuple[int, ...]] = None,
+) -> _Levels:
+    """`semigroup_levels` for the twin group `twins`, which it is without a
+    `box`.  With a degree `box`, the levels it adds to `start` hold only the
+    representatives r <= box entrywise, and `sizes` gets no entry for them:
+    they are not whole levels.  The box is closed under r -> r - a_e, so
+    its part of a level comes from its part of the level below; it is
+    constant on twin classes (twins have one degree), so an orbit lies in
+    it exactly when its representative does.  `max_scan` counts the
+    representatives held."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    twins = _TwinGroup(g, classes)
     ends = g.edge_indices
     levels = _Levels(start or [[(0,) * len(g.vertices)]])
     levels.sizes = list(start.sizes) if start else [1]
     total = sum(map(len, levels))
     for d in range(len(levels), max_degree + 1):
-        nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
+        if box is None:
+            nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
+        else:
+            nxt = {
+                twins.up(r, iu, iv)
+                for r in levels[-1] if _within(r, box)
+                for iu, iv in ends if r[iu] < box[iu] and r[iv] < box[iv]
+            }
         if not nxt:
             break
         total += len(nxt)
         if total > max_scan:
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
-        levels.sizes.append(sum(map(twins.orbit_size, nxt)))
+        if box is None:
+            levels.sizes.append(sum(map(twins.orbit_size, nxt)))
     return levels
+
+
+def _within(r: tuple[int, ...], box: tuple[int, ...]) -> bool:
+    """Whether r <= box entrywise."""
+    for x, b in zip(r, box):
+        if x > b:
+            return False
+    return True
 
 
 class _TwinGroup:
@@ -347,18 +405,27 @@ def betti_table(
     component's top degree comes from its levels up to d - 1, so it is
     known only when max_degree >= d - 1 (see `_top_degree`); the table is
     certified when max_degree reaches the sum of the top degrees.
-    `max_scan` caps the multidegrees scanned in all components together,
-    one representative per twin orbit (see `semigroup_levels`).
+    A bipartite component H is scanned only inside its degree box s <=
+    deg_H, where all its Betti numbers live: its incidence matrix is
+    totally unimodular, so its initial ideals are squarefree, and their
+    Betti numbers, which bound those of k[H] degree by degree, sit in the
+    degrees of squarefree monomials (see the module docstring).
+    `max_scan` caps the multidegrees held in all components together,
+    one representative per twin orbit (see `semigroup_levels`): every one
+    up to level d - 1 of each component, as the Hilbert function needs
+    them, and past it only the representatives in a bipartite component's
+    box.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
     more decompositions too.
     `on_complex(s, delta)` is invoked for every element s of the scanned
-    semigroup, orbits expanded, with s the component's own multidegree
-    (aligned with the component's vertices, in g's order) and delta its
-    degree complex, component by component in the order of
-    `connected_components`, each level by level in sorted order; it exists
-    for audits.
+    semigroup, orbits expanded, that the scan builds a complex for: all of
+    them in a component that is not bipartite, and those in the degree box
+    in one that is.  s is the component's own multidegree (aligned with
+    the component's vertices, in g's order) and delta its degree complex,
+    component by component in the order of `connected_components`, each
+    level by level in sorted order; it exists for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
@@ -367,24 +434,25 @@ def betti_table(
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[Optional[int]] = []
     scanned = 0
-    for h, normal in _components(g):
+    for h, normal, box in _components(g):
         d = incidence_rank(h)
         classes = twin_classes(h)
+        twins = _TwinGroup(h, classes)
         top = _top_degree(h, normal)  # a closed form, or None before any level
         stop = min(max_degree, top if top is not None else d - 1 if normal else max_degree)
-        levels = None
-        while True:
-            try:
-                levels = semigroup_levels(h, stop, max_scan - scanned, classes, levels)
-            except ScanOverflowError as exc:
-                raise ScanOverflowError(max_scan, exc.degree) from None
+        try:
+            # whole levels, as far as the Hilbert function needs them
+            levels = semigroup_levels(h, stop if box is None else min(stop, d - 1),
+                                      max_scan - scanned, classes)
             top = _top_degree(h, normal, levels.sizes)
-            if top is None or min(max_degree, top) <= stop:
-                break
-            stop = min(max_degree, top)  # past d - 1: scan on from there, this far
+            if top is not None:
+                stop = min(max_degree, top)
+            # past d - 1: scan on to the top degree, a bipartite H in its box
+            levels = _levels(h, stop, max_scan - scanned, twins, levels, box)
+        except ScanOverflowError as exc:
+            raise ScanOverflowError(max_scan, exc.degree) from None
         scanned += sum(map(len, levels))
-        local = _scan(h, levels if top is None else levels[: top + 1],
-                      _TwinGroup(h, classes), field, max_fiber, on_complex)
+        local = _scan(h, levels[: stop + 1], twins, box, field, max_fiber, on_complex)
         if top is not None and top <= max_degree and len(levels) >= d:
             _check_k_polynomial(h, _h_vector(levels.sizes, d), local)
         positions = [g.index[v] for v in h.vertices]
@@ -417,6 +485,7 @@ def _scan(
     h: Graph,
     levels: list[list[tuple[int, ...]]],
     twins: _TwinGroup,
+    box: Optional[tuple[int, ...]],
     field: FieldSpec,
     max_fiber: int,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
@@ -431,13 +500,17 @@ def _scan(
     in an orbit (`_TwinGroup.orbit`), so a nonzero entry is written for the
     whole orbit.  With `on_complex`, each level is expanded in sorted
     order: every element t gets its representative's facets, relabelled by
-    the swaps that reach t.
+    the swaps that reach t.  With a degree `box`, the representatives
+    outside it are passed over: no Betti number lives there, and the
+    complexes inside it never look one up.
     """
     ground = tuple(h.edges)
     edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
+        if box is not None:
+            level = [r for r in level if _within(r, box)]
         # the top level is never looked up, unless it is expanded
         keep = d + 1 < len(levels) or on_complex is not None
         here: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -636,14 +709,19 @@ def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> Optional[i
     return top
 
 
-def _components(g: Graph) -> list[tuple[Graph, bool]]:
-    """Each connected component with at least one edge, as an induced
-    subgraph of g, paired with whether its ring is normal (`_is_normal`)."""
+def _components(g: Graph) -> list[tuple[Graph, bool, Optional[tuple[int, ...]]]]:
+    """Each connected component H with at least one edge, as an induced
+    subgraph of g, with whether its ring is normal (`_is_normal`) and, when
+    H is bipartite, its degree box: deg_H(v) for each vertex, in H's order.
+    Every Betti number of a bipartite H lives in the box (see the module
+    docstring: a totally unimodular A, upper semicontinuity, squarefree
+    degrees); a component that is not bipartite gets None."""
     parts = []
-    for comp in connected_components(g):
+    for comp, bipartite in zip(connected_components(g), is_bipartite(g)):
         h = induced_subgraph(g, comp)
         if h.edges:
-            parts.append((h, _is_normal(h)))
+            box = tuple(map(len, h._adjacency)) if bipartite else None
+            parts.append((h, _is_normal(h), box))
     return parts
 
 
@@ -658,7 +736,7 @@ def known_complete_degree(g: Graph) -> Optional[int]:
     degree adds up across a disjoint union.
     """
     tops = []
-    for h, normal in _components(g):
+    for h, normal, _ in _components(g):
         top = _top_degree(h, normal)
         if top is None and normal:
             levels = semigroup_levels(h, incidence_rank(h) - 1, classes=twin_classes(h))

@@ -33,7 +33,7 @@ which changes the answer:
   H~_d(core) = H_d(core, st v) for every d.  H~_{-1} is 0 then, as the
   empty face lies in the star.  Deleting the star is the first step of a
   coreduction (Mrozek-Batko, "Coreduction homology algorithm", DCG 41,
-  2009); on K_{4,4}'s degree complexes it leaves 34,861 of 550,526 faces.
+  2009); on K_{4,4}'s degree complexes it leaves 31,029 of 425,298 faces.
   A boundary term that is no chain lies in the link and is dropped.  The
   d_d above are those of the relative complex, which `boundary_matrix` and
   `faces_of_dimension` do not build: they keep describing the whole
@@ -159,7 +159,13 @@ def _relative_faces(core: SimplicialComplex) -> tuple[list[list[int]], Callable[
     those facets M.
     """
     masks = core.masks
-    v = max(range(len(core.ground)), key=lambda x: (sum(m >> x & 1 for m in masks), -x))
+    held = [0] * len(core.ground)  # held[x]: the facets holding x, in one pass
+    for m in masks:
+        while m:
+            low = m & -m
+            held[low.bit_length() - 1] += 1
+            m ^= low
+    v = held.index(max(held))  # index() finds the lowest position on ties
     bit = 1 << v
     link = maximal_masks(m ^ bit for m in masks if m & bit)
     chains: list[list[int]] = [[] for _ in range(core.dim + 2)]

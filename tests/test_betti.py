@@ -30,7 +30,7 @@ from toricgraph import (
 )
 from toricgraph import betti
 
-from oracles import box_fiber, random_graph
+from oracles import box_fiber, homology_via_sympy, random_graph
 from whole_scan import whole_graph_entries
 
 
@@ -422,27 +422,20 @@ def test_semigroup_levels_rejects_non_twins():
 
 def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # 16,071 multidegrees to degree 8, 790 of them not cones; one scan per
-    # orbit leaves 366 and 46
+    # orbit leaves 366 and 46.  K_{3,4} is bipartite, so its Betti numbers
+    # live in the box s <= deg (totally unimodular incidence matrix:
+    # squarefree initial ideals, upper semicontinuity, 0/1 degrees): the
+    # levels to d - 1 = 5 stay whole (65 representatives), those past it
+    # hold the box only (122 in all), and 38 complexes need homology
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
-    scanned, homology = [], []
-    levels, reduced = betti.semigroup_levels, betti.reduced_homology
-
-    def count_levels(*args, **kwargs):
-        result = levels(*args, **kwargs)
-        scanned.append(sum(map(len, result)))
-        return result
-
-    def count_homology(*args, **kwargs):
-        homology.append(1)
-        return reduced(*args, **kwargs)
-
-    monkeypatch.setattr(betti, "semigroup_levels", count_levels)
-    monkeypatch.setattr(betti, "reduced_homology", count_homology)
+    assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
+    levels = _count_results(monkeypatch, "_levels")
+    homology = _count_calls(monkeypatch, "reduced_homology")
     table = betti_table(g, 8)
     assert table.certified
-    assert scanned == [366]
-    assert len(homology) == 46
+    assert [sum(map(len, result)) for result in levels] == [65, 122]
+    assert len(homology) == 38
 
 
 def _bowtie(prefix="v"):
@@ -460,6 +453,18 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(betti, name, counted)
     return calls
+
+
+def _count_results(monkeypatch, name):
+    """Record the result of every call to betti.`name`."""
+    results, original = [], getattr(betti, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(betti, name, recorded)
+    return results
 
 
 def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
@@ -488,7 +493,8 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        levels = _count_calls(monkeypatch, "semigroup_levels")
+        # semigroup_levels builds the levels to d - 1 through _levels
+        levels = _count_calls(monkeypatch, "_levels")
         table = betti_table(g)
         assert [args[1] for args in levels] == calls
         assert table.certified
@@ -502,11 +508,13 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
 def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
     # the scan on to the top degree continues the levels to d - 1 instead
     # of rebuilding them: its call is given them, shares their level lists,
-    # and sizes each representative's orbit once
+    # and sizes each representative's orbit once.  K_4 is not bipartite, so
+    # its level 4 is whole; K_{3,3} minus an edge is, so its level 5 holds
+    # only the representatives inside its degree box, and is not sized
     minus = complete_bipartite_graph(3, 3)
     for g in (_complete_graph(4), Graph(minus.vertices, minus.edges[1:])):
         calls, results = [], []
-        original, size = betti.semigroup_levels, betti._TwinGroup.orbit_size
+        original, size = betti._levels, betti._TwinGroup.orbit_size
 
         def recorded(*args):
             calls.append(args)
@@ -518,7 +526,7 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
             return size(self, r)
 
         sized = []
-        monkeypatch.setattr(betti, "semigroup_levels", recorded)
+        monkeypatch.setattr(betti, "_levels", recorded)
         monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
         betti_table(g)
         first, second = results
@@ -527,7 +535,14 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
         assert len(sized) == len(set(sized))
         monkeypatch.undo()
         whole = semigroup_levels(g, len(second) - 1, classes=twin_classes(g))
-        assert second == whole and second.sizes == whole.sizes
+        if is_bipartite(g)[0]:
+            degrees = [g.degree(v) for v in g.vertices]
+            box = [r for r in whole[-1] if all(x <= b for x, b in zip(r, degrees))]
+            assert 0 < len(box) < len(whole[-1])
+            assert second[:-1] == whole[:-1] and second[-1] == box
+            assert second.sizes == whole.sizes[:-1]
+        else:
+            assert second == whole and second.sizes == whole.sizes
 
 
 def test_semigroup_levels_extends_a_given_start():
@@ -564,7 +579,8 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
 def test_betti_table_counts_each_orbit_once(monkeypatch):
     # the max_scan tally and the Hilbert function read the level sizes
     # that semigroup_levels summed: orbit_size runs once per representative
-    # past level 0
+    # past level 0, up to d - 1 = 5 (64 of them); the levels past it hold
+    # K_{3,4}'s degree box only and are not sized
     calls = []
     size = betti._TwinGroup.orbit_size
 
@@ -574,7 +590,7 @@ def test_betti_table_counts_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
     betti_table(complete_bipartite_graph(3, 4), 8)
-    assert len(calls) == len(set(calls)) == 365
+    assert len(calls) == len(set(calls)) == 64
 
 
 def _normal_graph(rng):
@@ -604,6 +620,113 @@ def test_certified_normal_tables_match_a_scan_to_the_edge_count(rng):
     table = betti_table(g)
     assert table.certified, g
     assert table.entries == whole_graph_entries(g, len(g.edges)), g
+
+
+def _bipartite_graph(rng, max_vertices=6, max_edges=8):
+    """A random bipartite graph: a random split of 2 to `max_vertices`
+    vertices and a random set of edges across it, at least as many as
+    vertices where the split allows it, so that most draws hold an even
+    cycle.  It may have several components and isolated vertices."""
+    n = rng.randint(2, max_vertices)
+    labels = [f"b{i}" for i in range(n)]
+    rng.shuffle(labels)
+    left = rng.randint(1, n - 1)
+    pairs = [(u, v) for u in labels[:left] for v in labels[left:]]
+    rng.shuffle(pairs)
+    most = min(max_edges, len(pairs))
+    return Graph(tuple(labels), tuple(pairs[: rng.randint(min(n, most), most)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_box_scan_matches_whole_graph_scan(rng):
+    # bipartite components are scanned inside their degree box, past d - 1
+    # with the box only; the reference scans every element.  Half of the
+    # graphs are smaller and get a triangle or a pentagon beside them,
+    # which is scanned whole
+    if rng.random() < 0.5:
+        g, bound = _bipartite_graph(rng, max_vertices=7, max_edges=9), rng.randint(3, 6)
+    else:
+        part = _bipartite_graph(rng, max_vertices=5, max_edges=6)
+        g, bound = disjoint_union(part, cycle_graph(rng.choice((3, 5)), "o")), rng.randint(2, 3)
+    vertices, edges = list(g.vertices), list(g.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    g = Graph(tuple(vertices), tuple(edges))
+    for field in (RATIONALS, FieldSpec(2)):
+        got = betti_table(g, bound, field=field).entries
+        assert got == whole_graph_entries(g, bound, field), (g, bound, field)
+
+
+def _outside_the_box(g, degree, sides=()):
+    """The sums of `degree` edge columns of g with some entry above its
+    vertex's degree, each sorted down along each of `sides` (vertex
+    positions that automorphisms of g permute freely)."""
+    degrees = [g.degree(v) for v in g.vertices]
+    found = set()
+    for chosen in combinations_with_replacement(g.edge_indices, degree):
+        s = [0] * len(g.vertices)
+        for iu, iv in chosen:
+            s[iu] += 1
+            s[iv] += 1
+        if all(x <= b for x, b in zip(s, degrees)):
+            continue
+        for side in sides:
+            for p, x in zip(side, sorted((s[p] for p in side), reverse=True)):
+                s[p] = x
+        found.add(tuple(s))
+    return sorted(found)
+
+
+def _acyclic_box_complex(g, s):
+    """Whether Delta_s, from the box-swept fiber, is acyclic over Q and
+    GF(2) by sympy ranks; and whether it is a cone."""
+    supports = [[e for e, c in enumerate(coeffs) if c] for coeffs in box_fiber(g, s)]
+    delta = SimplicialComplex.from_faces(g.edges, supports)
+    acyclic = not any(homology_via_sympy(delta)) and not any(homology_via_sympy(delta, 2))
+    return acyclic, bool(frozenset.intersection(*delta.facets))
+
+
+# The theorem behind the degree box, checked without the engine's scan: for
+# a bipartite graph, every semigroup element s with s_v > deg v for some v
+# has an acyclic degree complex.  The elements are sums of edge columns,
+# the complexes come from box-swept fibers and their homology from sympy.
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.randoms(use_true_random=False))
+def test_degree_complexes_outside_the_degree_box_are_acyclic(rng):
+    g = _bipartite_graph(rng)
+    for degree in range(1, 5):
+        for s in _outside_the_box(g, degree):
+            assert _acyclic_box_complex(g, s)[0], (g, s)
+
+
+def test_k33_degree_complexes_outside_the_degree_box_are_acyclic():
+    # up to degree 5 every such complex of K_{3,3} is a cone; at its top
+    # degree 6, two orbits are not, (4,1,1 | 2,2,2) and (2,2,2 | 4,1,1)
+    g = complete_bipartite_graph(3, 3)
+    sides = ((0, 1, 2), (3, 4, 5))
+    for degree in range(1, 7):
+        checked = [_acyclic_box_complex(g, s) for s in _outside_the_box(g, degree, sides)]
+        assert all(acyclic for acyclic, _ in checked)
+        assert sum(not cone for _, cone in checked) == (2 if degree == 6 else 0)
+
+
+def test_k44_scans_its_degree_box(monkeypatch):
+    # K_{4,4} to its top degree 12: the levels to d - 1 = 6 hold 157
+    # representatives, and with the degree box past them 418 of the 3,241
+    # a whole scan holds; 147 complexes need homology instead of 225
+    g = complete_bipartite_graph(4, 4)
+    assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
+    levels = _count_results(monkeypatch, "_levels")
+    homology = _count_calls(monkeypatch, "reduced_homology")
+    table = betti_table(g)
+    assert table.certified
+    assert [sum(map(len, result)) for result in levels] == [157, 418]
+    assert len(homology) == 147
+    inv = invariants(g, table)
+    assert (inv.regularity, inv.projective_dimension) == (3, 9)
 
 
 def test_hilbert_cross_checks_raise(monkeypatch):

@@ -258,3 +258,27 @@ def test_invariant_under_ground_permutation_on_random_complexes(k, rng):
     # equally many facets
     for field in (RATIONALS, GF2):
         assert permuted_homology(k, rng, field) == reduced_homology(k, field), (k, field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_complexes())
+def test_relative_chains_miss_the_star_of_the_busiest_vertex(k):
+    # the star vertex is the core's vertex in the most facets, the lowest
+    # position on ties, counted here facet by facet; the chains are the
+    # core's faces that miss it and lie in no facet holding it
+    core = k.core()
+    if core.is_void or core.is_irrelevant:
+        return
+    held = [sum(x in f for f in core.facets) for x in range(len(core.ground))]
+    v = max(range(len(core.ground)), key=lambda x: (held[x], -x))
+    star = [f for f in core.facets if v in f]
+    expected = [
+        sorted(sum(1 << x for x in face) for face in core.faces_of_dimension(d)
+               if v not in face and not any(set(face) <= f for f in star))
+        for d in range(-1, core.dim + 1)
+    ]
+    chains, in_link = homology._relative_faces(core)
+    assert chains == expected, k
+    for face in core.faces_of_dimension(core.dim - 1):
+        mask = sum(1 << x for x in face)
+        assert in_link(mask) == (v not in face and any(set(face) <= f for f in star))
