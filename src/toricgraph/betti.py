@@ -68,12 +68,13 @@ outside it:
 
 The box is closed under s -> s - a_e, so every degree complex inside it is
 built exactly as without the box, and the scan builds no complex and runs
-no homology outside it.  The levels up to d - 1 stay whole, since the
-Hilbert function needs them; the levels past d - 1 hold only box
-representatives (`_levels`), and `max_scan` counts what they hold.  K_{3,4}
-to degree 8 keeps 122 of its 366 representatives and 38 of its 46 homology
-calls.  Non-bipartite components are scanned whole: no such theorem is
-known for them.
+no homology outside it.  The levels up to d - 1 are listed whole, since the
+Hilbert function needs them, and then cut to the box; the levels past
+d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
+and the box representatives past them.  K_{3,4} to degree 8 holds 122 of
+its 366 representatives and keeps 38 of its 46 homology calls.
+Non-bipartite components are scanned whole: no such theorem is known for
+them.
 
 The scan is exact for every entry it can see: beta_{i,j} with j <= D is the
 true value.  Whether the table is the *whole* resolution is a separate
@@ -87,7 +88,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
-from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError
+from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap
 from .graph import (
     EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
@@ -117,22 +118,11 @@ class ScanOverflowError(RuntimeError):
         self.degree = degree
 
 
-class _Levels(list):
-    """`semigroup_levels`' list of levels, with `sizes`: the number of
-    semigroup elements on each level, every element of every orbit counted.
-    The sizes are the values H(0), H(1), ... of the Hilbert function, one
-    for each whole level (levels cut to a degree box, see `_levels`, have
-    none); `max_scan` counts the representatives, the levels' lengths."""
-
-    sizes: list[int]
-
-
 def semigroup_levels(
     g: Graph,
     max_degree: int,
     max_scan: int = DEFAULT_MAX_SCAN,
     classes: Sequence[Sequence[int]] = (),
-    start: Optional[_Levels] = None,
 ) -> list[list[tuple[int, ...]]]:
     """Semigroup elements grouped by level, one canonical representative per
     orbit of the twin group generated by `classes`: levels[d] holds, sorted,
@@ -150,64 +140,58 @@ def semigroup_levels(
     plus one more, and twin swaps permute the columns, so translating the
     previous level's representatives by each column and taking canonical
     forms loses no orbit.
-
-    The list also carries each level's element count, orbits expanded, as
-    `sizes` (see `_Levels`).  `start`, an earlier result for the same g and
-    classes, is extended rather than rebuilt: the new list holds its levels
-    and goes on from its top one, and its representatives count against
-    `max_scan` as if they had been scanned again.
     """
-    return _levels(g, max_degree, max_scan, _TwinGroup(g, classes), start)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    _check_cap("max_scan", max_scan)
+    levels = [[(0,) * len(g.vertices)]]
+    _grow(g, levels, max_degree, max_scan, _TwinGroup(g, classes), 1)
+    return levels
 
 
-def _levels(
+def _grow(
     g: Graph,
+    levels: list[list[tuple[int, ...]]],
     max_degree: int,
     max_scan: int,
     twins: _TwinGroup,
-    start: Optional[_Levels],
+    held: int,
     box: Optional[tuple[int, ...]] = None,
-) -> _Levels:
-    """`semigroup_levels` for the twin group `twins`, which it is without a
-    `box`.  With a degree `box`, the levels it adds to `start` hold only the
-    representatives r <= box entrywise, and `sizes` gets no entry for them:
-    they are not whole levels.  The box is closed under r -> r - a_e, so
-    its part of a level comes from its part of the level below; it is
-    constant on twin classes (twins have one degree), so an orbit lies in
-    it exactly when its representative does.  `max_scan` counts the
-    representatives held."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+) -> int:
+    """Append the levels past the top one of `levels` up to `max_degree`,
+    each the canonical forms of the level below translated by every edge
+    column, and return `held`, the representatives held so far, plus those
+    appended; ScanOverflowError at the first level that takes it past
+    `max_scan`.
+
+    With a degree `box`, which the top level must lie in, a column is added
+    only where the sum stays <= box entrywise.  The box is closed under
+    r -> r - a_e, so its part of a level comes from its part of the level
+    below; it is constant on twin classes (twins have one degree), so an
+    orbit lies in it exactly when its representative does."""
     ends = g.edge_indices
-    levels = _Levels(start or [[(0,) * len(g.vertices)]])
-    levels.sizes = list(start.sizes) if start else [1]
-    total = sum(map(len, levels))
     for d in range(len(levels), max_degree + 1):
         if box is None:
             nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
         else:
             nxt = {
                 twins.up(r, iu, iv)
-                for r in levels[-1] if _within(r, box)
+                for r in levels[-1]
                 for iu, iv in ends if r[iu] < box[iu] and r[iv] < box[iv]
             }
         if not nxt:
             break
-        total += len(nxt)
-        if total > max_scan:
+        held += len(nxt)
+        if held > max_scan:
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
-        if box is None:
-            levels.sizes.append(sum(map(twins.orbit_size, nxt)))
-    return levels
+    return held
 
 
-def _within(r: tuple[int, ...], box: tuple[int, ...]) -> bool:
-    """Whether r <= box entrywise."""
-    for x, b in zip(r, box):
-        if x > b:
-            return False
-    return True
+def _hilbert(levels: list[list[tuple[int, ...]]], twins: _TwinGroup) -> list[int]:
+    """H(0), H(1), ...: the number of semigroup elements on each of the
+    whole `levels`, every element of every orbit counted."""
+    return [1] + [sum(map(twins.orbit_size, level)) for level in levels[1:]]
 
 
 class _TwinGroup:
@@ -411,10 +395,11 @@ def betti_table(
     Betti numbers, which bound those of k[H] degree by degree, sit in the
     degrees of squarefree monomials (see the module docstring).
     `max_scan` caps the multidegrees held in all components together,
-    one representative per twin orbit (see `semigroup_levels`): every one
-    up to level d - 1 of each component, as the Hilbert function needs
-    them, and past it only the representatives in a bipartite component's
-    box.
+    one representative per twin orbit: `semigroup_levels` lists each
+    component's levels up to d - 1 whole, as the Hilbert function needs
+    them, and `_grow` adds the levels past it, for a bipartite component
+    only the representatives in its box.  A negative `max_scan` or
+    `max_fiber` is a ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -431,6 +416,8 @@ def betti_table(
         max_degree = len(g.edges)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    _check_cap("max_fiber", max_fiber)
+    _check_cap("max_scan", max_scan)
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[Optional[int]] = []
     scanned = 0
@@ -438,23 +425,29 @@ def betti_table(
         d = incidence_rank(h)
         classes = twin_classes(h)
         twins = _TwinGroup(h, classes)
-        top = _top_degree(h, normal)  # a closed form, or None before any level
-        stop = min(max_degree, top if top is not None else d - 1 if normal else max_degree)
+        # whole levels as far as the Hilbert function needs them, to d - 1
+        # for a normal ring (K_{u,v}'s closed form lies no lower); a free
+        # ring has no syzygies, so level 0 is enough
+        whole = 0 if d == len(h.edges) else d - 1 if normal else max_degree
         try:
-            # whole levels, as far as the Hilbert function needs them
-            levels = semigroup_levels(h, stop if box is None else min(stop, d - 1),
-                                      max_scan - scanned, classes)
-            top = _top_degree(h, normal, levels.sizes)
-            if top is not None:
-                stop = min(max_degree, top)
+            # each level 0 is held unchecked, so the tally may stand past the
+            # cap; then the next level trips a cap of 0 as it would any less
+            levels = semigroup_levels(h, min(max_degree, whole),
+                                      max(max_scan - scanned, 0), classes)
+            held = scanned + sum(map(len, levels))
+            sizes = _hilbert(levels[:d], twins) if normal and len(levels) >= d else []
+            top = _top_degree(h, normal, sizes)
+            stop = max_degree if top is None else min(max_degree, top)
+            levels = levels[: stop + 1]
+            if box is not None:
+                levels = [[r for r in level if all(x <= b for x, b in zip(r, box))] for level in levels]
             # past d - 1: scan on to the top degree, a bipartite H in its box
-            levels = _levels(h, stop, max_scan - scanned, twins, levels, box)
+            scanned = _grow(h, levels, stop, max_scan, twins, held, box)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        scanned += sum(map(len, levels))
-        local = _scan(h, levels[: stop + 1], twins, box, field, max_fiber, on_complex)
-        if top is not None and top <= max_degree and len(levels) >= d:
-            _check_k_polynomial(h, _h_vector(levels.sizes, d), local)
+        local = _scan(h, levels, twins, field, max_fiber, on_complex)
+        if sizes and top <= max_degree:
+            _check_k_polynomial(h, _h_vector(sizes, d), local)
         positions = [g.index[v] for v in h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
         tops.append(top)
@@ -485,7 +478,6 @@ def _scan(
     h: Graph,
     levels: list[list[tuple[int, ...]]],
     twins: _TwinGroup,
-    box: Optional[tuple[int, ...]],
     field: FieldSpec,
     max_fiber: int,
     on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
@@ -500,17 +492,13 @@ def _scan(
     in an orbit (`_TwinGroup.orbit`), so a nonzero entry is written for the
     whole orbit.  With `on_complex`, each level is expanded in sorted
     order: every element t gets its representative's facets, relabelled by
-    the swaps that reach t.  With a degree `box`, the representatives
-    outside it are passed over: no Betti number lives there, and the
-    complexes inside it never look one up.
+    the swaps that reach t.
     """
     ground = tuple(h.edges)
     edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
-        if box is not None:
-            level = [r for r in level if _within(r, box)]
         # the top level is never looked up, unless it is expanded
         keep = d + 1 < len(levels) or on_complex is not None
         here: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -739,8 +727,9 @@ def known_complete_degree(g: Graph) -> Optional[int]:
     for h, normal, _ in _components(g):
         top = _top_degree(h, normal)
         if top is None and normal:
-            levels = semigroup_levels(h, incidence_rank(h) - 1, classes=twin_classes(h))
-            top = _top_degree(h, normal, levels.sizes)
+            classes = twin_classes(h)
+            levels = semigroup_levels(h, incidence_rank(h) - 1, classes=classes)
+            top = _top_degree(h, normal, _hilbert(levels, _TwinGroup(h, classes)))
         tops.append(top)
     return None if None in tops else sum(tops)
 

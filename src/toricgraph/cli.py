@@ -57,13 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph_arg(path: str) -> tuple[Graph, dict]:
-    data, text = _read_text(path)
-    g = loads_graph(text)
-    meta = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    return g, meta
-
-
 def _load_json_file(path: str, what: str):
     text = _read_text(path, what)[1]
     try:
@@ -143,7 +136,7 @@ def _search(g: Graph, args) -> dict:
     }
 
 
-# -- subcommand handlers ----------------------------------------------------
+# -- subcommand handlers: each returns its report's own sections ------------
 
 
 def _table(g: Graph, field, args):
@@ -158,8 +151,7 @@ def _table(g: Graph, field, args):
     )
 
 
-def _cmd_analyze(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_analyze(g: Graph, args) -> dict:
     field = parse_field(args.field)
     table = _table(g, field, args)
     inv = invariants(g, table)
@@ -191,8 +183,7 @@ def _cmd_analyze(args) -> dict:
                 "internal error: pattern certificate contradicts a positive Cohen-Macaulay verdict"
             )
         combined = "no"
-    report = {
-        "graph": _graph_section(g),
+    return {
         "betti": _table_section(table),
         "invariants": inv._asdict(),
         "odd_cycle_condition": occ._asdict(),
@@ -201,28 +192,17 @@ def _cmd_analyze(args) -> dict:
         "cohen_macaulay": combined,
         "annotations": annotations,
     }
-    return {**_base(meta, "analyze"), **report}
 
 
-def _cmd_betti(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_betti(g: Graph, args) -> dict:
     table = _table(g, parse_field(args.field), args)
-    inv = invariants(g, table)
-    return {
-        **_base(meta, "betti"),
-        "graph": _graph_section(g),
-        "betti": _table_section(table),
-        "invariants": inv._asdict(),
-    }
+    return {"betti": _table_section(table), "invariants": invariants(g, table)._asdict()}
 
 
-def _cmd_complex(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_complex(g: Graph, args) -> dict:
     s = degree_vector(g, _load_json_file(args.degree, "degree"))
     delta = build_delta(g, s, max_fiber=args.max_fiber)
     return {
-        **_base(meta, "complex"),
-        "graph": _graph_section(g),
         "degree": list(s),
         "void": delta.is_void,
         "irrelevant": delta.is_irrelevant,
@@ -232,13 +212,10 @@ def _cmd_complex(args) -> dict:
     }
 
 
-def _cmd_fiber(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_fiber(g: Graph, args) -> dict:
     s = degree_vector(g, _load_json_file(args.degree, "degree"))
     decomps = enumerate_fiber(g, s, max_size=args.max_fiber)
     return {
-        **_base(meta, "fiber"),
-        "graph": _graph_section(g),
         "degree": list(s),
         "count": len(decomps),
         "in_semigroup": bool(decomps),
@@ -246,8 +223,7 @@ def _cmd_fiber(args) -> dict:
     }
 
 
-def _cmd_certify(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_certify(g: Graph, args) -> dict:
     field = parse_field(args.field)
     embedding = None
     if args.embedding:
@@ -266,8 +242,6 @@ def _cmd_certify(args) -> dict:
     else:
         result = "none found" if search["exhaustive"] else "none found (bounded)"
     return {
-        **_base(meta, "certify-noncm"),
-        "graph": _graph_section(g),
         "found": cert is not None,
         "result": result,
         "search": search,
@@ -275,8 +249,7 @@ def _cmd_certify(args) -> dict:
     }
 
 
-def _cmd_bounds(args) -> dict:
-    g, meta = _load_graph_arg(args.graph)
+def _cmd_bounds(g: Graph, args) -> dict:
     parts = _load_json_file(args.parts, "parts")
     if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
         raise ValueError("parts file must hold a JSON array of arrays of vertex labels")
@@ -288,19 +261,9 @@ def _cmd_bounds(args) -> dict:
         max_scan=args.max_scan,
     )
     return {
-        **_base(meta, "bounds"),
-        "graph": _graph_section(g),
         "regularity_lower_bound": report.regularity_lower_bound,
         "projective_dimension_lower_bound": report.projective_dimension_lower_bound,
         "parts": [p._asdict() for p in report.parts],
-    }
-
-
-def _base(meta: dict, command: str) -> dict:
-    return {
-        "tool": {"name": "toricgraph", "version": __version__},
-        "command": command,
-        "input": meta,
     }
 
 
@@ -432,7 +395,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
-        payload = args.func(args)
+        data, text = _read_text(args.graph)
+        g = loads_graph(text)
+        # the envelope of every report; the handler adds its own sections
+        payload = {
+            "tool": {"name": "toricgraph", "version": __version__},
+            "command": args.command,
+            "input": {"path": args.graph, "sha256": hashlib.sha256(data).hexdigest()},
+            "graph": _graph_section(g),
+            **args.func(g, args),
+        }
     except (FiberOverflowError, ScanOverflowError) as exc:
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 2

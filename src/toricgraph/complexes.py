@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .fiber import DEFAULT_MAX_FIBER, enumerate_fiber
+from .fiber import DEFAULT_MAX_FIBER, _check_cap, enumerate_fiber
 from .graph import Graph, _Value
 
 
@@ -186,5 +186,6 @@ def build_delta(
     Facets are the maximal supports of decompositions of s.  Returns the void
     complex when s has no decomposition, and the irrelevant complex at s = 0.
     """
+    _check_cap("max_fiber", max_fiber)
     decomps = enumerate_fiber(g, s, max_size=max_fiber)
     return SimplicialComplex.from_faces(g.edges, (d.support for d in decomps))

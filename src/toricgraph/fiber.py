@@ -44,6 +44,12 @@ class FiberOverflowError(RuntimeError):
         self.limit = limit
 
 
+def _check_cap(name: str, value: int) -> None:
+    """A negative cap is bad input, not a cap that every search overflows."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 class Decomposition(_Value):
     """One edge weighting; coefficients are aligned with the graph's edge order.
     An immutable value, equal to any decomposition with the same
@@ -225,6 +231,7 @@ def enumerate_fiber(
     Empty when s is not in the edge semigroup (including any negative entry
     or odd total).  Raises FiberOverflowError past max_size solutions.
     """
+    _check_cap("max_size", max_size)
     return _search(g, s, max_size, first_only=False)
 
 

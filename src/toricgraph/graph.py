@@ -507,13 +507,16 @@ def graph_to_edgelist(g: Graph) -> str:
     Vertex order matters downstream (multidegrees align to it), so when the
     first-appearance order implied by the edges differs from g.vertices --
     or any vertex is isolated -- every vertex is declared up front as a bare
-    single-token line.
+    single-token line.  Text whose first label starts with '{' or '[' opens
+    with a comment line, since `loads_graph` would read it as JSON.
     """
     for v in g.vertices:
         if any(c.isspace() for c in v) or "#" in v:
             raise GraphFormatError(f"label {v!r} cannot be written in edge-list format")
     lines = [] if _first_appearance(g.edges) == g.vertices else list(g.vertices)
     lines += [f"{u} {v}" for u, v in g.edges]
+    if lines and lines[0].startswith(("{", "[")):
+        lines.insert(0, "# edge list")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
-from .fiber import DEFAULT_MAX_FIBER
+from .fiber import DEFAULT_MAX_FIBER, _check_cap
 from .graph import (  # the odd cycle names are re-exported
     EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
@@ -295,6 +295,7 @@ def noncm_certificate(
     Returns None when no embedding is given and none is found within bounds.
     A supplied embedding that fails verification is an error.
     """
+    _check_cap("max_fiber", max_fiber)
     if embedding is None:
         embedding = detect_forbidden(g, max_cycle=max_cycle, max_path=max_path)
         if embedding is None:
@@ -353,6 +354,8 @@ def lower_bounds(
     """Sum reg/pd over vertex-disjoint induced parts with no edges between
     them.  Complete bipartite parts use the closed forms; everything else is
     scanned (scan results are lower bounds even when uncertified)."""
+    _check_cap("max_fiber", max_fiber)
+    _check_cap("max_scan", max_scan)
     part_sets: list[set[str]] = []
     for k, part in enumerate(parts):
         ps = set()

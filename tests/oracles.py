@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the engine's algorithms: fibers come
 from an exhaustive product-box sweep, induced cycles from testing every
-vertex subset, ranks come from sympy's exact domain matrices, and the
-convolution is written from the definition.
+vertex subset, faces from every subset of every facet, boundary matrices
+from the definition, ranks from sympy's exact domain matrices, and the
+convolution from the definition.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def sympy_rank(columns, nrows: int, modulus=None) -> int:
 
 
 def composition_vanishes(k) -> bool:
-    """d_{d-1} after d_d is the zero map, checked over the integers."""
+    """The engine's d_{d-1} after its d_d is the zero map, checked over the
+    integers."""
     for d in range(1, k.dim + 1):
         upper = boundary_matrix(k, d)
         lower = boundary_matrix(k, d - 1)
@@ -147,10 +149,8 @@ def euler_characteristic_check(k, field=RATIONALS) -> bool:
     """Reduced Euler characteristic from face counts equals the one from homology."""
     if k.is_void:
         return True
-    from_faces = 0
-    for d in range(-1, k.dim + 1):
-        sign = 1 if d % 2 == 0 else -1
-        from_faces += sign * len(k.faces_of_dimension(d))
+    # the faces of size n have dimension n - 1
+    from_faces = sum((-1) ** (n + 1) * len(faces) for n, faces in enumerate(faces_from_facets(k)))
     hom = reduced_homology(k, field)
     from_homology = sum((1 if i % 2 == 1 else -1) * h for i, h in enumerate(hom))
     return from_faces == from_homology
@@ -166,17 +166,33 @@ def faces_from_facets(k) -> list[list[tuple[int, ...]]]:
     return [sorted(level) for level in found]
 
 
+def signed_boundary(faces: list[list[tuple[int, ...]]], n: int) -> list[dict[int, int]]:
+    """The columns of the boundary map from the faces of size n to those of
+    size n - 1, by the definition: (v_0 < ... < v_{n-1}) goes to the sum
+    over j of (-1)^j times the face without v_j.  `faces` is
+    `faces_from_facets`' list; rows are numbered in its order."""
+    row = {face: i for i, face in enumerate(faces[n - 1])}
+    return [
+        {row[face[:j] + face[j + 1:]]: (-1) ** j for j in range(n)}
+        for face in faces[n]
+    ]
+
+
 def homology_via_sympy(k, modulus=None) -> list[int]:
-    """Same rank-nullity bookkeeping as the engine but with sympy ranks."""
+    """Reduced homology by rank-nullity on the augmented chain complex,
+    with faces from `faces_from_facets`, boundaries from `signed_boundary`
+    and sympy ranks: none of it runs the engine's faces or boundaries."""
     if k.is_void:
         return [0]
-    counts = [len(k.faces_of_dimension(d)) for d in range(-1, k.dim + 1)]
+    faces = faces_from_facets(k)
+    counts = [len(level) for level in faces]
+    # ranks[n]: the rank of the boundary from size n to size n - 1
     ranks = (
         [0]
-        + [sympy_rank(boundary_matrix(k, d), counts[d], modulus) for d in range(0, k.dim + 1)]
+        + [sympy_rank(signed_boundary(faces, n), counts[n - 1], modulus) for n in range(1, len(faces))]
         + [0]
     )
-    return [counts[i] - ranks[i] - ranks[i + 1] for i in range(len(counts))]
+    return [counts[n] - ranks[n] - ranks[n + 1] for n in range(len(counts))]
 
 
 def permuted_homology(k, rng: random.Random, field) -> list[int]:

@@ -15,14 +15,18 @@ from toricgraph import (
     SimplicialComplex,
     betti_number,
     betti_table,
+    build_delta,
     complete_bipartite_graph,
     connected_components,
     cycle_graph,
     disjoint_union,
+    enumerate_fiber,
     invariants,
     induced_subgraph,
     is_bipartite,
     known_complete_degree,
+    lower_bounds,
+    noncm_certificate,
     odd_cycle_condition,
     path_graph,
     semigroup_levels,
@@ -133,6 +137,29 @@ def test_semigroup_levels_validation_and_overflow():
     with pytest.raises(ScanOverflowError) as exc:
         semigroup_levels(g, 2, max_scan=20)
     assert exc.value.limit == 20 and exc.value.degree == 2
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda g: betti_table(g, max_scan=-1), "max_scan"),
+    (lambda g: betti_table(g, max_fiber=-1), "max_fiber"),
+    (lambda g: semigroup_levels(g, 2, max_scan=-1), "max_scan"),
+    (lambda g: betti_number(g, 1, (1,) * len(g.vertices), max_fiber=-1), "max_fiber"),
+    (lambda g: build_delta(g, (1,) * len(g.vertices), max_fiber=-1), "max_fiber"),
+    (lambda g: enumerate_fiber(g, (1,) * len(g.vertices), max_size=-1), "max_size"),
+    (lambda g: noncm_certificate(g, max_fiber=-1), "max_fiber"),
+    (lambda g: lower_bounds(g, [g.vertices], max_fiber=-1), "max_fiber"),
+    (lambda g: lower_bounds(g, [g.vertices], max_scan=-1), "max_scan"),
+], ids=[
+    "betti_table-max_scan", "betti_table-max_fiber", "semigroup_levels", "betti_number",
+    "build_delta", "enumerate_fiber", "noncm_certificate", "lower_bounds-max_fiber",
+    "lower_bounds-max_scan",
+])
+def test_negative_caps_are_bad_input(call, name):
+    # before any work: not an overflow on K_{2,2}, and no answer on P_3,
+    # whose scan stops at level 0, or from K_{2,2}'s closed form
+    for g in (complete_bipartite_graph(2, 2), path_graph(3)):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+            call(g)
 
 
 def test_scan_overflow_propagates_from_betti_table():
@@ -357,7 +384,9 @@ def test_representatives_cover_each_plain_level(name):
     reps = semigroup_levels(g, 5, classes=classes)
     plain = semigroup_levels(g, 5)
     assert len(reps) == len(plain)
-    assert reps.sizes == plain.sizes == [len(full) for full in plain]
+    # H(n) counts every element: orbits expanded, or the trivial group's
+    hilbert = betti._hilbert(reps, group)
+    assert hilbert == betti._hilbert(plain, betti._TwinGroup(g, ())) == [len(full) for full in plain]
     for level, full in zip(reps, plain):
         assert all(_canonical(r, classes) == r for r in level)
         assert all(group.orbit_size(r) == len(group.orbit(r)) for r in level)
@@ -404,7 +433,7 @@ def test_max_scan_equal_to_the_representative_count_passes():
     g = complete_bipartite_graph(2, 3)
     levels = semigroup_levels(g, 3, classes=twin_classes(g))
     count = sum(map(len, levels))
-    assert (count, sum(levels.sizes)) == (12, 65)
+    assert (count, sum(betti._hilbert(levels, betti._TwinGroup(g, twin_classes(g))))) == (12, 65)
     assert semigroup_levels(g, 3, count, twin_classes(g)) == levels
     assert betti_table(g, max_scan=count).certified
     with pytest.raises(ScanOverflowError) as exc:
@@ -426,15 +455,16 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # live in the box s <= deg (totally unimodular incidence matrix:
     # squarefree initial ideals, upper semicontinuity, 0/1 degrees): the
     # levels to d - 1 = 5 stay whole (65 representatives), those past it
-    # hold the box only (122 in all), and 38 complexes need homology
+    # hold the box only (122 in all), and 38 complexes need homology; the
+    # grower returns the running count of representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
-    levels = _count_results(monkeypatch, "_levels")
+    held = _count_results(monkeypatch, "_grow")
     homology = _count_calls(monkeypatch, "reduced_homology")
     table = betti_table(g, 8)
     assert table.certified
-    assert [sum(map(len, result)) for result in levels] == [65, 122]
+    assert held == [65, 122]
     assert len(homology) == 38
 
 
@@ -472,7 +502,7 @@ def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
     # H = 1, 6, 21, 55, 120 gives h = 1 + t + t^2, pd = 1 and top degree
     # 3, so its levels stop at d - 1 = 4 and its homology at 3
     g = disjoint_union(_bowtie("p"), _bowtie("q"))
-    assert semigroup_levels(_bowtie(), 4).sizes == [1, 6, 21, 55, 120]
+    assert [len(level) for level in semigroup_levels(_bowtie(), 4)] == [1, 6, 21, 55, 120]
     levels = _count_calls(monkeypatch, "semigroup_levels")
     seen = []
     table = betti_table(g, 6, on_complex=lambda s, delta: seen.append(sum(s) // 2))
@@ -493,10 +523,10 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        # semigroup_levels builds the levels to d - 1 through _levels
-        levels = _count_calls(monkeypatch, "_levels")
+        # semigroup_levels grows the levels to d - 1 through _grow
+        grown = _count_calls(monkeypatch, "_grow")
         table = betti_table(g)
-        assert [args[1] for args in levels] == calls
+        assert [args[2] for args in grown] == calls
         assert table.certified
         assert table.entries == whole_graph_entries(g, len(g.edges))
         assert max(sum(s) // 2 for _, s in table.entries) == top == known_complete_degree(g)
@@ -506,58 +536,46 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
 
 
 def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
-    # the scan on to the top degree continues the levels to d - 1 instead
-    # of rebuilding them: its call is given them, shares their level lists,
-    # and sizes each representative's orbit once.  K_4 is not bipartite, so
-    # its level 4 is whole; K_{3,3} minus an edge is, so its level 5 holds
-    # only the representatives inside its degree box, and is not sized
+    # the scan on to the top degree grows the levels to d - 1 on, instead
+    # of rebuilding them: its call starts from their top level, shares
+    # their level lists, and continues their tally; each representative's
+    # orbit is sized once.  K_4 is not bipartite, so its level 4 is whole;
+    # K_{3,3} minus an edge is, so its levels are cut to its degree box
+    # and level 5 is grown inside it
     minus = complete_bipartite_graph(3, 3)
     for g in (_complete_graph(4), Graph(minus.vertices, minus.edges[1:])):
-        calls, results = [], []
-        original, size = betti._levels, betti._TwinGroup.orbit_size
+        calls, held = [], []
+        original, size = betti._grow, betti._TwinGroup.orbit_size
 
-        def recorded(*args):
-            calls.append(args)
-            results.append(original(*args))
-            return results[-1]
+        def recorded(g, levels, *args):
+            calls.append((levels, list(levels)))  # the list, and its levels on entry
+            held.append(original(g, levels, *args))
+            return held[-1]
 
         def counted(self, r):
             sized.append(r)
             return size(self, r)
 
         sized = []
-        monkeypatch.setattr(betti, "_levels", recorded)
+        monkeypatch.setattr(betti, "_grow", recorded)
         monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
         betti_table(g)
-        first, second = results
-        assert calls[0][4] is None and calls[1][4] is first
-        assert all(a is b for a, b in zip(first, second)) and len(second) == len(first) + 1
-        assert len(sized) == len(set(sized))
         monkeypatch.undo()
+        (first, start), (second, given) = calls
+        assert len(start) == 1 and len(given) == len(first) and len(second) == len(first) + 1
+        assert held[0] == sum(map(len, first))
+        assert held[1] == held[0] + len(second[-1])
+        assert len(sized) == len(set(sized))
         whole = semigroup_levels(g, len(second) - 1, classes=twin_classes(g))
+        assert first == whole[:-1]
         if is_bipartite(g)[0]:
             degrees = [g.degree(v) for v in g.vertices]
-            box = [r for r in whole[-1] if all(x <= b for x, b in zip(r, degrees))]
-            assert 0 < len(box) < len(whole[-1])
-            assert second[:-1] == whole[:-1] and second[-1] == box
-            assert second.sizes == whole.sizes[:-1]
+            cut = [[r for r in level if all(x <= b for x, b in zip(r, degrees))] for level in whole]
+            assert 0 < len(cut[-1]) < len(whole[-1])
+            assert given == cut[:-1] and second == cut
         else:
-            assert second == whole and second.sizes == whole.sizes
-
-
-def test_semigroup_levels_extends_a_given_start():
-    g = _complete_graph(4)
-    for classes in ((), twin_classes(g)):
-        start = semigroup_levels(g, 2, classes=classes)
-        extended = semigroup_levels(g, 5, classes=classes, start=start)
-        whole = semigroup_levels(g, 5, classes=classes)
-        assert extended == whole and extended.sizes == whole.sizes
-        assert len(start) == 3 and len(start.sizes) == 3  # the start is not changed
-        # the start's representatives count against the cap as if scanned again
-        cap = sum(map(len, whole[:5]))
-        with pytest.raises(ScanOverflowError) as exc:
-            semigroup_levels(g, 5, cap, classes, start)
-        assert exc.value.degree == 5
+            assert all(a is b for a, b in zip(first, given))
+            assert second == whole
 
 
 def test_scan_cap_between_d_minus_1_and_the_top_degree():
@@ -577,9 +595,8 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
 
 
 def test_betti_table_counts_each_orbit_once(monkeypatch):
-    # the max_scan tally and the Hilbert function read the level sizes
-    # that semigroup_levels summed: orbit_size runs once per representative
-    # past level 0, up to d - 1 = 5 (64 of them); the levels past it hold
+    # the Hilbert function sums orbit sizes once per representative past
+    # level 0, up to d - 1 = 5 (64 of them); the levels past it hold
     # K_{3,4}'s degree box only and are not sized
     calls = []
     size = betti._TwinGroup.orbit_size
@@ -719,11 +736,11 @@ def test_k44_scans_its_degree_box(monkeypatch):
     # a whole scan holds; 147 complexes need homology instead of 225
     g = complete_bipartite_graph(4, 4)
     assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
-    levels = _count_results(monkeypatch, "_levels")
+    held = _count_results(monkeypatch, "_grow")
     homology = _count_calls(monkeypatch, "reduced_homology")
     table = betti_table(g)
     assert table.certified
-    assert [sum(map(len, result)) for result in levels] == [157, 418]
+    assert held == [157, 418]
     assert len(homology) == 147
     inv = invariants(g, table)
     assert (inv.regularity, inv.projective_dimension) == (3, 9)

@@ -87,8 +87,9 @@ def test_faces_of_dimension():
 
 
 def test_faces_match_combinations_of_the_facets():
-    # the sympy oracle and boundary_matrix both read faces_of_dimension, so
-    # the faces are checked against subsets taken straight from the facets
+    # boundary_matrix reads faces_of_dimension; the sympy oracle builds its
+    # faces with faces_from_facets instead, so a fault in the engine's faces
+    # cannot pass on both sides; here the two are checked against each other
     rng = random.Random(4242)
     for _ in range(200):
         n = rng.randint(0, 8)
