@@ -28,9 +28,10 @@ twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
 nonzero entry is written for every element of the orbit, which one walk
 (`_TwinGroup.orbit`) lists together with the transpositions that reach each
 element.  `max_scan` counts the representatives, the multidegrees the scan
-actually visits.  The Hilbert function still counts every element: a level's
-size adds the sizes of its orbits, the products over the classes of the
-multinomials of the weights, read off the runs of equal weights.
+actually visits, level 0's zero vector among them.  The Hilbert function
+still counts every element: a level's size adds the sizes of its orbits,
+the products over the classes of the multinomials of the weights, read off
+the runs of equal weights.
 
 The edge subring of a disjoint union is the tensor product of the
 components' rings, and so is its minimal free resolution (Kuenneth): with
@@ -144,6 +145,8 @@ def semigroup_levels(
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     _check_cap("max_scan", max_scan)
+    if max_scan < 1:  # level 0 holds one representative, the zero vector
+        raise ScanOverflowError(max_scan, 0)
     levels = [[(0,) * len(g.vertices)]]
     _grow(g, levels, max_degree, max_scan, _TwinGroup(g, classes), 1)
     return levels
@@ -430,10 +433,7 @@ def betti_table(
         # ring has no syzygies, so level 0 is enough
         whole = 0 if d == len(h.edges) else d - 1 if normal else max_degree
         try:
-            # each level 0 is held unchecked, so the tally may stand past the
-            # cap; then the next level trips a cap of 0 as it would any less
-            levels = semigroup_levels(h, min(max_degree, whole),
-                                      max(max_scan - scanned, 0), classes)
+            levels = semigroup_levels(h, min(max_degree, whole), max_scan - scanned, classes)
             held = scanned + sum(map(len, levels))
             sizes = _hilbert(levels[:d], twins) if normal and len(levels) >= d else []
             top = _top_degree(h, normal, sizes)

@@ -18,10 +18,17 @@ under --verbose.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Optional
+
+try:  # hashlib maps OpenSSL for one digest a run; the builtin module is lean
+    from _sha256 import sha256  # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .betti import (
@@ -401,7 +408,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         payload = {
             "tool": {"name": "toricgraph", "version": __version__},
             "command": args.command,
-            "input": {"path": args.graph, "sha256": hashlib.sha256(data).hexdigest()},
+            "input": {"path": args.graph, "sha256": sha256(data).hexdigest()},
             "graph": _graph_section(g),
             **args.func(g, args),
         }

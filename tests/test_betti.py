@@ -175,6 +175,14 @@ def test_scan_overflow_propagates_from_betti_table():
         betti_table(two, max_scan=23)
     assert exc.value.limit == 23
     assert betti_table(two, max_scan=24).certified
+    # level 0 is held and checked like any other level: two free components
+    # hold one representative each and nothing past level 0
+    free = disjoint_union(path_graph(2), path_graph(2, "w"))
+    for cap in (0, 1):
+        with pytest.raises(ScanOverflowError) as exc:
+            betti_table(free, max_scan=cap)
+        assert (exc.value.limit, exc.value.degree) == (cap, 0)
+    assert betti_table(free, max_scan=2).certified
     # a negative bound is refused even when there is nothing to scan
     with pytest.raises(ValueError):
         betti_table(Graph(("a", "b"), ()), -1)
@@ -410,7 +418,7 @@ def test_orbit_scan_cap_counts_representatives():
         bound = 6 if top is None else min(6, top)  # betti_table scans this far at least
         levels = semigroup_levels(g, bound, classes=twin_classes(g))
         totals = list(accumulate(map(len, levels)))
-        for cap in (1, 4, 30, 200, 1000):
+        for cap in (0, 1, 4, 30, 200, 1000):
             if totals[-1] <= cap:
                 assert semigroup_levels(g, bound, cap, twin_classes(g)) == levels
                 continue

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -359,6 +360,14 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     code, _, _ = _run(capsys, "betti", str(union), "--max-scan", "24")
     assert code == 0
 
+    # level 0 counts too: a triangle is free, so its scan holds only the
+    # zero vector, and a cap of 0 trips there
+    code, out, err = _run(capsys, "betti", _path(data_dir, "tri.json"), "--max-scan", "0")
+    assert code == 2
+    assert out == ""
+    assert "scan overflow: more than 0" in err and "before degree 0" in err
+    assert len(err.splitlines()) == 1
+
     # a negative bound is bad input (exit 1), not a cap, even with nothing to scan
     edgeless = tmp_path / "edgeless.edges"
     edgeless.write_text("a\nb\n")
@@ -488,3 +497,32 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     loaded = set(proc.stdout.split())
     assert "toricgraph.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    # the input's digest comes from the builtin SHA-256 where the
+    # interpreter ships one; hashlib would map OpenSSL for it
+    builtin = {m for m in ("_sha256", "_sha2") if importlib.util.find_spec(m)}
+    if builtin:
+        assert loaded & builtin
+        assert not loaded & {"hashlib", "_hashlib"}
+
+
+def test_cli_digest_falls_back_to_hashlib(data_dir):
+    # without the builtin modules the digest comes from hashlib, and reads
+    # the same
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = _path(data_dir, "k23.json")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from toricgraph.cli import main\n"
+        "code = main(['betti', sys.argv[2]])\n"
+        "assert 'hashlib' in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src, path],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(path, "rb") as fh:
+        assert json.loads(proc.stdout)["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
