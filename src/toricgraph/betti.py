@@ -85,14 +85,15 @@ degrees (see `known_complete_degree`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap
 from .graph import (
     EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
+    _Value,
     connected_components,
     incidence_rank,
     induced_subgraph,
@@ -159,7 +160,7 @@ def _grow(
     max_scan: int,
     twins: _TwinGroup,
     held: int,
-    box: Optional[tuple[int, ...]] = None,
+    box: tuple[int, ...] | None = None,
 ) -> int:
     """Append the levels past the top one of `levels` up to `max_degree`,
     each the canonical forms of the level below translated by every edge
@@ -320,7 +321,7 @@ def _relabel(mask: int, swaps: tuple[int, ...]) -> int:
     return mask
 
 
-class BettiTable(NamedTuple):
+class BettiTable(_Value):
     """Nonzero multigraded Betti numbers found by a scan up to max_degree.
 
     entries maps (homological index i, multidegree tuple) to beta_{i,s}.
@@ -375,13 +376,13 @@ def betti_number(
 
 def betti_table(
     g: Graph,
-    max_degree: Optional[int] = None,
+    max_degree: int | None = None,
     *,
     field: FieldSpec = RATIONALS,
     assume_complete: bool = False,
     max_fiber: int = DEFAULT_MAX_FIBER,
     max_scan: int = DEFAULT_MAX_SCAN,
-    on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]] = None,
+    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None = None,
 ) -> BettiTable:
     """All Betti entries of standard degree <= max_degree.
 
@@ -422,7 +423,7 @@ def betti_table(
     _check_cap("max_fiber", max_fiber)
     _check_cap("max_scan", max_scan)
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
-    tops: list[Optional[int]] = []
+    tops: list[int | None] = []
     scanned = 0
     for h, normal, box in _components(g):
         d = incidence_rank(h)
@@ -480,7 +481,7 @@ def _scan(
     twins: _TwinGroup,
     field: FieldSpec,
     max_fiber: int,
-    on_complex: Optional[Callable[[tuple[int, ...], SimplicialComplex], None]],
+    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None,
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Betti entries of one graph at the semigroup elements whose canonical
     representatives `levels` holds.
@@ -603,21 +604,6 @@ def complete_bipartite_reg_pd(u: int, v: int) -> tuple[int, int]:
     return u - 1, (u - 1) * (v - 1)
 
 
-def _is_normal(h: Graph) -> bool:
-    """Whether k[H] is normal, for a connected graph H: H is bipartite, or
-    every two induced odd cycles of H share a vertex or are joined by an
-    edge (the odd cycle condition; Ohsugi-Hibi, J. Algebra 207, 1998).  The
-    condition is searched exhaustively, which `odd_cycle_condition` does up
-    to EXHAUSTIVE_VERTEX_LIMIT vertices; a larger H that is not bipartite
-    is not known to be normal."""
-    if is_bipartite(h)[0]:
-        return True
-    return (
-        len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
-        and odd_cycle_condition(h).status == "satisfied"
-    )
-
-
 def _h_vector(sizes: Sequence[int], d: int) -> list[int]:
     """The h-vector h_0, ..., h_{deg h} of a normal ring of dimension d
     whose Hilbert function starts H(0), ..., H(d - 1) = sizes[:d].
@@ -665,10 +651,10 @@ def _check_k_polynomial(
         )
 
 
-def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> Optional[int]:
+def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> int | None:
     """Largest standard degree any Betti entry of k[H] can live in, for a
     connected graph H with at least one edge, when it is known; None
-    otherwise.  `normal` says whether k[H] is normal (`_is_normal`), and
+    otherwise.  `normal` says whether k[H] is normal (`_components`), and
     `sizes` are the element counts H(0), H(1), ... of H's semigroup levels,
     as far as they have been scanned.
 
@@ -697,23 +683,33 @@ def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> Optional[i
     return top
 
 
-def _components(g: Graph) -> list[tuple[Graph, bool, Optional[tuple[int, ...]]]]:
+def _components(g: Graph) -> list[tuple[Graph, bool, tuple[int, ...] | None]]:
     """Each connected component H with at least one edge, as an induced
-    subgraph of g, with whether its ring is normal (`_is_normal`) and, when
-    H is bipartite, its degree box: deg_H(v) for each vertex, in H's order.
-    Every Betti number of a bipartite H lives in the box (see the module
-    docstring: a totally unimodular A, upper semicontinuity, squarefree
-    degrees); a component that is not bipartite gets None."""
+    subgraph of g, with whether k[H] is normal and, when H is bipartite, its
+    degree box: deg_H(v) for each vertex, in H's order.
+
+    k[H] is normal when H is bipartite, or when every two induced odd cycles
+    of H share a vertex or are joined by an edge (the odd cycle condition;
+    Ohsugi-Hibi, J. Algebra 207, 1998).  The condition is searched
+    exhaustively, which `odd_cycle_condition` does up to
+    EXHAUSTIVE_VERTEX_LIMIT vertices; a larger H that is not bipartite is
+    not known to be normal.  Every Betti number of a bipartite H lives in
+    the box (see the module docstring: a totally unimodular A, upper
+    semicontinuity, squarefree degrees); a component that is not bipartite
+    gets None."""
     parts = []
     for comp, bipartite in zip(connected_components(g), is_bipartite(g)):
         h = induced_subgraph(g, comp)
         if h.edges:
-            box = tuple(map(len, h._adjacency)) if bipartite else None
-            parts.append((h, _is_normal(h), box))
+            normal = bipartite or (
+                len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
+                and odd_cycle_condition(h).status == "satisfied"
+            )
+            parts.append((h, normal, tuple(map(len, h._adjacency)) if bipartite else None))
     return parts
 
 
-def known_complete_degree(g: Graph) -> Optional[int]:
+def known_complete_degree(g: Graph) -> int | None:
     """Largest standard degree any Betti entry of k[G] can live in, when
     every connected component has a known top degree (`_top_degree`): it
     is free, complete bipartite, or normal; None otherwise.
@@ -734,7 +730,7 @@ def known_complete_degree(g: Graph) -> Optional[int]:
     return None if None in tops else sum(tops)
 
 
-class InvariantsReport(NamedTuple):
+class InvariantsReport(_Value):
     """Homological invariants read off a Betti table.
 
     Uncertified tables make regularity and projective dimension lower bounds

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 try:  # hashlib maps OpenSSL for one digest a run; the builtin module is lean
     from _sha256 import sha256  # CPython <= 3.11
@@ -104,7 +103,7 @@ def _table_section(table) -> dict:
 
 def _certificate_section(cert) -> dict:
     return {
-        "embedding": cert.embedding.as_dict(),
+        "embedding": cert.embedding._asdict(),
         "degree": list(cert.degree),
         "facet_count": cert.facet_count,
         "h2_dimension": cert.h2_dim,
@@ -267,11 +266,7 @@ def _cmd_bounds(g: Graph, args) -> dict:
         max_fiber=args.max_fiber,
         max_scan=args.max_scan,
     )
-    return {
-        "regularity_lower_bound": report.regularity_lower_bound,
-        "projective_dimension_lower_bound": report.projective_dimension_lower_bound,
-        "parts": [p._asdict() for p in report.parts],
-    }
+    return {**report._asdict(), "parts": [p._asdict() for p in report.parts]}
 
 
 def _summarize(payload: dict) -> list[str]:
@@ -371,7 +366,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
     """The parser with only `command`'s subparser, or with all of them when
     `command` names none (top-level help and errors)."""
     parser = _Parser(prog="toricgraph", description=__doc__.splitlines()[0])
@@ -390,7 +385,7 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv[0] if argv else None)
     try:

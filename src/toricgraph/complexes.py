@@ -16,8 +16,8 @@ facets.  Frozensets and position tuples are only views, for callers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .fiber import DEFAULT_MAX_FIBER, _check_cap, enumerate_fiber
 from .graph import Graph, _Value

@@ -26,8 +26,8 @@ work follows the size of the fiber, not the size of its entries.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence, Union
 
 from .graph import Graph, _Value
 
@@ -88,7 +88,7 @@ def decomposition_degree(g: Graph, coefficients: Sequence[int]) -> tuple[int, ..
     return tuple(s)
 
 
-def degree_vector(g: Graph, degrees: Union[Mapping[str, int], Sequence[int]]) -> tuple[int, ...]:
+def degree_vector(g: Graph, degrees: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
     """Normalize a multidegree to a tuple aligned with g.vertices.
 
     Mappings may omit vertices (treated as 0); unknown labels are an error.

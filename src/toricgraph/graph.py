@@ -14,9 +14,9 @@ with the odd cycle condition.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
 
 
 class GraphFormatError(ValueError):
@@ -24,12 +24,15 @@ class GraphFormatError(ValueError):
 
 
 class _Value:
-    """Base of the immutable value classes.  A subclass names its fields once,
-    in its class annotations, in order; its validating `__init__` ends in
-    `self._set(...)` with the field values.  Instances of one class are equal
-    when their fields are, hash by the field tuple, repr as
-    `Name(field=value, ...)`, and refuse assignment and deletion (the
-    cached_property views write to the instance dict and are unaffected)."""
+    """Base of the immutable value classes and result records.  A subclass
+    names its fields once, in its class annotations, in order.  The base
+    `__init__` takes them by position and then by keyword; a subclass with
+    an `__init__` of its own (to check its arguments) ends it in
+    `self._set(...)` with the field values.  Instances of one class are
+    equal when their fields are, hash by the field tuple, repr as
+    `Name(field=value, ...)`, give `_asdict()` in field order, and refuse
+    assignment and deletion (fields and the cached_property views are
+    written to the instance dict directly)."""
 
     _fields: tuple[str, ...] = ()
 
@@ -37,9 +40,21 @@ class _Value:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)} "
+                "once each, by position and then by keyword"
+            )
+        self._set(*args)
+        self.__dict__.update(kwargs)
+
     def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
+
+    def _asdict(self) -> dict[str, object]:
+        return dict(zip(self._fields, self._values()))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -109,7 +124,7 @@ class Graph(_Value):
 
     @classmethod
     def from_edges(
-        cls, edges: Iterable[tuple[str, str]], vertices: Optional[Iterable[str]] = None
+        cls, edges: Iterable[tuple[str, str]], vertices: Iterable[str] | None = None
     ) -> "Graph":
         """Build a graph from edge pairs; vertices default to first-appearance order."""
         edges = tuple((u, v) for u, v in edges)
@@ -265,7 +280,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[str]) -> Graph:
     return Graph(kept_v, kept_e)
 
 
-def recognize_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
+def recognize_complete_bipartite(g: Graph) -> tuple[int, int] | None:
     """Return (u, v) with u <= v if the connected graph g is complete bipartite.
 
     A single vertex counts as K_{1,0}-like and returns None (no edges to
@@ -294,7 +309,7 @@ def recognize_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
 EXHAUSTIVE_VERTEX_LIMIT = 16
 
 
-def _resolve_cycle_cap(g: Graph, max_length: Optional[int], what: str) -> int:
+def _resolve_cycle_cap(g: Graph, max_length: int | None, what: str) -> int:
     if max_length is not None:
         if max_length < 3:
             raise ValueError(f"{what}: max length must be at least 3, got {max_length}")
@@ -359,7 +374,7 @@ def _induced_cycles(g: Graph, max_length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def find_induced_odd_cycles(g: Graph, max_length: Optional[int] = None) -> list[tuple[str, ...]]:
+def find_induced_odd_cycles(g: Graph, max_length: int | None = None) -> list[tuple[str, ...]]:
     """Induced odd cycles up to max_length vertices, canonically ordered.
 
     The default bound is the vertex count (exhaustive); graphs above 16
@@ -373,7 +388,7 @@ def find_induced_odd_cycles(g: Graph, max_length: Optional[int] = None) -> list[
     ]
 
 
-class OddCycleVerdict(NamedTuple):
+class OddCycleVerdict(_Value):
     """Outcome of the pairwise odd-cycle test.
 
     satisfied: every two induced odd cycles share a vertex or are bridged by
@@ -384,13 +399,13 @@ class OddCycleVerdict(NamedTuple):
     """
 
     status: str
-    witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]]
+    witness: tuple[tuple[str, ...], tuple[str, ...]] | None
     max_length: int
     complete: bool
     cycles_found: int
 
 
-def odd_cycle_condition(g: Graph, max_length: Optional[int] = None) -> OddCycleVerdict:
+def odd_cycle_condition(g: Graph, max_length: int | None = None) -> OddCycleVerdict:
     cap = _resolve_cycle_cap(g, max_length, "odd_cycle_condition")
     complete = cap >= len(g.vertices)
     cycles = find_induced_odd_cycles(g, cap)

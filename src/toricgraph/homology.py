@@ -42,7 +42,7 @@ which changes the answer:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import linalg
 from .complexes import SimplicialComplex, maximal_masks
@@ -83,9 +83,9 @@ class FieldSpec(_Value):
     """Coefficient field: the rationals (modulus None) or GF(p), p prime.
     An immutable value, equal to any field spec with the same modulus."""
 
-    modulus: Optional[int]
+    modulus: int | None
 
-    def __init__(self, modulus: Optional[int] = None) -> None:
+    def __init__(self, modulus: int | None = None) -> None:
         if modulus is not None:
             if modulus >= _MR_LIMIT:
                 raise ValueError(f"modulus must be below {_MR_LIMIT}, got {modulus}")

@@ -20,13 +20,13 @@ keeps memory proportional to the fill-in rather than to rows x columns.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 
 def rank(
     columns: Sequence[Mapping[int, int]],
     nrows: int,
-    modulus: Optional[int] = None,
+    modulus: int | None = None,
 ) -> int:
     """Rank of the nrows x len(columns) matrix given by sparse columns.
 
@@ -40,7 +40,7 @@ def rank(
 
 def pivot_rows(
     columns: Sequence[Mapping[int, int]],
-    modulus: Optional[int] = None,
+    modulus: int | None = None,
 ) -> set[int]:
     """The pivot rows of the column reduction of the given sparse columns,
     one per unit of rank, over Q (modulus None) or GF(modulus)."""

@@ -17,9 +17,9 @@ number of edges; for sparse graphs this defeats Cohen-Macaulayness outright.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, invariants
 from .complexes import build_delta
@@ -55,15 +55,6 @@ class ForbiddenEmbedding(_Value):
     path1: tuple[str, ...]
     path2: tuple[str, ...]
 
-    def __init__(
-        self,
-        cycle1: tuple[str, ...],
-        cycle2: tuple[str, ...],
-        path1: tuple[str, ...],
-        path2: tuple[str, ...],
-    ) -> None:
-        self._set(cycle1, cycle2, path1, path2)
-
     @property
     def path_lengths(self) -> tuple[int, int]:
         return (len(self.path1) - 1, len(self.path2) - 1)
@@ -82,16 +73,8 @@ class ForbiddenEmbedding(_Value):
                 edges.append(frozenset((a, b)))
         return edges
 
-    def as_dict(self) -> dict:
-        return {
-            "cycle1": list(self.cycle1),
-            "cycle2": list(self.cycle2),
-            "path1": list(self.path1),
-            "path2": list(self.path2),
-        }
 
-
-def embedding_error(g: Graph, emb: ForbiddenEmbedding) -> Optional[str]:
+def embedding_error(g: Graph, emb: ForbiddenEmbedding) -> str | None:
     """Why emb is not a valid copy of the pattern in g, or None if it is.
 
     Unknown vertex labels raise; structural defects are reported as text.
@@ -193,9 +176,9 @@ def _paths_between(
 
 def detect_forbidden(
     g: Graph,
-    max_cycle: Optional[int] = None,
-    max_path: Optional[int] = None,
-) -> Optional[ForbiddenEmbedding]:
+    max_cycle: int | None = None,
+    max_path: int | None = None,
+) -> ForbiddenEmbedding | None:
     """First valid copy of the pattern, or None (within the search bounds).
 
     Deterministic: cycle pairs are tried in canonical order, then the first
@@ -257,7 +240,7 @@ def forbidden_reg_bound_standard(emb: ForbiddenEmbedding) -> int:
     return total // 2 - 3
 
 
-class NonCMCertificate(NamedTuple):
+class NonCMCertificate(_Value):
     """Computational certificate attached to one copy of the pattern.
 
     The degree complex at the certifying multidegree is computed from
@@ -283,13 +266,13 @@ class NonCMCertificate(NamedTuple):
 
 def noncm_certificate(
     g: Graph,
-    embedding: Optional[ForbiddenEmbedding] = None,
+    embedding: ForbiddenEmbedding | None = None,
     *,
     field: FieldSpec = RATIONALS,
     max_fiber: int = DEFAULT_MAX_FIBER,
-    max_cycle: Optional[int] = None,
-    max_path: Optional[int] = None,
-) -> Optional[NonCMCertificate]:
+    max_cycle: int | None = None,
+    max_path: int | None = None,
+) -> NonCMCertificate | None:
     """Build the certificate for a given embedding, or search for one.
 
     Returns None when no embedding is given and none is found within bounds.
@@ -322,7 +305,7 @@ def noncm_certificate(
     )
 
 
-class PartBound(NamedTuple):
+class PartBound(_Value):
     vertices: tuple[str, ...]
     method: str
     regularity: int
@@ -330,7 +313,7 @@ class PartBound(NamedTuple):
     certified: bool
 
 
-class BoundsReport(NamedTuple):
+class BoundsReport(_Value):
     """Lower bounds on reg and pd of k[G] from disjoint induced parts.
 
     Valid because the union of the parts is an induced subgraph whose edge

@@ -481,7 +481,8 @@ def test_version(capsys):
 
 def test_cli_import_loads_no_dataclasses_or_fractions():
     # start-up cost: importing the command line pulls in none of these
-    # modules (dataclasses alone brings inspect, ast, dis and tokenize)
+    # modules (dataclasses alone brings inspect, ast, dis and tokenize, and
+    # typing builds dozens of classes and aliases as it loads)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
@@ -496,7 +497,7 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     )
     loaded = set(proc.stdout.split())
     assert "toricgraph.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "typing"}
     # the input's digest comes from the builtin SHA-256 where the
     # interpreter ships one; hashlib would map OpenSSL for it
     builtin = {m for m in ("_sha256", "_sha2") if importlib.util.find_spec(m)}

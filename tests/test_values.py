@@ -1,6 +1,6 @@
 """Value semantics of the library's immutable classes and result records:
-construction in field order, equality, hashing, repr and read-only
-attributes, and round trips through pickle and deepcopy."""
+construction in field order, equality, hashing, repr, `_asdict` and
+read-only attributes, and round trips through pickle and deepcopy."""
 
 import copy
 import pickle
@@ -21,9 +21,12 @@ from toricgraph import (
     PartBound,
     SimplicialComplex,
 )
+from toricgraph.graph import _Value
 
 PATTERN = (("x1", "x2", "x3"), ("y1", "y2", "y3"), ("x1", "z1", "y1"), ("x1", "w1", "y1"))
 PART = PartBound(("a", "b"), "scan (certified)", 0, 0, True)
+# the result records take their fields through the base class's __init__
+RECORDS = (BettiTable, InvariantsReport, OddCycleVerdict, NonCMCertificate, PartBound, BoundsReport)
 
 # (class, field names in order, field values, the same with one value changed)
 CASES = [
@@ -59,10 +62,12 @@ CASES = [
 
 @pytest.mark.parametrize("cls,fields,values,changed", CASES, ids=[c[0].__name__ for c in CASES])
 def test_value_semantics(cls, fields, values, changed):
-    assert tuple(cls.__annotations__) == fields
+    assert issubclass(cls, _Value) and tuple(cls.__annotations__) == fields
     a = cls(*values)
     b = cls(**dict(zip(fields, values)))
     assert tuple(getattr(a, name) for name in fields) == values
+    assert a._asdict() == dict(zip(fields, values))
+    assert list(a._asdict()) == list(fields)
     assert a == b and not a != b
     assert a != cls(*changed)
     assert repr(a) == f"{cls.__name__}(" + ", ".join(
@@ -87,6 +92,30 @@ def test_plain_classes_differ_from_other_types():
     g = Graph(("a",), ())
     assert g != ("a",) and g != SimplicialComplex(("a",), ())
     assert FieldSpec() == RATIONALS and hash(FieldSpec()) == hash(RATIONALS)
+    # a record is no tuple: it differs from the tuple of its fields
+    for cls, _, values, _ in CASES:
+        assert cls(*values) != values and values != cls(*values)
+    assert PART != (("a", "b"), "scan (certified)", 0, 0, True)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+def test_records_check_their_fields(cls):
+    assert "__init__" not in cls.__dict__
+    _, fields, values, _ = next(case for case in CASES if case[0] is cls)
+    wrong = [
+        (values[:-1], {}),  # a field missing
+        ((), {}),  # every field missing
+        (values + (None,), {}),  # an extra field
+        (values, {"extra": 1}),  # an unknown keyword
+        (values[:-1], {"extra": 1}),  # an unknown keyword in place of a field
+        (values[:-1], {fields[0]: values[0]}),  # a field given twice
+    ]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError, match="takes the fields"):
+            cls(*args, **kwargs)
+    # keywords fill what the positions leave, in any order
+    named = dict(reversed(list(zip(fields[1:], values[1:]))))
+    assert cls(values[0], **named) == cls(*values)
 
 
 def test_cached_views_survive_read_only_attributes():
