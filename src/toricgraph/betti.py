@@ -42,16 +42,17 @@ component at its top degree when it knows one, and convolves the component
 tables.  That visits the sum of the components' element counts instead of
 their product.
 
-A component knows its top degree, the largest standard degree of a Betti
-entry, when its ring is free (0), K_{u,v} ((u-1)v in closed form) or
-normal, that is bipartite or satisfying the odd cycle condition
-(Ohsugi-Hibi).  A normal ring of dimension d = `incidence_rank` is
-Cohen-Macaulay (Hochster) with negative a-invariant (Danilov-Stanley), so
-the level sizes H(0), ..., H(d - 1), which the scan counts anyway, fix its
-h-vector, and the resolution ends at degree pd + deg h with pd = |E| - d.
-Such a component is scanned to d - 1, and on to the top degree only if that
-lies further; homology stops at the top degree (`_top_degree`).  Each
-finished component table is cross-checked against its h-vector.
+One plan per component (`_Plan`) decides its levels and its top degree,
+the largest standard degree of a Betti entry, for `betti_table` and
+`known_complete_degree` alike.  The top degree is known when the ring is
+free (0), K_{u,v} ((u-1)v in closed form) or normal, that is bipartite or
+satisfying the odd cycle condition (Ohsugi-Hibi).  A normal ring of
+dimension d = `incidence_rank` is Cohen-Macaulay (Hochster) with negative
+a-invariant (Danilov-Stanley), so the level sizes H(0), ..., H(d - 1) fix
+its h-vector, and the resolution ends at degree pd + deg h with pd = |E| -
+d.  Such a component is scanned to d - 1, and on to the top degree only if
+that lies further.  Each finished component table is cross-checked against
+its h-vector.
 
 A bipartite component H is scanned only inside its degree box, the
 multidegrees s <= deg_H entrywise, because no Betti number of k[H] lives
@@ -389,21 +390,17 @@ def betti_table(
     max_degree defaults to the edge count (a safe but often generous bound).
     Each connected component with an edge is scanned on its own, up to
     max_degree or its top degree, whichever is lower; the component tables
-    are then convolved (Kuenneth) and cut at max_degree.  A normal
-    component's top degree comes from its levels up to d - 1, so it is
-    known only when max_degree >= d - 1 (see `_top_degree`); the table is
-    certified when max_degree reaches the sum of the top degrees.
-    A bipartite component H is scanned only inside its degree box s <=
-    deg_H, where all its Betti numbers live: its incidence matrix is
-    totally unimodular, so its initial ideals are squarefree, and their
-    Betti numbers, which bound those of k[H] degree by degree, sit in the
-    degrees of squarefree monomials (see the module docstring).
-    `max_scan` caps the multidegrees held in all components together,
-    one representative per twin orbit: `semigroup_levels` lists each
-    component's levels up to d - 1 whole, as the Hilbert function needs
-    them, and `_grow` adds the levels past it, for a bipartite component
-    only the representatives in its box.  A negative `max_scan` or
-    `max_fiber` is a ValueError.
+    are then convolved (Kuenneth) and cut at max_degree.  Each component's
+    plan (`_Plan.levels`) gives its levels and top degree: a normal
+    component's comes from its levels up to d - 1, so it is known only when
+    max_degree >= d - 1; the table is certified when max_degree reaches the
+    sum of the top degrees.  A bipartite component H is scanned only inside
+    its degree box s <= deg_H, where all its Betti numbers live (see the
+    module docstring).  `max_scan` caps the multidegrees held in all
+    components together, one representative per twin orbit: each
+    component's whole levels up to d - 1, which the Hilbert function
+    needs, and for a bipartite component only the representatives in its
+    box past them.  A negative `max_scan` or `max_fiber` is a ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -425,31 +422,12 @@ def betti_table(
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[int | None] = []
     scanned = 0
-    for h, normal, box in _components(g):
-        d = incidence_rank(h)
-        classes = twin_classes(h)
-        twins = _TwinGroup(h, classes)
-        # whole levels as far as the Hilbert function needs them, to d - 1
-        # for a normal ring (K_{u,v}'s closed form lies no lower); a free
-        # ring has no syzygies, so level 0 is enough
-        whole = 0 if d == len(h.edges) else d - 1 if normal else max_degree
-        try:
-            levels = semigroup_levels(h, min(max_degree, whole), max_scan - scanned, classes)
-            held = scanned + sum(map(len, levels))
-            sizes = _hilbert(levels[:d], twins) if normal and len(levels) >= d else []
-            top = _top_degree(h, normal, sizes)
-            stop = max_degree if top is None else min(max_degree, top)
-            levels = levels[: stop + 1]
-            if box is not None:
-                levels = [[r for r in level if all(x <= b for x, b in zip(r, box))] for level in levels]
-            # past d - 1: scan on to the top degree, a bipartite H in its box
-            scanned = _grow(h, levels, stop, max_scan, twins, held, box)
-        except ScanOverflowError as exc:
-            raise ScanOverflowError(max_scan, exc.degree) from None
-        local = _scan(h, levels, twins, field, max_fiber, on_complex)
-        if sizes and top <= max_degree:
-            _check_k_polynomial(h, _h_vector(sizes, d), local)
-        positions = [g.index[v] for v in h.vertices]
+    for plan in _plans(g):
+        levels, top, hvec, scanned = plan.levels(max_degree, max_scan, scanned)
+        local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex)
+        if hvec is not None and top <= max_degree:
+            _check_k_polynomial(plan, hvec, local)
+        positions = [g.index[v] for v in plan.h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
         tops.append(top)
 
@@ -634,13 +612,13 @@ def _times_one_minus_t(coeffs: Sequence[int], power: int) -> list[int]:
 
 
 def _check_k_polynomial(
-    h: Graph, hvec: list[int], table: dict[tuple[int, tuple[int, ...]], int]
+    plan: _Plan, hvec: list[int], table: dict[tuple[int, tuple[int, ...]], int]
 ) -> None:
-    """Cross-check a connected graph's finished Betti table against its
-    h-vector: the alternating sum of the table, sum (-1)^i beta_{i,j} t^j,
-    is the K-polynomial, the numerator of the Hilbert series over the edge
+    """Cross-check a component's finished Betti table against its h-vector:
+    the alternating sum of the table, sum (-1)^i beta_{i,j} t^j, is the
+    K-polynomial, the numerator of the Hilbert series over the edge
     polynomial ring, which is h(t) (1 - t)^{|E| - d}."""
-    codim = len(h.edges) - incidence_rank(h)
+    codim = len(plan.h.edges) - plan.d
     k = _times_one_minus_t(hvec + [0] * codim, codim)
     euler: dict[int, int] = {}
     for (i, s), b in table.items():
@@ -651,81 +629,94 @@ def _check_k_polynomial(
         )
 
 
-def _top_degree(h: Graph, normal: bool, sizes: Sequence[int] = ()) -> int | None:
-    """Largest standard degree any Betti entry of k[H] can live in, for a
-    connected graph H with at least one edge, when it is known; None
-    otherwise.  `normal` says whether k[H] is normal (`_components`), and
-    `sizes` are the element counts H(0), H(1), ... of H's semigroup levels,
-    as far as they have been scanned.
+class _Plan:
+    """One connected component H with an edge, and what decides how far it
+    is scanned: its incidence rank d; whether k[H] is normal, that is H is
+    bipartite or satisfies the odd cycle condition (Ohsugi-Hibi, J. Algebra
+    207, 1998), searched exhaustively up to EXHAUSTIVE_VERTEX_LIMIT
+    vertices; the degree box deg_H of a bipartite H, None otherwise; its
+    twin group; and its top degree in closed form: 0 when k[H] is free
+    (d = |E|, no syzygies), reg + pd = (u-1)v for K_{u,v} with u <= v
+    (`complete_bipartite_reg_pd`), None otherwise."""
 
-    H presents a free polynomial ring (no syzygies at all) when its incidence
-    rank d equals its edge count: the top degree is 0.  K_{u,v} with u <= v
-    tops out at degree reg + pd (`complete_bipartite_reg_pd`), which is
-    (u-1)v.  Any other normal ring is Cohen-Macaulay (Hochster, Ann. Math.
-    96, 1972), so pd = |E| - d (Auslander-Buchsbaum), reg = deg h and the
-    resolution ends at degree pd + deg h, which the levels up to d - 1 fix
-    (`_h_vector`).  Free and K_{u,v} rings are normal too; for K_{u,v} the
-    same sum, once the levels reach d - 1, cross-checks the closed form.
-    """
-    d = incidence_rank(h)
-    if d == len(h.edges):
-        return 0
-    sides = recognize_complete_bipartite(h)
-    top = None if sides is None else sum(complete_bipartite_reg_pd(*sides))
-    if normal and len(sizes) >= d:
-        hilbert = len(h.edges) - d + len(_h_vector(sizes, d)) - 1
-        if top is not None and hilbert != top:
-            raise RuntimeError(
-                f"internal error: K_{{{sides[0]},{sides[1]}}} has pd + deg h = {hilbert}, "
-                f"not the closed-form top degree {top}"
-            )
-        top = hilbert
-    return top
+    def __init__(self, h: Graph, bipartite: bool):
+        self.h = h
+        self.d = incidence_rank(h)
+        self.normal = bipartite or (
+            len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
+            and odd_cycle_condition(h).status == "satisfied"
+        )
+        self.box = tuple(map(len, h._adjacency)) if bipartite else None
+        self.classes = twin_classes(h)
+        self.twins = _TwinGroup(h, self.classes)
+        self.sides = recognize_complete_bipartite(h)
+        closed = None if self.sides is None else sum(complete_bipartite_reg_pd(*self.sides))
+        self.top = 0 if self.d == len(h.edges) else closed
+
+    def levels(
+        self, max_degree: int, max_scan: int, held: int = 0
+    ) -> tuple[list[list[tuple[int, ...]]], int | None, list[int] | None, int]:
+        """The levels to scan up to `max_degree`, the top degree (None if
+        unknown), the h-vector (None unless the levels reach d - 1 of a
+        normal ring) and `held` plus the representatives held, which
+        `max_scan` caps (ScanOverflowError).
+
+        A normal ring is Cohen-Macaulay (Hochster, Ann. Math. 96, 1972), so
+        pd = |E| - d, reg = deg h and the resolution ends at degree
+        pd + deg h, which the whole levels up to d - 1 fix (`_h_vector`);
+        for K_{u,v} the sum cross-checks the closed form.  The levels are
+        cut at the top degree and to the box, and grown past d - 1 inside
+        it (`_grow`)."""
+        h, d, twins = self.h, self.d, self.twins
+        # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
+        # no syzygies, so level 0 is enough
+        whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
+        try:
+            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, self.classes)
+            held += sum(map(len, levels))
+            top, hvec = self.top, None
+            if self.normal and len(levels) == d:
+                hvec = _h_vector(_hilbert(levels, twins), d)
+                hilbert = len(h.edges) - d + len(hvec) - 1
+                if self.sides is not None and hilbert != top:
+                    raise RuntimeError(
+                        f"internal error: K_{{{self.sides[0]},{self.sides[1]}}} has "
+                        f"pd + deg h = {hilbert}, not the closed-form top degree {top}"
+                    )
+                top = hilbert
+            stop = max_degree if top is None else min(max_degree, top)
+            levels = levels[: stop + 1]
+            if self.box is not None:
+                levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
+            held = _grow(h, levels, stop, max_scan, twins, held, self.box)
+        except ScanOverflowError as exc:
+            raise ScanOverflowError(max_scan, exc.degree) from None
+        return levels, top, hvec, held
 
 
-def _components(g: Graph) -> list[tuple[Graph, bool, tuple[int, ...] | None]]:
-    """Each connected component H with at least one edge, as an induced
-    subgraph of g, with whether k[H] is normal and, when H is bipartite, its
-    degree box: deg_H(v) for each vertex, in H's order.
-
-    k[H] is normal when H is bipartite, or when every two induced odd cycles
-    of H share a vertex or are joined by an edge (the odd cycle condition;
-    Ohsugi-Hibi, J. Algebra 207, 1998).  The condition is searched
-    exhaustively, which `odd_cycle_condition` does up to
-    EXHAUSTIVE_VERTEX_LIMIT vertices; a larger H that is not bipartite is
-    not known to be normal.  Every Betti number of a bipartite H lives in
-    the box (see the module docstring: a totally unimodular A, upper
-    semicontinuity, squarefree degrees); a component that is not bipartite
-    gets None."""
-    parts = []
-    for comp, bipartite in zip(connected_components(g), is_bipartite(g)):
-        h = induced_subgraph(g, comp)
-        if h.edges:
-            normal = bipartite or (
-                len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
-                and odd_cycle_condition(h).status == "satisfied"
-            )
-            parts.append((h, normal, tuple(map(len, h._adjacency)) if bipartite else None))
-    return parts
+def _plans(g: Graph) -> list[_Plan]:
+    """The plan of each connected component of g with an edge, as an
+    induced subgraph of g, in the order of `connected_components`."""
+    parts = (induced_subgraph(g, comp) for comp in connected_components(g))
+    return [_Plan(h, bipartite) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
 
 
 def known_complete_degree(g: Graph) -> int | None:
     """Largest standard degree any Betti entry of k[G] can live in, when
-    every connected component has a known top degree (`_top_degree`): it
-    is free, complete bipartite, or normal; None otherwise.
+    every connected component has a known top degree (`_Plan`): it is
+    free, complete bipartite, or normal; None otherwise.
 
-    A normal component's top degree is read off its Hilbert function up to
+    A free or complete bipartite component's top degree is a closed form.
+    Any other normal component's is read off its Hilbert function up to
     degree d - 1, so this scans those levels, under the default `max_scan`
     (ScanOverflowError past it).  Every class is Cohen-Macaulay, so the top
     degree adds up across a disjoint union.
     """
     tops = []
-    for h, normal, _ in _components(g):
-        top = _top_degree(h, normal)
-        if top is None and normal:
-            classes = twin_classes(h)
-            levels = semigroup_levels(h, incidence_rank(h) - 1, classes=classes)
-            top = _top_degree(h, normal, _hilbert(levels, _TwinGroup(h, classes)))
+    for plan in _plans(g):
+        top = plan.top
+        if top is None and plan.normal:
+            top = plan.levels(plan.d - 1, DEFAULT_MAX_SCAN)[1]
         tops.append(top)
     return None if None in tops else sum(tops)
 

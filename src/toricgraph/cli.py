@@ -49,6 +49,7 @@ from .graph import (
 from .homology import parse_field
 from .structure import (
     ForbiddenEmbedding,
+    _resolve_path_cap,
     lower_bounds,
     noncm_certificate,
     odd_cycle_condition,
@@ -159,9 +160,11 @@ def _table(g: Graph, field, args):
 
 def _cmd_analyze(g: Graph, args) -> dict:
     field = parse_field(args.field)
+    # a bad search bound fails before the scan: the cycle bound first
+    occ = odd_cycle_condition(g, args.max_cycle)
+    _resolve_path_cap(g, args.max_path)
     table = _table(g, field, args)
     inv = invariants(g, table)
-    occ = odd_cycle_condition(g, args.max_cycle)
     cert = noncm_certificate(
         g,
         field=field,

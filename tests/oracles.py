@@ -4,7 +4,8 @@ Everything here deliberately avoids the engine's algorithms: fibers come
 from an exhaustive product-box sweep, induced cycles from testing every
 vertex subset, faces from every subset of every facet, boundary matrices
 from the definition, ranks from sympy's exact domain matrices, and the
-convolution from the definition.
+convolution from the definition.  The two composition checks are audits
+of the engine's own boundary maps, not references.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from toricgraph import RATIONALS, Graph, boundary_matrix, reduced_homology
+from toricgraph import RATIONALS, Graph, boundary_matrix, homology, reduced_homology
 
 
 def box_fiber(g: Graph, s) -> list[tuple[int, ...]]:
@@ -129,20 +130,41 @@ def sympy_rank(columns, nrows: int, modulus=None) -> int:
     return dm.convert_to(domain).rank()
 
 
+def _composes_to_zero(upper: list[dict[int, int]], lower: list[dict[int, int]]) -> bool:
+    """Whether the sparse map `lower` after `upper` is zero over the integers."""
+    for col in upper:
+        acc: dict[int, int] = {}
+        for j, c in col.items():
+            for i, v in lower[j].items():
+                acc[i] = acc.get(i, 0) + c * v
+        if any(acc.values()):
+            return False
+    return True
+
+
 def composition_vanishes(k) -> bool:
     """The engine's d_{d-1} after its d_d is the zero map, checked over the
     integers."""
-    for d in range(1, k.dim + 1):
-        upper = boundary_matrix(k, d)
-        lower = boundary_matrix(k, d - 1)
-        for col in upper:
-            acc: dict[int, int] = {}
-            for j, c in col.items():
-                for i, v in lower[j].items():
-                    acc[i] = acc.get(i, 0) + c * v
-            if any(acc.values()):
-                return False
-    return True
+    return all(
+        _composes_to_zero(boundary_matrix(k, d), boundary_matrix(k, d - 1))
+        for d in range(1, k.dim + 1)
+    )
+
+
+def relative_composition_vanishes(k) -> bool:
+    """The same for the complex `reduced_homology` reduces: the chains of
+    k's core relative to a vertex star (`_relative_faces`), by size, with
+    the boundary terms in the link dropped (`_boundary_columns`)."""
+    core = k.core()
+    if core.is_void or core.is_irrelevant:
+        return True
+    chains, in_link = homology._relative_faces(core)
+    # maps[n] sends the chains of size n + 1 to those of size n
+    maps = [
+        homology._boundary_columns(chains[n + 1], chains[n], in_link)
+        for n in range(len(chains) - 1)
+    ]
+    return all(_composes_to_zero(upper, lower) for lower, upper in zip(maps, maps[1:]))
 
 
 def euler_characteristic_check(k, field=RATIONALS) -> bool:

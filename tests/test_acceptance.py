@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipped claim, one printed pass/fail line each.
 
 Criteria 1-6 feed every degree complex they build into a shared audit pool;
-criterion 7 then replays the soundness checks (boundary composition, sympy
-rank cross-check, Euler characteristic, ground-permutation invariance) over
+criterion 7 then replays the soundness checks (boundary composition, on the
+whole complex and on the relative complex the engine reduces, sympy rank
+cross-check, Euler characteristic, ground-permutation invariance) over
 the whole pool.  Run this file alone and criterion 7 regenerates a minimal
 pool for itself.
 """
@@ -42,6 +43,7 @@ from oracles import (
     homology_via_sympy,
     permuted_homology,
     random_graph,
+    relative_composition_vanishes,
 )
 from whole_scan import whole_graph_entries
 
@@ -249,6 +251,7 @@ def test_criterion_07_homology_engine_soundness():
         rng = random.Random(1)
         for delta in AUDIT.values():
             assert composition_vanishes(delta)
+            assert relative_composition_vanishes(delta)
             assert euler_characteristic_check(delta)
             hom = reduced_homology(delta)
             assert hom == homology_via_sympy(delta)

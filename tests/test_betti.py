@@ -1,5 +1,6 @@
 """The multigraded Betti table scan and the invariants derived from it."""
 
+import os
 import random
 from itertools import accumulate, combinations_with_replacement
 
@@ -25,6 +26,7 @@ from toricgraph import (
     induced_subgraph,
     is_bipartite,
     known_complete_degree,
+    loads_graph,
     lower_bounds,
     noncm_certificate,
     odd_cycle_condition,
@@ -34,7 +36,7 @@ from toricgraph import (
 )
 from toricgraph import betti
 
-from oracles import box_fiber, homology_via_sympy, random_graph
+from oracles import box_fiber, homology_via_sympy, induced_cycles, random_graph
 from whole_scan import whole_graph_entries
 
 
@@ -227,6 +229,39 @@ def test_known_complete_degree():
     assert known_complete_degree(two) == 5
     odd = disjoint_union(cycle_graph(3, "s"), cycle_graph(5, "t"))
     assert known_complete_degree(odd) == 0
+
+
+def test_known_complete_degree_matches_the_certified_table(data_dir):
+    # known_complete_degree and betti_table read one plan per component:
+    # the degree is None exactly when the table to the edge count is not
+    # certified, and otherwise it is the table's top standard degree.  The
+    # pattern graph and two triangles joined by a path are not normal
+    with open(os.path.join(data_dir, "f.json"), encoding="utf-8") as fh:
+        pattern = loads_graph(fh.read())
+    joined = Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "m"), ("m", "x"), ("x", "y"), ("y", "z"), ("z", "x")]
+    )
+    rng = random.Random(2121)
+    graphs = [random_graph(rng) for _ in range(80)] + [pattern, joined]
+    unknown = 0
+    for g in graphs:
+        known, table = known_complete_degree(g), betti_table(g)
+        assert (known is None) == (not table.certified), g
+        if known is None:
+            unknown += 1
+        else:
+            assert known == max(sum(s) // 2 for _, s in table.entries), g
+    assert unknown >= 2
+
+
+def test_closed_form_top_degrees_scan_nothing(monkeypatch):
+    # a free component (a tree, a triangle with a tail) or K_{u,v} has its
+    # top degree in closed form: 0, and (u - 1)v = 35 for K_{6,7}
+    tail = Graph.from_edges([("t1", "t2"), ("t2", "t3"), ("t3", "t1"), ("t3", "t4")])
+    g = disjoint_union(complete_bipartite_graph(6, 7), path_graph(4, "p"), tail)
+    levels = _count_calls(monkeypatch, "semigroup_levels")
+    assert known_complete_degree(g) == 35
+    assert levels == []
 
 
 def test_depth_plus_pd_is_edge_count():
@@ -681,6 +716,30 @@ def test_box_scan_matches_whole_graph_scan(rng):
     for field in (RATIONALS, FieldSpec(2)):
         got = betti_table(g, bound, field=field).entries
         assert got == whole_graph_entries(g, bound, field), (g, bound, field)
+
+
+def test_bipartite_first_syzygies_are_the_induced_even_cycles():
+    # I_G of a bipartite G is minimally generated by the binomials of its
+    # induced even cycles W, one each, in multidegree 1_W (Villarreal, Comm.
+    # Algebra 23, 1995; Ohsugi-Hibi, J. Algebra 218, 1999); the cycles come
+    # from the subset oracle, not from the engine
+    rng = random.Random(6)
+    cycles = 0
+    for _ in range(40):
+        left, right = rng.randint(2, 4), rng.randint(2, 4)
+        pairs = [(f"l{i}", f"r{j}") for i in range(left) for j in range(right)]
+        rng.shuffle(pairs)
+        labels = tuple(f"l{i}" for i in range(left)) + tuple(f"r{j}" for j in range(right))
+        g = Graph(labels, tuple(pairs[: rng.randint(1, min(11, len(pairs)))]))
+        table = betti_table(g)
+        assert table.certified, g
+        expected = {}
+        for cycle in induced_cycles(g, len(g.vertices)):
+            assert len(cycle) % 2 == 0
+            expected[tuple(int(v in cycle) for v in g.vertices)] = 1
+        assert {s: b for (i, s), b in table.entries.items() if i == 1} == expected, g
+        cycles += len(expected)
+    assert cycles >= 40
 
 
 def _outside_the_box(g, degree, sides=()):

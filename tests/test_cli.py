@@ -291,6 +291,33 @@ def test_failed_hilbert_cross_check_exits_1_with_one_line(capsys, data_dir, monk
     assert err.startswith("toricgraph: error: internal error: K_{2,3}") and err.count("\n") == 1
 
 
+def test_bad_search_bounds_fail_before_the_scan(capsys, monkeypatch, tmp_path):
+    # K_{4,4} + triangle + P_6 has 17 vertices, one past the exhaustive
+    # cycle search; its scan takes about as long as a whole run, so a bad
+    # bound is reported without it, the cycle bound before the path bound,
+    # and before a scan cap that would overflow
+    edges = [f"a{i} b{j}" for i in range(4) for j in range(4)]
+    edges += ["t0 t1", "t1 t2", "t2 t0"] + [f"p{i} p{i + 1}" for i in range(5)]
+    path = tmp_path / "k44-triangle-p6.edges"
+    path.write_text("\n".join(edges) + "\n")
+    scans = []
+    monkeypatch.setattr(cli, "betti_table", lambda *args, **kwargs: scans.append(args))
+    cycles = "odd_cycle_condition: graph has 17 > 16 vertices; pass an explicit search bound"
+    low = "odd_cycle_condition: max length must be at least 3, got 2"
+    paths = "detect_forbidden: max path length must be at least 2, got 1"
+    for flags, message in (
+        ((), cycles),
+        (("--max-path", "1"), cycles),
+        (("--max-cycle", "2"), low),
+        (("--max-cycle", "2", "--max-path", "1"), low),
+        (("--max-cycle", "17", "--max-path", "1"), paths),
+        (("--max-cycle", "17", "--max-path", "1", "--max-scan", "0"), paths),
+    ):
+        code, out, err = _run(capsys, "analyze", str(path), *flags)
+        assert (code, out, err) == (1, "", f"toricgraph: error: {message}\n"), flags
+    assert scans == []
+
+
 def test_normal_components_are_certified(capsys, data_dir, tmp_path):
     # each bowtie is normal with top degree 3 (h = 1 + t + t^2, pd 1), so
     # --max-deg 6 covers the union; the odd cycle condition fails on the

@@ -22,6 +22,7 @@ from oracles import (
     euler_characteristic_check,
     homology_via_sympy,
     permuted_homology,
+    relative_composition_vanishes,
 )
 
 GF2 = FieldSpec(2)
@@ -192,6 +193,7 @@ def test_composition_is_zero_on_random_complexes():
         ]
         k = _complex(n, faces)
         assert composition_vanishes(k)
+        assert relative_composition_vanishes(k)
 
 
 def test_matches_sympy_and_euler_on_random_complexes():
