@@ -17,9 +17,9 @@ under --verbose.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 try:  # hashlib maps OpenSSL for one digest a run; the builtin module is lean
     from _sha256 import sha256  # CPython <= 3.11
@@ -42,6 +42,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     _read_text,
+    _resolve_cycle_cap,
     connected_components,
     is_bipartite,
     loads_graph,
@@ -54,14 +55,6 @@ from .structure import (
     noncm_certificate,
     odd_cycle_condition,
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this tool reserves 2 for
-    # resource-cap aborts, so usage problems are remapped to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _load_json_file(path: str, what: str):
@@ -143,6 +136,13 @@ def _search(g: Graph, args) -> dict:
     }
 
 
+def _check_search_bounds(g: Graph, args) -> None:
+    """Fail on a bad --max-cycle or --max-path in the flag's words, before
+    any search: the cycle bound first."""
+    _resolve_cycle_cap(g, args.max_cycle, "--max-cycle")
+    _resolve_path_cap(g, args.max_path, "--max-path")
+
+
 # -- subcommand handlers: each returns its report's own sections ------------
 
 
@@ -160,9 +160,8 @@ def _table(g: Graph, field, args):
 
 def _cmd_analyze(g: Graph, args) -> dict:
     field = parse_field(args.field)
-    # a bad search bound fails before the scan: the cycle bound first
+    _check_search_bounds(g, args)  # before the scan
     occ = odd_cycle_condition(g, args.max_cycle)
-    _resolve_path_cap(g, args.max_path)
     table = _table(g, field, args)
     inv = invariants(g, table)
     cert = noncm_certificate(
@@ -237,6 +236,8 @@ def _cmd_certify(g: Graph, args) -> dict:
     embedding = None
     if args.embedding:
         embedding = _parse_embedding(_load_json_file(args.embedding, "embedding"))
+    else:
+        _check_search_bounds(g, args)
     cert = noncm_certificate(
         g,
         embedding,
@@ -309,69 +310,121 @@ def _summarize(payload: dict) -> list[str]:
     return lines
 
 
-def _common(p):
-    p.add_argument("graph", help="graph file (JSON or edge-list text)")
-    p.add_argument("--max-fiber", type=int, default=DEFAULT_MAX_FIBER,
-                   help="cap on decompositions per multidegree, and on facets "
-                   "per degree complex in a Betti scan")
-    p.add_argument("--verbose", action="store_true", help="human summary on stderr")
+# -- the command line -------------------------------------------------------
+#
+# Each command's flags are declared once, as rows (flag, type, default,
+# required, help) in help order; type is int, str, or bool for a switch.
+# `_build_parser` builds argparse from the rows, and `_read_argv` reads a
+# plainly well-formed command line straight from them.
 
+_MAX_FIBER = ("--max-fiber", int, DEFAULT_MAX_FIBER, False,
+              "cap on decompositions per multidegree, and on facets "
+              "per degree complex in a Betti scan")
+_VERBOSE = ("--verbose", bool, False, False, "human summary on stderr")
+_FIELD = ("--field", str, "q", False, "coefficient field: q or a prime")
+_MAX_SCAN = ("--max-scan", int, DEFAULT_MAX_SCAN, False,
+             "cap on scanned multidegrees, one per twin orbit")
+_SCAN = (
+    ("--max-deg", int, None, False, "scan bound in the standard grading (default: edge count)"),
+    _FIELD,
+    ("--assume-complete", bool, False, False,
+     "assert that the scan bound covers the whole resolution"),
+    _MAX_SCAN,
+)
+_SEARCH = (
+    ("--max-cycle", int, None, False,
+     "cap on induced cycle length (default: exhaustive up to 16 vertices)"),
+    ("--max-path", int, None, False, "cap on connecting path length"),
+)
+_DEGREE = ("--degree", str, None, True, "multidegree file (JSON object or array)")
 
-def _field(p):
-    p.add_argument("--field", default="q", help="coefficient field: q or a prime")
-
-
-def _max_scan(p):
-    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
-                   help="cap on scanned multidegrees, one per twin orbit")
-
-
-def _scan_flags(p):
-    p.add_argument("--max-deg", type=int, default=None,
-                   help="scan bound in the standard grading (default: edge count)")
-    _field(p)
-    p.add_argument("--assume-complete", action="store_true",
-                   help="assert that the scan bound covers the whole resolution")
-    _max_scan(p)
-
-
-def _search_flags(p):
-    p.add_argument("--max-cycle", type=int, default=None,
-                   help="cap on induced cycle length (default: exhaustive up to 16 vertices)")
-    p.add_argument("--max-path", type=int, default=None,
-                   help="cap on connecting path length")
-
-
-def _degree(p):
-    p.add_argument("--degree", required=True, help="multidegree file (JSON object or array)")
-
-
-# name: (help, handler, argument groups in help order)
+# name: (help, handler, flags after the graph, --max-fiber and --verbose)
 _COMMANDS = {
-    "analyze": ("full homological and structural report", _cmd_analyze,
-                (_common, _scan_flags, _search_flags)),
-    "betti": ("multigraded Betti table", _cmd_betti, (_common, _scan_flags)),
-    "complex": ("facets of one degree complex", _cmd_complex, (_common, _degree)),
-    "fiber": ("decompositions of one multidegree", _cmd_fiber, (_common, _degree)),
+    "analyze": ("full homological and structural report", _cmd_analyze, _SCAN + _SEARCH),
+    "betti": ("multigraded Betti table", _cmd_betti, _SCAN),
+    "complex": ("facets of one degree complex", _cmd_complex, (_DEGREE,)),
+    "fiber": ("decompositions of one multidegree", _cmd_fiber, (_DEGREE,)),
     "certify-noncm": ("find or verify a pattern certificate", _cmd_certify, (
-        _common,
-        lambda p: p.add_argument("--embedding", default=None, help="embedding file (JSON) to verify"),
-        _field,
-        _search_flags,
+        ("--embedding", str, None, False, "embedding file (JSON) to verify"),
+        _FIELD,
+        *_SEARCH,
     )),
     "bounds": ("reg/pd lower bounds from disjoint induced parts", _cmd_bounds, (
-        _common,
-        lambda p: p.add_argument("--parts", required=True,
-                                 help="JSON array of arrays of vertex labels"),
-        _field,
-        _max_scan,
+        ("--parts", str, None, True, "JSON array of arrays of vertex labels"),
+        _FIELD,
+        _MAX_SCAN,
     )),
 }
 
 
-def _build_parser(command: str | None = None) -> _Parser:
+def _flags(command: str) -> tuple:
+    """`command`'s flag rows in help order."""
+    return (_MAX_FIBER, _VERBOSE, *_COMMANDS[command][2])
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value under."""
+    return flag[2:].replace("-", "_")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for `argv`, read straight from the
+    flag table when `argv` is plainly well formed: a command first, exactly
+    one graph path, exact flag names each with a plain value (an int flag's
+    may be an ASCII negative integer), ints through int(), a repeated flag's
+    last value.  None for anything else, which is the parser's to read,
+    help and errors included."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, func = argv[0], _COMMANDS[argv[0]][1]
+    flags = _flags(command)
+    kinds = {flag: kind for flag, kind, _, _, _ in flags}
+    values = {_dest(flag): default for flag, _, default, _, _ in flags}
+    graph = None
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if graph is not None:
+                return None
+            graph = arg
+            continue
+        kind = kinds.get(arg)
+        if kind is None:
+            return None
+        value = True
+        if kind is not bool:
+            value = next(rest, None)
+            if value is None or value.startswith("-") and not (
+                kind is int and value[1:].isascii() and value[1:].isdigit()
+            ):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        values[_dest(arg)] = value
+    # a required flag's default is None, and every value read is a string
+    if graph is None or any(
+        required and values[_dest(flag)] is None for flag, _, _, required, _ in flags
+    ):
+        return None
+    return SimpleNamespace(command=command, graph=graph, **values, func=func)
+
+
+def _build_parser(command: str | None = None):
     """The parser with only `command`'s subparser, or with all of them when
-    `command` names none (top-level help and errors)."""
+    `command` names none (top-level help and errors).  The only place that
+    imports argparse: a well-formed command line never needs it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; this tool reserves 2 for
+        # resource-cap aborts, so usage problems are remapped to 1
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="toricgraph", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"toricgraph {__version__}")
     known = command in _COMMANDS
@@ -380,21 +433,26 @@ def _build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 **({"metavar": "{%s}" % ",".join(_COMMANDS)} if known else {}))
     for name in [command] if known else _COMMANDS:
-        help_, func, groups = _COMMANDS[name]
+        help_, func, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
-        for add in groups:
-            add(p)
+        p.add_argument("graph", help="graph file (JSON or edge-list text)")
+        for flag, kind, default, required, flag_help in _flags(name):
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=flag_help)
+            else:
+                p.add_argument(flag, type=kind, default=default, required=required, help=flag_help)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         for flag in ("max_fiber", "max_scan"):  # a negative cap is bad input, not an overflow
             value = getattr(args, flag, 0)

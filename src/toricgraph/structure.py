@@ -174,12 +174,13 @@ def _paths_between(
             stack.append(iter(nbrs[u]))
 
 
-def _resolve_path_cap(g: Graph, max_path: int | None) -> int:
-    """The connecting-path bound: `max_path`, at least 2, or max(|V|, 2)."""
+def _resolve_path_cap(g: Graph, max_path: int | None, what: str) -> int:
+    """The connecting-path bound: `max_path`, at least 2, or max(|V|, 2);
+    `what` names the caller in the error."""
     if max_path is None:
         return max(len(g.vertices), 2)
     if max_path < 2:
-        raise ValueError(f"detect_forbidden: max path length must be at least 2, got {max_path}")
+        raise ValueError(f"{what}: max path length must be at least 2, got {max_path}")
     return max_path
 
 
@@ -194,7 +195,7 @@ def detect_forbidden(
     path lexicographically, then the second.
     """
     cycle_cap = _resolve_cycle_cap(g, max_cycle, "detect_forbidden")
-    path_cap = _resolve_path_cap(g, max_path)
+    path_cap = _resolve_path_cap(g, max_path, "detect_forbidden")
     idx = g.index
     cycles = [c for c in _induced_cycles(g, cycle_cap) if len(c) % 2 == 1]
     for a, b in combinations(range(len(cycles)), 2):

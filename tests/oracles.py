@@ -85,6 +85,46 @@ def random_graph(rng: random.Random, max_vertices: int = 7, max_edges: int = 9) 
     return Graph(labels, tuple(pairs[:m]))
 
 
+def has_unjoined_odd_cycles(g: Graph) -> bool:
+    """Whether two vertex-disjoint induced odd cycles of g have no edge
+    between them, by testing every pair of `induced_cycles`.  In one
+    connected component this breaks the odd cycle condition, so the edge
+    subring is not normal."""
+    edges = {frozenset(e) for e in g.edges}
+    odd = [set(c) for c in induced_cycles(g, len(g.vertices)) if len(c) % 2]
+    return any(
+        not a & b and not any(frozenset((u, v)) in edges for u in a for v in b)
+        for a, b in itertools.combinations(odd, 2)
+    )
+
+
+def non_normal_graph(rng: random.Random, max_vertices: int = 8, max_edges: int = 10) -> Graph:
+    """A connected graph whose edge subring is not normal: two vertex-disjoint
+    odd cycles joined by a path of length at least 2, plus random extra edges
+    up to `max_edges`, each kept only if two vertex-disjoint induced odd
+    cycles with no edge between them remain (`has_unjoined_odd_cycles`)."""
+    while True:
+        k1, k2 = rng.choice((3, 5)), rng.choice((3, 5))
+        length = rng.randint(2, 4)
+        if k1 + k2 + length - 1 <= max_vertices and k1 + k2 + length <= max_edges:
+            break
+    a = [f"a{i}" for i in range(k1)]
+    b = [f"b{i}" for i in range(k2)]
+    path = [a[0], *(f"p{i}" for i in range(1, length)), b[0]]
+    edges = [(c[i - 1], c[i]) for c in (a, b) for i in range(len(c))]
+    edges += list(zip(path, path[1:]))
+    labels = a + b + path[1:-1]
+    spare = [e for e in itertools.combinations(labels, 2)
+             if e not in edges and e[::-1] not in edges]
+    rng.shuffle(spare)
+    for e in spare[: rng.randint(0, max_edges - len(edges))]:
+        if has_unjoined_odd_cycles(Graph(labels, edges + [e])):
+            edges.append(e)
+    g = Graph(labels, edges)
+    assert has_unjoined_odd_cycles(g)
+    return g
+
+
 def union_find_components(g: Graph) -> list[tuple[str, ...]]:
     """Connected components by union-find over the edge list, each in vertex
     order, ordered by their first vertex."""

@@ -36,7 +36,7 @@ from toricgraph import (
 )
 from toricgraph import betti
 
-from oracles import box_fiber, homology_via_sympy, induced_cycles, random_graph
+from oracles import box_fiber, homology_via_sympy, induced_cycles, non_normal_graph, random_graph
 from whole_scan import whole_graph_entries
 
 
@@ -234,15 +234,19 @@ def test_known_complete_degree():
 def test_known_complete_degree_matches_the_certified_table(data_dir):
     # known_complete_degree and betti_table read one plan per component:
     # the degree is None exactly when the table to the edge count is not
-    # certified, and otherwise it is the table's top standard degree.  The
-    # pattern graph and two triangles joined by a path are not normal
+    # certified, and otherwise it is the table's top standard degree.
+    # random_graph almost never draws a graph that is not normal, so
+    # non_normal_graph adds 20, beside the pattern graph and two triangles
+    # joined by a path; none of these has a certified table
     with open(os.path.join(data_dir, "f.json"), encoding="utf-8") as fh:
         pattern = loads_graph(fh.read())
     joined = Graph.from_edges(
         [("a", "b"), ("b", "c"), ("c", "a"), ("c", "m"), ("m", "x"), ("x", "y"), ("y", "z"), ("z", "x")]
     )
     rng = random.Random(2121)
-    graphs = [random_graph(rng) for _ in range(80)] + [pattern, joined]
+    graphs = [random_graph(rng) for _ in range(80)]
+    non_normal = [non_normal_graph(rng, max_edges=9) for _ in range(20)] + [pattern, joined]
+    graphs += non_normal
     unknown = 0
     for g in graphs:
         known, table = known_complete_degree(g), betti_table(g)
@@ -251,7 +255,7 @@ def test_known_complete_degree_matches_the_certified_table(data_dir):
             unknown += 1
         else:
             assert known == max(sum(s) // 2 for _, s in table.entries), g
-    assert unknown >= 2
+    assert unknown >= len(non_normal)
 
 
 def test_closed_form_top_degrees_scan_nothing(monkeypatch):

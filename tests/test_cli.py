@@ -1,14 +1,17 @@
 """End-to-end CLI tests: real files in, JSON documents out, exact exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toricgraph import cli
 from toricgraph.cli import main
@@ -294,27 +297,31 @@ def test_failed_hilbert_cross_check_exits_1_with_one_line(capsys, data_dir, monk
 def test_bad_search_bounds_fail_before_the_scan(capsys, monkeypatch, tmp_path):
     # K_{4,4} + triangle + P_6 has 17 vertices, one past the exhaustive
     # cycle search; its scan takes about as long as a whole run, so a bad
-    # bound is reported without it, the cycle bound before the path bound,
-    # and before a scan cap that would overflow
+    # bound is reported without it, in the flag's words, the cycle bound
+    # before the path bound, and before a scan cap that would overflow.
+    # certify-noncm checks the bounds before its search the same way
     edges = [f"a{i} b{j}" for i in range(4) for j in range(4)]
     edges += ["t0 t1", "t1 t2", "t2 t0"] + [f"p{i} p{i + 1}" for i in range(5)]
     path = tmp_path / "k44-triangle-p6.edges"
     path.write_text("\n".join(edges) + "\n")
     scans = []
     monkeypatch.setattr(cli, "betti_table", lambda *args, **kwargs: scans.append(args))
-    cycles = "odd_cycle_condition: graph has 17 > 16 vertices; pass an explicit search bound"
-    low = "odd_cycle_condition: max length must be at least 3, got 2"
-    paths = "detect_forbidden: max path length must be at least 2, got 1"
-    for flags, message in (
+    monkeypatch.setattr(cli, "noncm_certificate", lambda *args, **kwargs: scans.append(args))
+    cycles = "--max-cycle: graph has 17 > 16 vertices; pass an explicit search bound"
+    low = "--max-cycle: max length must be at least 3, got 2"
+    paths = "--max-path: max path length must be at least 2, got 1"
+    cases = [
         ((), cycles),
         (("--max-path", "1"), cycles),
         (("--max-cycle", "2"), low),
         (("--max-cycle", "2", "--max-path", "1"), low),
         (("--max-cycle", "17", "--max-path", "1"), paths),
-        (("--max-cycle", "17", "--max-path", "1", "--max-scan", "0"), paths),
-    ):
-        code, out, err = _run(capsys, "analyze", str(path), *flags)
-        assert (code, out, err) == (1, "", f"toricgraph: error: {message}\n"), flags
+    ]
+    runs = [("analyze", *case) for case in cases] + [("certify-noncm", *case) for case in cases]
+    runs.append(("analyze", ("--max-cycle", "17", "--max-path", "1", "--max-scan", "0"), paths))
+    for command, flags, message in runs:
+        code, out, err = _run(capsys, command, str(path), *flags)
+        assert (code, out, err) == (1, "", f"toricgraph: error: {message}\n"), (command, flags)
     assert scans == []
 
 
@@ -473,11 +480,82 @@ def _subcommands(parser):
     return list(sub.choices)
 
 
+COMMANDS = ["analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
+
+
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[f"{a[0]}-{i}" for i, a in enumerate(PARSER_ARGVS)])
 def test_one_command_parser_matches_the_full_parser(argv):
     full = cli._build_parser().parse_args(argv)
     assert cli._build_parser(argv[0]).parse_args(argv) == full
     assert full.func.__name__.startswith("_cmd_")
+    # each of these is well formed, so main reads it without a parser
+    assert vars(cli._read_argv(argv)) == vars(full)
+
+
+def _parsed(argv):
+    """vars() of the one-command parser's namespace, or None when it exits
+    (help, --version or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_FLAGS = sorted({flag for name in COMMANDS for flag, *_ in cli._flags(name)})
+_VALUES = [
+    "g", "s", "q", "2", "7", "0", "-5", "-1.5", "-", "", "1_0", "+4", "\u0663", "-\u0663", "x", "-x",
+    "--verbose",
+]
+_ODD = [
+    "-h", "--help", "--version", "--", "--max", "--max-f", "--ver", "--deg", "--par", "--fie",
+    *(f"{flag}={value}" for flag in ("--max-deg", "--field", "--verbose") for value in ("3", "")),
+]
+
+
+def _items(rows):
+    # each switch alone and each other flag with a value
+    return st.one_of([
+        st.just((flag,)) if kind is bool else st.tuples(st.just(flag), st.sampled_from(_VALUES))
+        for flag, kind, *_ in rows
+    ])
+
+
+_WORDS = st.sampled_from(_FLAGS + _VALUES + _ODD)
+_ITEMS = {name: _items(cli._flags(name)) for name in COMMANDS}
+_ANY_ITEM = st.one_of(list(_ITEMS.values()))
+
+
+@st.composite
+def _argvs(draw):
+    # a command (or an odd word first), then the command's flags; in half
+    # the draws odd words (any flag or value out of place); and mostly one
+    # graph path
+    head = draw(st.one_of(st.sampled_from(COMMANDS), _WORDS))
+    item = _ITEMS.get(head, _ANY_ITEM)
+    if draw(st.booleans()):
+        item = st.one_of(item, item, item, _WORDS.map(lambda w: (w,)))
+    items = draw(st.lists(item, max_size=6))
+    if draw(st.sampled_from((True, True, True, False))):
+        items.insert(draw(st.integers(0, len(items))), ("g",))
+    return [head, *(w for item in items for w in item)]
+
+
+def _seeded(test):
+    for argv in PARSER_ARGVS:
+        test = example(argv)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(_argvs())
+@_seeded
+def test_argv_reader_agrees_with_argparse(argv):
+    # wherever the reader returns a namespace, argparse returns the same
+    # one; every command line argparse rejects, the reader declines
+    fast = cli._read_argv(argv)
+    if fast is not None:
+        assert vars(fast) == _parsed(argv), argv
 
 
 def test_main_builds_only_the_invoked_command(capsys, data_dir, monkeypatch):
@@ -489,13 +567,18 @@ def test_main_builds_only_the_invoked_command(capsys, data_dir, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", recorded)
+    # a well-formed command line is read without a parser
     _run_json(capsys, "fiber", _path(data_dir, "c4.edges"), "--degree", _path(data_dir, "s1111.json"))
-    assert _subcommands(built[-1]) == ["fiber"]
+    assert built == []
     # with no known command first, every command is there for help and errors
-    for argv in ([], ["-h"], ["frobnicate"]):
+    for argv in ([], ["-h"], ["--version"], ["frobnicate"]):
         _run(capsys, *argv)
-        assert _subcommands(built[-1]) == [
-            "analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
+        assert _subcommands(built[-1]) == COMMANDS
+    assert len(built) == 4
+    # a bad value for a known command builds that command's parser only
+    code, out, err = _run(capsys, "betti", "g", "--max-deg", "x")
+    assert (code, out) == (1, "") and "invalid int value: 'x'" in err
+    assert len(built) == 5 and _subcommands(built[-1]) == ["betti"]
 
 
 def test_version(capsys):
@@ -508,8 +591,9 @@ def test_version(capsys):
 
 def test_cli_import_loads_no_dataclasses_or_fractions():
     # start-up cost: importing the command line pulls in none of these
-    # modules (dataclasses alone brings inspect, ast, dis and tokenize, and
-    # typing builds dozens of classes and aliases as it loads)
+    # modules (dataclasses alone brings inspect, ast, dis and tokenize,
+    # typing builds dozens of classes and aliases as it loads, and argparse
+    # is needed only for help and usage errors)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
@@ -524,13 +608,29 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     )
     loaded = set(proc.stdout.split())
     assert "toricgraph.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "typing", "argparse"}
     # the input's digest comes from the builtin SHA-256 where the
     # interpreter ships one; hashlib would map OpenSSL for it
     builtin = {m for m in ("_sha256", "_sha2") if importlib.util.find_spec(m)}
     if builtin:
         assert loaded & builtin
         assert not loaded & {"hashlib", "_hashlib"}
+    # nor does a well-formed run, which is read without a parser
+    run = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from toricgraph.cli import main\n"
+        "code = main(['certify-noncm', sys.argv[2], '--max-cycle', '5', '--field', '2'])\n"
+        "print('argparse' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    path = os.path.join(os.path.dirname(__file__), "data", "f.json")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", run, src, path],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    assert json.loads(proc.stdout)["result"] == "not-cohen-macaulay"
 
 
 def test_cli_digest_falls_back_to_hashlib(data_dir):
