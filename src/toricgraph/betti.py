@@ -223,15 +223,14 @@ class _TwinGroup:
             for a, b in zip(cls, cls[1:]):
                 self.after[a] = b
                 self.before[b] = a
-        bit = {frozenset(pair): 1 << e for e, pair in enumerate(g.edge_indices)}
-        adj = g._adjacency
+        adj, edge = g._adjacency, g._edge_lookup
         # swaps[a, b]: for each edge pair {a, w} <-> {b, w}, the two bits
         self.swaps: dict[tuple[int, int], tuple[int, ...]] = {}
         for cls in self.classes:
             for a, b in combinations(cls, 2):
                 if adj[a] - {b} != adj[b] - {a}:
                     raise ValueError(f"vertices {a} and {b} are not twins")
-                pairs = tuple(bit[frozenset((a, w))] | bit[frozenset((b, w))]
+                pairs = tuple(1 << edge[frozenset((a, w))] | 1 << edge[frozenset((b, w))]
                               for w in sorted(adj[a] - {b}))
                 self.swaps[a, b] = self.swaps[b, a] = pairs
 
@@ -647,8 +646,7 @@ class _Plan:
             and odd_cycle_condition(h).status == "satisfied"
         )
         self.box = tuple(map(len, h._adjacency)) if bipartite else None
-        self.classes = twin_classes(h)
-        self.twins = _TwinGroup(h, self.classes)
+        self.twins = _TwinGroup(h, twin_classes(h))
         self.sides = recognize_complete_bipartite(h)
         closed = None if self.sides is None else sum(complete_bipartite_reg_pd(*self.sides))
         self.top = 0 if self.d == len(h.edges) else closed
@@ -672,7 +670,7 @@ class _Plan:
         # no syzygies, so level 0 is enough
         whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
         try:
-            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, self.classes)
+            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins.classes)
             held += sum(map(len, levels))
             top, hvec = self.top, None
             if self.normal and len(levels) == d:

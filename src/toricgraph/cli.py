@@ -123,24 +123,18 @@ def _parse_embedding(obj) -> ForbiddenEmbedding:
 
 
 def _search(g: Graph, args) -> dict:
-    """The pattern search's bounds, and whether --max-cycle and --max-path
-    leave it unbounded on this graph: no induced cycle is longer than |V|
-    and no connecting path longer than |V| - 1 (paths have length at least
-    2)."""
+    """The report's search section: the --max-cycle and --max-path flags and
+    whether they leave the search exhaustive on this graph (no induced cycle
+    is longer than |V|, no connecting path longer than max(|V| - 1, 2)).  A
+    bad bound fails here in the flag's words, the cycle bound first."""
+    cycle = _resolve_cycle_cap(g, args.max_cycle, "--max-cycle")
+    path = _resolve_path_cap(g, args.max_path, "--max-path")
     n = len(g.vertices)
     return {
         "max_cycle": args.max_cycle,
         "max_path": args.max_path,
-        "exhaustive": (args.max_cycle is None or args.max_cycle >= n)
-        and (args.max_path is None or args.max_path >= max(n - 1, 2)),
+        "exhaustive": cycle >= n and path >= max(n - 1, 2),
     }
-
-
-def _check_search_bounds(g: Graph, args) -> None:
-    """Fail on a bad --max-cycle or --max-path in the flag's words, before
-    any search: the cycle bound first."""
-    _resolve_cycle_cap(g, args.max_cycle, "--max-cycle")
-    _resolve_path_cap(g, args.max_path, "--max-path")
 
 
 # -- subcommand handlers: each returns its report's own sections ------------
@@ -160,7 +154,7 @@ def _table(g: Graph, field, args):
 
 def _cmd_analyze(g: Graph, args) -> dict:
     field = parse_field(args.field)
-    _check_search_bounds(g, args)  # before the scan
+    search = _search(g, args)  # before the scan
     occ = odd_cycle_condition(g, args.max_cycle)
     table = _table(g, field, args)
     inv = invariants(g, table)
@@ -195,7 +189,7 @@ def _cmd_analyze(g: Graph, args) -> dict:
         "betti": _table_section(table),
         "invariants": inv._asdict(),
         "odd_cycle_condition": occ._asdict(),
-        "forbidden_structure": {"found": cert is not None, **_search(g, args)},
+        "forbidden_structure": {"found": cert is not None, **search},
         "certificate": _certificate_section(cert) if cert is not None else None,
         "cohen_macaulay": combined,
         "annotations": annotations,
@@ -233,11 +227,11 @@ def _cmd_fiber(g: Graph, args) -> dict:
 
 def _cmd_certify(g: Graph, args) -> dict:
     field = parse_field(args.field)
-    embedding = None
+    embedding = search = None  # a given embedding is verified, not searched for
     if args.embedding:
         embedding = _parse_embedding(_load_json_file(args.embedding, "embedding"))
     else:
-        _check_search_bounds(g, args)
+        search = _search(g, args)
     cert = noncm_certificate(
         g,
         embedding,
@@ -246,7 +240,6 @@ def _cmd_certify(g: Graph, args) -> dict:
         max_cycle=args.max_cycle,
         max_path=args.max_path,
     )
-    search = _search(g, args)
     if cert is not None:
         result = cert.verdict
     else:
@@ -412,10 +405,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, graph=graph, **values, func=func)
 
 
-def _build_parser(command: str | None = None):
-    """The parser with only `command`'s subparser, or with all of them when
-    `command` names none (top-level help and errors).  The only place that
-    imports argparse: a well-formed command line never needs it."""
+def _build_parser():
+    """The parser for every command.  The only place that imports argparse:
+    a well-formed command line never needs it."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -427,13 +419,8 @@ def _build_parser(command: str | None = None):
 
     parser = _Parser(prog="toricgraph", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"toricgraph {__version__}")
-    known = command in _COMMANDS
-    # a lone subparser would shrink the usage line's list of commands; with
-    # all six, a metavar would change the "required" and "invalid choice" errors
-    sub = parser.add_subparsers(dest="command", required=True,
-                                **({"metavar": "{%s}" % ",".join(_COMMANDS)} if known else {}))
-    for name in [command] if known else _COMMANDS:
-        help_, func, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("graph", help="graph file (JSON or edge-list text)")
         for flag, kind, default, required, flag_help in _flags(name):
@@ -450,12 +437,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        for flag in ("max_fiber", "max_scan"):  # a negative cap is bad input, not an overflow
-            value = getattr(args, flag, 0)
+        for flag in ("max_fiber", "max_scan", "max_deg"):  # negative: bad input, not an overflow
+            value = getattr(args, flag, None) or 0
             if value < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
         data, text = _read_text(args.graph)

@@ -146,14 +146,21 @@ def test_certify_search(capsys, data_dir):
 
 def test_certify_verify_given_embedding(capsys, data_dir):
     searched, _ = _run_json(capsys, "certify-noncm", _path(data_dir, "f.json"))
+    # a given embedding is verified, not searched for: bounds that a search
+    # would reject are neither checked nor reported
     verified, _ = _run_json(
         capsys,
         "certify-noncm",
         _path(data_dir, "f.json"),
         "--embedding",
         _path(data_dir, "f_embedding.json"),
+        "--max-cycle",
+        "2",
+        "--max-path",
+        "1",
     )
     assert verified["certificate"] == searched["certificate"]
+    assert verified["search"] is None
 
 
 def test_certify_nothing_to_find(capsys, data_dir):
@@ -408,7 +415,7 @@ def test_exit_2_on_cap_overflow(capsys, data_dir, tmp_path):
     code, out, err = _run(capsys, "betti", str(edgeless), "--max-deg", "-1")
     assert code == 1
     assert out == ""
-    assert "max_degree must be nonnegative" in err
+    assert err == "toricgraph: error: --max-deg must be nonnegative, got -1\n"
 
     # the fiber search keeps its own stack, so a path longer than the
     # recursion limit still has its one decomposition of zero
@@ -481,23 +488,23 @@ def _subcommands(parser):
 
 
 COMMANDS = ["analyze", "betti", "complex", "fiber", "certify-noncm", "bounds"]
+_PARSER = cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[f"{a[0]}-{i}" for i, a in enumerate(PARSER_ARGVS)])
-def test_one_command_parser_matches_the_full_parser(argv):
-    full = cli._build_parser().parse_args(argv)
-    assert cli._build_parser(argv[0]).parse_args(argv) == full
-    assert full.func.__name__.startswith("_cmd_")
+def test_reader_matches_the_parser(argv):
+    parsed = _PARSER.parse_args(argv)
+    assert parsed.func.__name__.startswith("_cmd_")
     # each of these is well formed, so main reads it without a parser
-    assert vars(cli._read_argv(argv)) == vars(full)
+    assert vars(cli._read_argv(argv)) == vars(parsed)
 
 
 def _parsed(argv):
-    """vars() of the one-command parser's namespace, or None when it exits
-    (help, --version or a usage error)."""
+    """vars() of the parser's namespace, or None when it exits (help,
+    --version or a usage error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._build_parser(argv[0]).parse_args(argv))
+            return vars(_PARSER.parse_args(argv))
         except SystemExit:
             return None
 
@@ -558,27 +565,25 @@ def test_argv_reader_agrees_with_argparse(argv):
         assert vars(fast) == _parsed(argv), argv
 
 
-def test_main_builds_only_the_invoked_command(capsys, data_dir, monkeypatch):
+def test_main_builds_the_parser_only_when_the_reader_declines(capsys, data_dir, monkeypatch):
     built = []
     build = cli._build_parser
 
-    def recorded(*args):
-        built.append(build(*args))
+    def recorded():
+        built.append(build())
         return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", recorded)
     # a well-formed command line is read without a parser
     _run_json(capsys, "fiber", _path(data_dir, "c4.edges"), "--degree", _path(data_dir, "s1111.json"))
     assert built == []
-    # with no known command first, every command is there for help and errors
-    for argv in ([], ["-h"], ["--version"], ["frobnicate"]):
-        _run(capsys, *argv)
+    # help, --version and usage errors each build one parser with every command
+    for argv in ([], ["-h"], ["--version"], ["frobnicate"], ["betti", "g", "--max-deg", "x"]):
+        code, out, err = _run(capsys, *argv)
         assert _subcommands(built[-1]) == COMMANDS
-    assert len(built) == 4
-    # a bad value for a known command builds that command's parser only
-    code, out, err = _run(capsys, "betti", "g", "--max-deg", "x")
+    assert len(built) == 5
+    # the last, a bad value for a known command, is a usage error
     assert (code, out) == (1, "") and "invalid int value: 'x'" in err
-    assert len(built) == 5 and _subcommands(built[-1]) == ["betti"]
 
 
 def test_version(capsys):
