@@ -125,7 +125,7 @@ def semigroup_levels(
     g: Graph,
     max_degree: int,
     max_scan: int = DEFAULT_MAX_SCAN,
-    classes: Sequence[Sequence[int]] = (),
+    classes: Sequence[Sequence[int]] | _TwinGroup = (),
 ) -> list[list[tuple[int, ...]]]:
     """Semigroup elements grouped by level, one canonical representative per
     orbit of the twin group generated by `classes`: levels[d] holds, sorted,
@@ -133,11 +133,11 @@ def semigroup_levels(
     degree 2d).
 
     `classes` are classes of mutually twin vertices, as increasing vertex
-    positions (see `twin_classes`); a multidegree is canonical when its
-    weights do not increase along each class.  With no classes the group is
-    trivial and every element is listed.  `max_scan` caps the
-    representatives listed, over all levels, not the elements they stand
-    for.
+    positions (see `twin_classes`), or the `_TwinGroup` they generate, which
+    is then used as it is; a multidegree is canonical when its weights do
+    not increase along each class.  With no classes the group is trivial
+    and every element is listed.  `max_scan` caps the representatives
+    listed, over all levels, not the elements they stand for.
 
     Complete by construction: any sum of d columns is a sum of d-1 columns
     plus one more, and twin swaps permute the columns, so translating the
@@ -149,8 +149,9 @@ def semigroup_levels(
     _check_cap("max_scan", max_scan)
     if max_scan < 1:  # level 0 holds one representative, the zero vector
         raise ScanOverflowError(max_scan, 0)
+    twins = classes if isinstance(classes, _TwinGroup) else _TwinGroup(g, classes)
     levels = [[(0,) * len(g.vertices)]]
-    _grow(g, levels, max_degree, max_scan, _TwinGroup(g, classes), 1)
+    _grow(g, levels, max_degree, max_scan, twins, 1)
     return levels
 
 
@@ -670,7 +671,7 @@ class _Plan:
         # no syzygies, so level 0 is enough
         whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
         try:
-            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins.classes)
+            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins)
             held += sum(map(len, levels))
             top, hvec = self.top, None
             if self.normal and len(levels) == d:

@@ -17,7 +17,6 @@ under --verbose.
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -41,6 +40,8 @@ from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, degree_vector, enumera
 from .graph import (
     Graph,
     GraphFormatError,
+    _dumps_json,
+    _loads_json,
     _read_text,
     _resolve_cycle_cap,
     connected_components,
@@ -60,8 +61,12 @@ from .structure import (
 def _load_json_file(path: str, what: str):
     text = _read_text(path, what)[1]
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return _loads_json(text)
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded: only json.loads raises here
+
+        if not isinstance(exc, JSONDecodeError):
+            raise
         raise ValueError(f"{what} file {path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
 
 
@@ -462,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         # bad input, or a failed internal cross-check (RuntimeError)
         print(f"toricgraph: error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps_json(payload) + "\n")
     if getattr(args, "verbose", False):
         for line in _summarize(payload):
             print(line, file=sys.stderr)

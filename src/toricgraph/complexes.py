@@ -9,9 +9,10 @@ those supports.  Two degenerate complexes matter and are kept distinct:
 
 A complex holds its facets as int bitmasks of ground positions (bit x for
 position x), and everything built from it works on masks: `maximal_masks`
-is the one filter that keeps the maximal sets of a family, `core` deletes
-dominated vertices mask by mask, and the faces are the submasks of the
-facets.  Frozensets and position tuples are only views, for callers.
+keeps the maximal sets of a family, `core` deletes dominated vertices mask
+by mask, testing only the facets that held each, and the faces are the
+submasks of the facets.  Frozensets and position tuples are only views,
+for callers.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ class SimplicialComplex(_Value):
         core has the reduced homology of the complex over every field.  The
         ground set is kept; a cone's core is a single vertex, and the void
         and irrelevant complexes are their own cores.
+
+        Deleting v keeps every facet without v maximal, and the facets that
+        held v stay pairwise incomparable without it, so only those are
+        tested, each against the facets without v.
         """
         masks = self.masks
         changed = True
@@ -132,7 +137,17 @@ class SimplicialComplex(_Value):
                         shared &= mask
                 if shared == -1 or shared == bit:
                     continue  # v is in no facet, or no other vertex dominates it
-                masks = maximal_masks(mask & ~bit for mask in masks)
+                without = [mask for mask in masks if not mask & bit]
+                kept = without[:]
+                for mask in masks:
+                    if mask & bit:
+                        face = mask ^ bit
+                        for other in without:
+                            if face | other == other:
+                                break
+                        else:
+                            kept.append(face)
+                masks = kept
                 changed = True
         return self if masks is self.masks else SimplicialComplex(self.ground, masks)
 

@@ -13,8 +13,7 @@ with the odd cycle condition.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import combinations
 
@@ -422,6 +421,115 @@ def odd_cycle_condition(g: Graph, max_length: int | None = None) -> OddCycleVerd
     return OddCycleVerdict(status, None, cap, complete, len(cycles))
 
 
+# -- JSON without the json module --------------------------------------------
+#
+# json compiles six regular expressions as it loads, and writes indented
+# JSON in pure Python, its C encoder serving only indent=None.  A run reads
+# and writes through _json, the C accelerator json itself calls, and loads
+# json only to raise its error on malformed text.
+
+
+class _JSONDefaults:
+    """The settings of json.JSONDecoder() at their defaults, as a scanner
+    reads them: strict strings, no hooks, numbers by int and float, and
+    json's constants -Infinity, Infinity and NaN."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+
+# one scanner, made at import and never changed, like json's own default
+# decoder; where _json is missing, json's pure-Python scanner and quoting
+try:
+    from _json import encode_basestring_ascii, make_scanner
+
+    _scan_json = make_scanner(_JSONDefaults)
+except ImportError:
+    from json import JSONDecoder
+    from json.encoder import encode_basestring_ascii
+
+    _scan_json = JSONDecoder().scan_once
+
+_JSON_SPACE = " \t\n\r"
+
+
+def _loads_json(text: str) -> object:
+    """json.loads(text): the one JSON value in `text`, with json's white
+    space (space, tab, newline, carriage return) around it.  Text the
+    scanner reads whole is returned as read; for anything else, json is
+    imported and json.loads raises its own error: a JSONDecodeError, or the
+    scanner's ValueError (too many digits) or RecursionError (too deep).
+    Any exception from the scanner counts as malformed, since on Python
+    3.11 it cannot raise JSONDecodeError before json.decoder is loaded."""
+    try:
+        value, end = _scan_json(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if end == len(text.rstrip(_JSON_SPACE)):
+            return value
+    except Exception:  # malformed: json.loads raises json's own error
+        pass
+    import json
+
+    return json.loads(text)
+
+
+def _dumps_json(value: object) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
+    values reports hold: dicts with str keys, lists, tuples, str, int, bool
+    and None.  Anything else raises TypeError.  Strings are quoted by
+    _json's encode_basestring_ascii, as json.dumps quotes them."""
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value: object, newline: str, write: Callable[[str], object]) -> None:
+    """Write `value` for `_dumps_json`, `newline` being the line break and
+    indent of its own line."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):  # a degree, a decomposition
+            write(f"[{inner}{(',' + inner).join(map(str, value))}{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 # -- parsing and serialization -------------------------------------------
 
@@ -452,8 +560,12 @@ def _read_text(path: str, what: str = "graph") -> tuple[bytes, str]:
 
 def _parse_json(text: str) -> Graph:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = _loads_json(text)
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded: only json.loads raises here
+
+        if not isinstance(exc, JSONDecodeError):
+            raise
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level: expected an object with 'vertices' and 'edges'")
@@ -510,9 +622,11 @@ def _parse_edgelist(text: str) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    """Serialize to the JSON input format (round-trips through loads_graph)."""
+    """Serialize to the JSON input format (round-trips through loads_graph):
+    the bytes of json.dumps(payload, sort_keys=True, indent=2) and a
+    newline, written by `_dumps_json`."""
     payload = {"vertices": list(g.vertices), "edges": [[u, v] for u, v in g.edges]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _dumps_json(payload) + "\n"
 
 
 def graph_to_edgelist(g: Graph) -> str:

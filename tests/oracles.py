@@ -182,6 +182,28 @@ def _composes_to_zero(upper: list[dict[int, int]], lower: list[dict[int, int]]) 
     return True
 
 
+def core_by_definition(k) -> tuple[int, ...]:
+    """The facet masks of k's core, sorted: dominated vertices deleted by
+    the definition, in sweeps over the ground positions from the lowest,
+    each deleting a vertex found dominated at its turn, until a sweep
+    deletes none.  v is dominated when another vertex lies in every facet
+    holding v; deleting it keeps the sets of the facets less v that lie in
+    no other, every pair tested."""
+    facets = [frozenset(f) for f in k.facets]
+    ground = range(len(k.ground))
+    changed = True
+    while changed:
+        changed = False
+        for v in ground:
+            holding = [f for f in facets if v in f]
+            if not holding or not any(w != v and all(w in f for f in holding) for w in ground):
+                continue
+            faces = {f - {v} for f in facets}
+            facets = [f for f in faces if not any(f < other for other in faces)]
+            changed = True
+    return tuple(sorted(sum(1 << x for x in f) for f in facets))
+
+
 def composition_vanishes(k) -> bool:
     """The engine's d_{d-1} after its d_d is the zero map, checked over the
     integers."""

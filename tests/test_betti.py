@@ -561,6 +561,28 @@ def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
     assert known_complete_degree(g) == 6
 
 
+def test_each_component_builds_its_twin_group_once(monkeypatch):
+    # a component's plan hands its group to semigroup_levels, which uses it
+    # as it is rather than building a second one from the classes
+    built = []
+    init = betti._TwinGroup.__init__
+
+    def counted(self, g, classes):
+        built.append(g)
+        init(self, g, classes)
+
+    monkeypatch.setattr(betti._TwinGroup, "__init__", counted)
+    levels = _count_calls(monkeypatch, "semigroup_levels")
+    for g, bound, components in (
+        (complete_bipartite_graph(3, 4), 8, 1),
+        (disjoint_union(_bowtie("p"), _bowtie("q")), 6, 2),
+    ):
+        built.clear()
+        levels.clear()
+        assert betti_table(g, bound).certified
+        assert len(built) == len(levels) == components
+
+
 def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
     # K_4 has d = 4, h = 1 + 2t + t^2 and pd 2, so its top degree 4 lies
     # past d - 1 = 3: the levels to 3 fix h, then the scan goes on to 4;

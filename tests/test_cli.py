@@ -33,6 +33,25 @@ def _path(data_dir, name):
     return os.path.join(data_dir, name)
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+MAIN = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from toricgraph.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _isolated(code, *args):
+    """Run `code` in a fresh `python -I -S` with the package's source
+    directory and `args` as its arguments: no site module, and so no
+    module loaded but what the interpreter and the code load."""
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, SRC, *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_analyze_k23(capsys, data_dir):
     path = _path(data_dir, "k23.json")
     payload, _ = _run_json(capsys, "analyze", path)
@@ -248,6 +267,67 @@ def test_malformed_degree_files_exit_1_with_one_line(capsys, data_dir, tmp_path)
             assert code == 1, (text, command)
             assert out == ""
             assert err.startswith("toricgraph: error: multidegree") and len(err.splitlines()) == 1
+
+
+_DIGITS = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+# name: (text, the graph file's line, the line of a degree, parts or
+# embedding file, whose words and path stand for {file}).  A graph file
+# whose text does not open with '{' or '[' is an edge list, so the empty
+# file is an edgeless graph (None: exit 0) and the BOM is read as a label.
+MALFORMED_JSON = {
+    "token": (
+        '{"vertices": ["a", x], "edges": []}',
+        "line 1, column 20: invalid JSON (Expecting value)",
+        "{file}: line 1: invalid JSON (Expecting value)",
+    ),
+    # Python 3.11's scanner fails on this one with a SystemError until
+    # json.decoder is loaded
+    "colon": (
+        '{"vertices" []}',
+        "line 1, column 13: invalid JSON (Expecting ':' delimiter)",
+        "{file}: line 1: invalid JSON (Expecting ':' delimiter)",
+    ),
+    "trailing": (
+        '{"vertices": [], "edges": []} []',
+        "line 1, column 31: invalid JSON (Extra data)",
+        "{file}: line 1: invalid JSON (Extra data)",
+    ),
+    "empty": ("", None, "{file}: line 1: invalid JSON (Expecting value)"),
+    "bom": (
+        '\ufeff{"vertices": [], "edges": []}',
+        "line 1: expected 'u v' or a bare vertex, got 4 tokens",
+        "{file}: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+    ),
+    "digits": ('{"vertices": [' + "9" * 5000 + '], "edges": []}', _DIGITS, _DIGITS),
+    "deep": ("[" * 100_000, _DEEP, _DEEP),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_JSON))
+def test_malformed_json_in_every_reader_exits_1_with_one_line(case, data_dir, tmp_path):
+    # each run is a fresh interpreter that has not loaded json, as a run
+    # from the shell has not: the reader must raise json's own error
+    text, graph_line, file_line = MALFORMED_JSON[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text, encoding="utf-8")
+    for what, argv in (
+        ("graph", ["betti", str(path)]),
+        ("degree", ["fiber", _path(data_dir, "c4.edges"), "--degree", str(path)]),
+        ("parts", ["bounds", _path(data_dir, "k23.json"), "--parts", str(path)]),
+        ("embedding", ["certify-noncm", _path(data_dir, "f.json"), "--embedding", str(path)]),
+    ):
+        proc = _isolated(MAIN, *argv)
+        line = graph_line if what == "graph" else file_line.format(file=f"{what} file {path}")
+        if line is None:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout)["graph"]["vertex_count"] == 0
+        else:
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                1, "", f"toricgraph: error: {line}\n"), what
 
 
 def test_undecodable_files_are_named_in_one_line(capsys, data_dir, tmp_path):
@@ -594,12 +674,12 @@ def test_version(capsys):
     assert __version__ in out
 
 
-def test_cli_import_loads_no_dataclasses_or_fractions():
+def test_cli_import_loads_no_dataclasses_or_fractions(data_dir):
     # start-up cost: importing the command line pulls in none of these
     # modules (dataclasses alone brings inspect, ast, dis and tokenize,
-    # typing builds dozens of classes and aliases as it loads, and argparse
-    # is needed only for help and usage errors)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    # typing builds dozens of classes and aliases as it loads, argparse is
+    # needed only for help and usage errors, and json compiles six regular
+    # expressions through re: JSON is read and written through _json)
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -607,41 +687,51 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
         "import toricgraph.cli\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, src],
-        capture_output=True, text=True, timeout=60, check=True,
-    )
+    proc = _isolated(code)
+    assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "toricgraph.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "typing", "argparse"}
+    assert not loaded & {
+        "dataclasses", "inspect", "fractions", "decimal", "typing", "argparse", "json", "re"
+    }
     # the input's digest comes from the builtin SHA-256 where the
     # interpreter ships one; hashlib would map OpenSSL for it
     builtin = {m for m in ("_sha256", "_sha2") if importlib.util.find_spec(m)}
     if builtin:
         assert loaded & builtin
         assert not loaded & {"hashlib", "_hashlib"}
-    # nor does a well-formed run, which is read without a parser
+    # nor does a well-formed run of any command, which is read without a
+    # parser and reads its JSON files through _json
     run = (
-        "import sys\n"
+        "import io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from toricgraph.cli import main\n"
-        "code = main(['certify-noncm', sys.argv[2], '--max-cycle', '5', '--field', '2'])\n"
-        "print('argparse' in sys.modules, file=sys.stderr)\n"
-        "sys.exit(code)\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [main(line.split('|')) for line in sys.argv[2:]]\n"
+        "reports, sys.stdout = sys.stdout.getvalue(), out\n"
+        "print(codes, sorted(m for m in ('argparse', 'json', 're') if m in sys.modules))\n"
+        "print(reports, end='')\n"
     )
-    path = os.path.join(os.path.dirname(__file__), "data", "f.json")
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", run, src, path],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "False\n")
-    assert json.loads(proc.stdout)["result"] == "not-cohen-macaulay"
+    f = _path(data_dir, "f.json")
+    argvs = [
+        ["certify-noncm", f, "--max-cycle", "5", "--field", "2"],
+        ["certify-noncm", f, "--embedding", _path(data_dir, "f_embedding.json")],
+        ["analyze", _path(data_dir, "k23.json")],
+        ["betti", _path(data_dir, "c4.edges")],
+        ["complex", _path(data_dir, "tri.json"), "--degree", _path(data_dir, "s222.json")],
+        ["fiber", _path(data_dir, "c4.edges"), "--degree", _path(data_dir, "s1111.json")],
+        ["bounds", _path(data_dir, "k23k22.json"), "--parts", _path(data_dir, "parts.json")],
+    ]
+    proc = _isolated(run, *("|".join(argv) for argv in argvs))
+    assert proc.returncode == 0, proc.stderr
+    summary, reports = proc.stdout.split("\n", 1)
+    assert summary == f"{[0] * len(argvs)} []"
+    assert '"result": "not-cohen-macaulay"' in reports
 
 
 def test_cli_digest_falls_back_to_hashlib(data_dir):
     # without the builtin modules the digest comes from hashlib, and reads
     # the same
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = _path(data_dir, "k23.json")
     code = (
         "import sys\n"
@@ -652,10 +742,33 @@ def test_cli_digest_falls_back_to_hashlib(data_dir):
         "assert 'hashlib' in sys.modules\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, src, path],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _isolated(code, path)
     assert proc.returncode == 0, proc.stderr
     with open(path, "rb") as fh:
         assert json.loads(proc.stdout)["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_cli_json_falls_back_without_accelerator(capsys, data_dir, tmp_path):
+    # without _json the reader and writer are json's own pure-Python ones:
+    # the same reports, byte for byte, and the same line for bad JSON
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 1,", encoding="utf-8")
+    argvs = [
+        ["analyze", _path(data_dir, "f.json"), "--max-deg", "4"],
+        ["complex", _path(data_dir, "f.json"), "--degree", _path(data_dir, "s31131122.json")],
+        ["bounds", _path(data_dir, "k23k22.json"), "--parts", _path(data_dir, "parts.json")],
+        ["fiber", _path(data_dir, "c4.edges"), "--degree", str(bad)],
+        ["betti", _path(data_dir, "bad.json")],
+    ]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "sys.modules['_json'] = None\n"
+        "from toricgraph.cli import main\n"
+        "assert 'json.scanner' in sys.modules\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    for argv in argvs:
+        expected = _run(capsys, *argv)
+        proc = _isolated(code, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgraph import (
     SimplicialComplex,
@@ -9,7 +10,7 @@ from toricgraph import (
     cycle_graph,
 )
 
-from oracles import faces_from_facets
+from oracles import core_by_definition, faces_from_facets
 
 
 def test_from_faces_drops_non_maximal_and_dedupes():
@@ -135,6 +136,23 @@ def test_core_deletes_a_dominated_vertex_and_keeps_the_ground():
     core = k.core()
     assert core.ground == k.ground
     assert core.facets == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+
+
+@st.composite
+def _complexes(draw):
+    """Random complexes on at most 9 vertices, from up to 10 faces of up to
+    6 vertices each, the empty face included: void and irrelevant
+    complexes, cones and complexes without a dominated vertex all occur."""
+    n = draw(st.integers(1, 9))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=6), max_size=10))
+    return SimplicialComplex.from_faces(range(n), faces)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_complexes())
+def test_core_matches_deleting_dominated_vertices_by_the_definition(k):
+    # the core deletes in the oracle's order, so the masks agree exactly
+    assert k.core().masks == core_by_definition(k)
 
 
 def test_permuted():

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgraph import (
     Graph,
@@ -20,6 +22,7 @@ from toricgraph import (
     recognize_complete_bipartite,
     twin_classes,
 )
+from toricgraph.graph import _dumps_json, _loads_json
 
 from oracles import random_graph, sympy_rank, two_colorings, union_find_components
 
@@ -265,3 +268,67 @@ def test_load_graph_names_an_undecodable_file(tmp_path):
         f"graph file {bad}: 'utf-8' codec can't decode byte 0xff "
         "in position 0: invalid start byte"
     )
+
+
+# text that json escapes: quotes, backslashes, control characters, the
+# line separators, characters past ASCII and past the BMP
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\r\u2028\u00e9\U0001f600ab') | st.characters(),
+    max_size=8,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.sampled_from([0, -1, 2**63, -(2**64) - 1])
+    | _TEXT
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(-(10**6), 10**6), max_size=5)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert _dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), {1: "a"}, {"a": {None: 1}}, [set()], b"x"])
+def test_json_writer_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        _dumps_json(value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.recursive(
+        _SCALARS | st.floats(allow_nan=False),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+        max_leaves=30,
+    ),
+    st.sampled_from([None, 0, 2, "\t"]),
+    st.booleans(),
+    st.sampled_from(["", " ", "\n\t \r"]),
+)
+def test_json_reader_matches_json_loads(value, indent, ensure_ascii, space):
+    # valid text in json's layouts, with its white space around the value
+    text = space + json.dumps(value, indent=indent, ensure_ascii=ensure_ascii) + space
+    assert repr(_loads_json(text)) == repr(json.loads(text))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(_TEXT.filter(bool), unique=True, max_size=6), st.randoms(use_true_random=False))
+def test_graph_to_json_round_trips_any_labels(labels, rng):
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    g = Graph(labels, rng.sample(pairs, rng.randint(0, len(pairs))))
+    text = graph_to_json(g)
+    assert text == json.dumps(
+        {"vertices": labels, "edges": [list(e) for e in g.edges]}, indent=2, sort_keys=True
+    ) + "\n"
+    assert loads_graph(text) == g
