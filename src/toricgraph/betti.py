@@ -9,10 +9,14 @@ are contractible and contribute nothing.
 
 The scan does not enumerate fibers.  A set F of edges is a face of Delta_s
 exactly when s - a_F lies in the semigroup (Miller-Sturmfels, Combinatorial
-Commutative Algebra, ch. 9), so the facets of Delta_s are the maximal sets
-G | {e} over the edges e and the facets G of Delta_{s - a_e}, one level
-down.  Each level's facets are computed from the previous level's, as edge
-bitmasks, and a complex is built only where homology needs it.
+Commutative Algebra, ch. 9).  A facet F is then the support of a
+decomposition of s (F | supp D is a face whenever s - a_F = a_D), and a
+decomposition uses an edge at every vertex x with s_x >= 1.  So the facets
+of Delta_s are the maximal sets G | {e} over the edges e at one such x and
+the facets G of Delta_{s - a_e}, one level down; where s_x = 1 every such
+set is a facet, as Delta_{s - a_e} has no edge at x.  Each level's facets
+are computed from the previous level's, as edge bitmasks, and a complex is
+built only where homology needs it.
 `build_delta`, which enumerates the fiber, stays the route for a single
 multidegree (`betti_number`).
 
@@ -52,7 +56,10 @@ a-invariant (Danilov-Stanley), so the level sizes H(0), ..., H(d - 1) fix
 its h-vector, and the resolution ends at degree pd + deg h with pd = |E| -
 d.  Such a component is scanned to d - 1, and on to the top degree only if
 that lies further.  Each finished component table is cross-checked against
-its h-vector.
+its h-vector.  reg = deg h and pd also leave a single homological index
+at some degrees (2, the top degree, and every degree when reg = 1); there
+the scan counts chains for the Euler characteristic instead of ranking
+boundaries (`_scan`).
 
 A bipartite component H is scanned only inside its degree box, the
 multidegrees s <= deg_H entrywise, because no Betti number of k[H] lives
@@ -74,7 +81,8 @@ no homology outside it.  The levels up to d - 1 are listed whole, since the
 Hilbert function needs them, and then cut to the box; the levels past
 d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
 and the box representatives past them.  K_{3,4} to degree 8 holds 122 of
-its 366 representatives and keeps 38 of its 46 homology calls.
+its 366 representatives and keeps 38 of its 46 homology calls, 6 of
+them Euler counts.
 Non-bipartite components are scanned whole: no such theorem is known for
 them.
 
@@ -86,7 +94,7 @@ degrees (see `known_complete_degree`).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
@@ -103,7 +111,7 @@ from .graph import (
     recognize_complete_bipartite,
     twin_classes,
 )
-from .homology import RATIONALS, FieldSpec, homology_dimension, reduced_homology
+from .homology import RATIONALS, FieldSpec, _reduced_euler, homology_dimension, reduced_homology
 
 DEFAULT_MAX_SCAN = 10**5
 
@@ -424,7 +432,8 @@ def betti_table(
     scanned = 0
     for plan in _plans(g):
         levels, top, hvec, scanned = plan.levels(max_degree, max_scan, scanned)
-        local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex)
+        reg_pd = None if hvec is None else (len(hvec) - 1, len(plan.h.edges) - plan.d)
+        local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex, reg_pd)
         if hvec is not None and top <= max_degree:
             _check_k_polynomial(plan, hvec, local)
         positions = [g.index[v] for v in plan.h.vertices]
@@ -460,6 +469,7 @@ def _scan(
     field: FieldSpec,
     max_fiber: int,
     on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None,
+    reg_pd: tuple[int, int] | None,
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Betti entries of one graph at the semigroup elements whose canonical
     representatives `levels` holds.
@@ -472,18 +482,38 @@ def _scan(
     whole orbit.  With `on_complex`, each level is expanded in sorted
     order: every element t gets its representative's facets, relabelled by
     the swaps that reach t.
+
+    `reg_pd` is (reg, pd) of a Cohen-Macaulay ring, known from its
+    h-vector: reg = deg h and pd = |E| - d (Hochster's theorem, as in
+    `_Plan.levels`).  The ideal is generated in degree >= 2, so at standard
+    degree j >= 1 beta_{i,j} is nonzero only for max(1, j - reg) <= i <=
+    min(j - 1, pd).  Where that leaves one index i, which happens at j = 2,
+    at the top degree pd + reg and at every j when reg = 1, the only
+    homology of Delta_s is H~_{i-1}, so beta_{i,s} = (-1)^{i-1} times the
+    reduced Euler characteristic (`_reduced_euler`), over every field: the
+    Hilbert function, Cohen-Macaulayness and the Euler characteristic do
+    not depend on it.  A negative count is an internal error.  Every other
+    complex that is not a cone runs `reduced_homology`.
     """
     ground = tuple(h.edges)
-    edges = [(1 << e, iu, iv) for e, (iu, iv) in enumerate(h.edge_indices)]
+    at: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
+    for e, (iu, iv) in enumerate(h.edge_indices):
+        at[iu].append((1 << e, iu, iv))
+        at[iv].append((1 << e, iu, iv))
+    order = sorted(range(len(at)), key=lambda v: len(at[v]))
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
         # the top level is never looked up, unless it is expanded
         keep = d + 1 < len(levels) or on_complex is not None
+        only = None  # the one homological index left at degree d, if any
+        if reg_pd is not None:
+            lo, hi = max(1, d - reg_pd[0]), min(d - 1, reg_pd[1])
+            only = lo if lo == hi else None
         here: dict[tuple[int, ...], tuple[int, ...]] = {}
         shared: dict[int, int] = {}  # one object per distinct mask held
         for r in level:
-            masks = _facets(r, below, edges, twins) if d else [0]
+            masks = _facets(r, below, at, order, twins) if d else [0]
             if len(masks) > max_fiber:
                 # facets are supports of distinct decompositions
                 raise FiberOverflowError(max_fiber)
@@ -495,10 +525,19 @@ def _scan(
             if common:
                 continue  # every facet holds a common edge: a cone
             delta = SimplicialComplex(ground, masks)
-            for k, dim in enumerate(reduced_homology(delta, field), start=-1):
+            if only is None:
+                found = enumerate(reduced_homology(delta, field))
+            else:
+                beta = (-1) ** (only - 1) * _reduced_euler(delta)
+                if beta < 0:
+                    raise RuntimeError(
+                        f"internal error: beta_{{{only},{r}}} = {beta} from the Euler "
+                        "characteristic of a Cohen-Macaulay ring is negative"
+                    )
+                found = [(only, beta)]
+            for i, dim in found:
                 if not dim:
                     continue
-                i = k + 1
                 if 2 * i > sum(r):
                     raise RuntimeError(
                         f"internal error: beta_{{{i},{r}}} nonzero violates 2i <= |s|"
@@ -520,34 +559,68 @@ def _scan(
 def _facets(
     s: tuple[int, ...],
     below: dict[tuple[int, ...], tuple[int, ...]],
-    edges: list[tuple[int, int, int]],
+    at: list[list[tuple[int, int, int]]],
+    order: list[int],
     twins: _TwinGroup,
 ) -> list[int]:
     """Facets of the degree complex at a canonical s > 0, as edge bitmasks,
     from the facets held for the representatives of the level below.
 
-    F holding e is a face of Delta_s exactly when F - {e} is a face of
-    Delta_{s-a_e}, and s > 0 makes every facet nonempty, so the facets of
-    Delta_s are the maximal sets among G | {e} over the edges e and the
-    facets G of Delta_{s-a_e}.  Those are the facets of the representative
-    of s - a_e, relabelled by the twin swaps that carry it to s - a_e.
-    When e is not in G, G | {e} is a facet already: a larger face F would
-    make F - {e} a face of Delta_{s-a_e} larger than G.  So only the
-    candidates G with e in G are tested.
+    A facet F of Delta_s is the support of a decomposition of s: F is a
+    face, so s - a_F = a_D for some decomposition D, F | supp D is a face
+    too, and a facet already holds supp D.  A decomposition of s uses an
+    edge at every vertex x with s_x >= 1, so F holds such an edge e, and F
+    holding e is a face exactly when F - {e} is a face of Delta_{s-a_e}.
+    So the facets of Delta_s are the maximal sets among G | {e}, where e
+    runs over the edges at one vertex x with s_x >= 1 (both ends positive
+    in s) and G over the facets of Delta_{s-a_e}: those of the
+    representative of s - a_e, relabelled by the twin swaps that carry it
+    to s - a_e.  x is a vertex with s_x = 1 if there is one, else any with
+    s_x >= 1, the fewest edges first (`order`); `at` lists each vertex's
+    edges.
+
+    When s_x = 1, Delta_{s-a_e} has no edge at x, so every G | {e} is a
+    facet and the sets from different e differ at x: no test is needed.
+    Otherwise, when e is not in G, G | {e} is a facet already: a larger
+    face F would make F - {e} a face of Delta_{s-a_e} larger than G.  So
+    only the candidates G with e in G are tested.
     """
+    x = -1
+    for v in order:
+        if s[v] == 1:
+            x = v
+            break
+        if s[v] and x < 0:
+            x = v
+    pulled = _pulled(s, below, at[x], twins)
+    if s[x] == 1:
+        return [mask | bit for bit, mask in pulled]
     facets: set[int] = set()
     candidates: set[int] = set()
+    for bit, mask in pulled:
+        if mask & bit:
+            candidates.add(mask)
+        else:
+            facets.add(mask | bit)
+    return maximal_masks(candidates, facets)
+
+
+def _pulled(
+    s: tuple[int, ...],
+    below: dict[tuple[int, ...], tuple[int, ...]],
+    edges: list[tuple[int, int, int]],
+    twins: _TwinGroup,
+) -> Iterator[tuple[int, int]]:
+    """(bit of e, G) for each of the `edges` e with both ends positive in
+    canonical s and each facet G of Delta_{s-a_e}, relabelled from the
+    facets held for its representative."""
     for bit, iu, iv in edges:
         if s[iu] and s[iv]:
             c, moves = twins.down(s, iu, iv)
             for mask in below.get(c, ()):
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
-                if mask & bit:
-                    candidates.add(mask)
-                else:
-                    facets.add(mask | bit)
-    return maximal_masks(candidates, facets)
+                yield bit, mask
 
 
 def _convolve(

@@ -62,12 +62,14 @@ def _load_json_file(path: str, what: str):
     text = _read_text(path, what)[1]
     try:
         return _loads_json(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         from json import JSONDecodeError  # loaded: only json.loads raises here
 
-        if not isinstance(exc, JSONDecodeError):
-            raise
-        raise ValueError(f"{what} file {path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+        if isinstance(exc, JSONDecodeError):
+            raise ValueError(f"{what} file {path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+        # the scanner's ValueError (too many digits) or RecursionError (too
+        # deep) names no line
+        raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
 
 
 def _graph_section(g: Graph) -> dict:

@@ -536,8 +536,9 @@ def _write_json(value: object, newline: str, write: Callable[[str], object]) -> 
 
 def loads_graph(text: str) -> Graph:
     """Parse a graph from JSON or whitespace edge-list text: text whose first
-    non-blank character is '{' or '[' is JSON, and must hold an object."""
-    stripped = text.lstrip()
+    character after blanks and one byte order mark is '{' or '[' is JSON,
+    and must hold an object (json rejects the mark)."""
+    stripped = text.lstrip().removeprefix("\ufeff").lstrip()
     if stripped.startswith(("{", "[")):
         return _parse_json(text)
     return _parse_edgelist(text)
@@ -561,12 +562,15 @@ def _read_text(path: str, what: str = "graph") -> tuple[bytes, str]:
 def _parse_json(text: str) -> Graph:
     try:
         obj = _loads_json(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         from json import JSONDecodeError  # loaded: only json.loads raises here
 
-        if not isinstance(exc, JSONDecodeError):
-            raise
-        raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: invalid JSON ({exc.msg})") from None
+        if isinstance(exc, JSONDecodeError):
+            raise GraphFormatError(
+                f"line {exc.lineno}, column {exc.colno}: invalid JSON ({exc.msg})") from None
+        # the scanner's ValueError (too many digits) or RecursionError (too
+        # deep) names no place
+        raise GraphFormatError(f"invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level: expected an object with 'vertices' and 'edges'")
     for key in ("vertices", "edges"):

@@ -237,6 +237,20 @@ def reduced_homology(k: SimplicialComplex, field: FieldSpec = RATIONALS) -> list
     return homology + [0] * (k.dim - core.dim)
 
 
+def _reduced_euler(k: SimplicialComplex) -> int:
+    """The reduced Euler characteristic, the sum of (-1)^d dim H~_d(k) over
+    every field, counted off the chains of k's core relative to a vertex
+    star (`_relative_faces`), whose homology is k's: no boundary is built
+    and no rank computed."""
+    if k.is_void:
+        return 0
+    if k.is_irrelevant:
+        return -1
+    chains = _relative_faces(k.core())[0]
+    # the chains of size n have dimension n - 1
+    return sum(len(level) if n % 2 else -len(level) for n, level in enumerate(chains))
+
+
 def homology_dimension(k: SimplicialComplex, d: int, field: FieldSpec = RATIONALS) -> int:
     """dim H~_d, read off `reduced_homology`."""
     if k.is_void or d < -1 or d > k.dim:

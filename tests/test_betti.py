@@ -502,17 +502,20 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # live in the box s <= deg (totally unimodular incidence matrix:
     # squarefree initial ideals, upper semicontinuity, 0/1 degrees): the
     # levels to d - 1 = 5 stay whole (65 representatives), those past it
-    # hold the box only (122 in all), and 38 complexes need homology; the
+    # hold the box only (122 in all), and 38 complexes need homology: 32
+    # are ranked, and 6 have one homological index left (degree 2 and the
+    # top degree 8, reg 2 and pd 6) and are counted by their chains; the
     # grower returns the running count of representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
     held = _count_results(monkeypatch, "_grow")
     homology = _count_calls(monkeypatch, "reduced_homology")
+    euler = _count_calls(monkeypatch, "_reduced_euler")
     table = betti_table(g, 8)
     assert table.certified
     assert held == [65, 122]
-    assert len(homology) == 38
+    assert (len(homology), len(euler)) == (32, 6)
 
 
 def _bowtie(prefix="v"):
@@ -520,15 +523,16 @@ def _bowtie(prefix="v"):
     return Graph((c, a, b, d, e), ((c, a), (a, b), (b, c), (c, d), (d, e), (e, c)))
 
 
-def _count_calls(monkeypatch, name):
-    """Record the arguments of every call to betti.`name`."""
-    calls, original = [], getattr(betti, name)
+def _count_calls(monkeypatch, name, owner=betti):
+    """Record the arguments of every call to `owner`.`name`, betti's own
+    functions by default."""
+    calls, original = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(betti, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -826,17 +830,98 @@ def test_k33_degree_complexes_outside_the_degree_box_are_acyclic():
 def test_k44_scans_its_degree_box(monkeypatch):
     # K_{4,4} to its top degree 12: the levels to d - 1 = 6 hold 157
     # representatives, and with the degree box past them 418 of the 3,241
-    # a whole scan holds; 147 complexes need homology instead of 225
+    # a whole scan holds; 147 complexes need homology instead of 225, 139
+    # ranked and 8 counted by their chains (degree 2 and the top degree 12)
     g = complete_bipartite_graph(4, 4)
     assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
     held = _count_results(monkeypatch, "_grow")
     homology = _count_calls(monkeypatch, "reduced_homology")
+    euler = _count_calls(monkeypatch, "_reduced_euler")
     table = betti_table(g)
     assert table.certified
     assert held == [157, 418]
-    assert len(homology) == 147
+    assert (len(homology), len(euler)) == (139, 8)
     inv = invariants(g, table)
     assert (inv.regularity, inv.projective_dimension) == (3, 9)
+
+
+def test_facet_pulls_are_pinned(monkeypatch):
+    # each degree complex is built from the edges at one vertex, a weight-1
+    # vertex with the fewest edges where there is one: the relabelled masks
+    # and the twin steps down are pinned, as the wall time is too noisy to
+    # guard them (pulling over every edge took 3,964 / 781 on K_{3,4} and
+    # 92,368 / 4,108 on K_{4,4})
+    for g, bound, work in (
+        (complete_bipartite_graph(3, 4), 8, (1008, 242)),
+        (complete_bipartite_graph(4, 4), None, (18788, 1158)),
+    ):
+        relabels = _count_calls(monkeypatch, "_relabel")
+        downs = _count_calls(monkeypatch, "down", betti._TwinGroup)
+        betti_table(g, bound)
+        assert (len(relabels), len(downs)) == work, g
+        monkeypatch.undo()
+
+
+def _box_complex(g, s):
+    supports = [[e for e, c in enumerate(coeffs) if c] for coeffs in box_fiber(g, s)]
+    return SimplicialComplex.from_faces(g.edges, supports)
+
+
+@pytest.mark.parametrize("name, bound", [("K24", 6), ("K33", 6), ("bowtie", 4), ("K34", 6)])
+def test_facets_from_one_vertex_match_box_fibers(name, bound):
+    # a weight-1 vertex takes the edges at it without a maximality test;
+    # with all positive weights >= 2 the sets are tested.  Both are checked
+    # against the box sweep, every complex on the small graphs, and on
+    # K_{3,4} one multidegree of each kind
+    g = {
+        "K24": complete_bipartite_graph(2, 4),
+        "K33": complete_bipartite_graph(3, 3),
+        "bowtie": _bowtie(),
+        "K34": complete_bipartite_graph(3, 4),
+    }[name]
+    seen = {}
+    betti_table(g, bound, on_complex=lambda s, delta: seen.setdefault(s, delta))
+    if name == "K34":
+        seen = {s: seen[s] for s in ((2, 2, 1, 2, 2, 1, 0), (2, 2, 2, 2, 2, 2, 0))}
+    kinds = {1 in s for s in seen if any(s)}
+    assert kinds == {True, False}
+    for s, delta in seen.items():
+        assert delta == _box_complex(g, s), s
+
+
+EULER_GRAPHS = {
+    "K24": complete_bipartite_graph(2, 4),
+    "K33": complete_bipartite_graph(3, 3),
+    "K34": complete_bipartite_graph(3, 4),
+    "C6": cycle_graph(6),
+    "C8": cycle_graph(8),
+    "bowtie": _bowtie(),
+    "bowties": disjoint_union(_bowtie("p"), _bowtie("q")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EULER_GRAPHS))
+def test_euler_counts_match_the_whole_scan(monkeypatch, name):
+    # a Cohen-Macaulay component's complexes with one homological index
+    # left are counted by their chains; the whole scan ranks every non-cone
+    g = EULER_GRAPHS[name]
+    top = known_complete_degree(g)
+    homology = _count_calls(monkeypatch, "reduced_homology")
+    euler = _count_calls(monkeypatch, "_reduced_euler")
+    for field in (RATIONALS, FieldSpec(2), FieldSpec(3)):
+        assert betti_table(g, field=field).entries == whole_graph_entries(g, top, field), field
+    assert euler
+    if name == "K24":
+        # reg 1: every degree past 0 leaves one index, so only level 0's
+        # irrelevant complex is ranked, once per field
+        assert [args[0].masks for args in homology] == [(0,)] * 3
+
+
+def test_negative_euler_count_is_an_internal_error(monkeypatch):
+    euler = betti._reduced_euler
+    monkeypatch.setattr(betti, "_reduced_euler", lambda delta: -euler(delta))
+    with pytest.raises(RuntimeError, match="internal error: .* is negative"):
+        betti_table(complete_bipartite_graph(2, 4))
 
 
 def test_hilbert_cross_checks_raise(monkeypatch):

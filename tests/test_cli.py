@@ -276,8 +276,10 @@ _DIGITS = (
 _DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 # name: (text, the graph file's line, the line of a degree, parts or
 # embedding file, whose words and path stand for {file}).  A graph file
-# whose text does not open with '{' or '[' is an edge list, so the empty
-# file is an edgeless graph (None: exit 0) and the BOM is read as a label.
+# whose text, after blanks and one byte order mark, does not open with '{'
+# or '[' is an edge list, so the empty file is an edgeless graph (None:
+# exit 0).  The scanner's errors for too many digits and too deep a nesting
+# name no place, so the line gives json's message alone.
 MALFORMED_JSON = {
     "token": (
         '{"vertices": ["a", x], "edges": []}',
@@ -299,11 +301,15 @@ MALFORMED_JSON = {
     "empty": ("", None, "{file}: line 1: invalid JSON (Expecting value)"),
     "bom": (
         '\ufeff{"vertices": [], "edges": []}',
-        "line 1: expected 'u v' or a bare vertex, got 4 tokens",
+        "line 1, column 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
         "{file}: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
     ),
-    "digits": ('{"vertices": [' + "9" * 5000 + '], "edges": []}', _DIGITS, _DIGITS),
-    "deep": ("[" * 100_000, _DEEP, _DEEP),
+    "digits": (
+        '{"vertices": [' + "9" * 5000 + '], "edges": []}',
+        f"invalid JSON ({_DIGITS})",
+        f"{{file}}: invalid JSON ({_DIGITS})",
+    ),
+    "deep": ("[" * 100_000, f"invalid JSON ({_DEEP})", f"{{file}}: invalid JSON ({_DEEP})"),
 }
 
 
