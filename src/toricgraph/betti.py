@@ -49,8 +49,9 @@ their product.
 One plan per component (`_Plan`) decides its levels and its top degree,
 the largest standard degree of a Betti entry, for `betti_table` and
 `known_complete_degree` alike.  The top degree is known when the ring is
-free (0), K_{u,v} ((u-1)v in closed form) or normal, that is bipartite or
-satisfying the odd cycle condition (Ohsugi-Hibi).  A normal ring of
+free (0), a hypersurface (below), K_{u,v} ((u-1)v in closed form) or
+normal, that is bipartite or satisfying the odd cycle condition
+(Ohsugi-Hibi).  A normal ring of
 dimension d = `incidence_rank` is Cohen-Macaulay (Hochster) with negative
 a-invariant (Danilov-Stanley), so the level sizes H(0), ..., H(d - 1) fix
 its h-vector, and the resolution ends at degree pd + deg h with pd = |E| -
@@ -59,7 +60,24 @@ that lies further.  Each finished component table is cross-checked against
 its h-vector.  reg = deg h and pd also leave a single homological index
 at some degrees (2, the top degree, and every degree when reg = 1); there
 the scan counts chains for the Euler characteristic instead of ranking
-boundaries (`_scan`).
+boundaries (`_scan`).  Level 0's complex, {empty set}, needs neither:
+beta_{0,0} = 1.
+
+A component with |E| = d + 1 is a hypersurface, and it is not scanned.
+Its toric ideal I_H is a prime of height |E| - d = 1 in the edge
+polynomial ring, so it is principal (Matsumura, Commutative Ring Theory,
+Thm 20.1); it is the lattice ideal of ker A (Sturmfels, Groebner Bases and
+Convex Polytopes, Lemma 4.1), a line spanned by a primitive vector u
+(`_relation`, from a search tree in O(|V| + |E|)).  So I_H is generated by
+x^{u+} - x^{u-}: the table is beta_{0,0} = 1 and beta_{1,Au+} = 1, and the
+top degree is |u+|, whether k[H] is normal or not (even cycles, K_{2,2},
+the bowtie, two odd cycles joined by a path).  The entry is certified by a
+computed complex: the fiber of Au+ is {u+, u-}, so the degree complex
+there (`build_delta`) is the two disjoint facets supp u+ and supp u-, with
+reduced homology [0, 1, 0, ...], and anything else is an internal error
+(`_Plan.hypersurface_table`).  With `on_complex` a hypersurface is scanned
+as far as any other component, its closed form aside, and gives the same
+table.
 
 A bipartite component H is scanned only inside its degree box, the
 multidegrees s <= deg_H entrywise, because no Betti number of k[H] lives
@@ -81,8 +99,8 @@ no homology outside it.  The levels up to d - 1 are listed whole, since the
 Hilbert function needs them, and then cut to the box; the levels past
 d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
 and the box representatives past them.  K_{3,4} to degree 8 holds 122 of
-its 366 representatives and keeps 38 of its 46 homology calls, 6 of
-them Euler counts.
+its 366 representatives and runs homology on 37 of the 45 complexes past
+level 0 that are not cones, 6 of them Euler counts.
 Non-bipartite components are scanned whole: no such theorem is known for
 them.
 
@@ -402,13 +420,18 @@ def betti_table(
     plan (`_Plan.levels`) gives its levels and top degree: a normal
     component's comes from its levels up to d - 1, so it is known only when
     max_degree >= d - 1; the table is certified when max_degree reaches the
-    sum of the top degrees.  A bipartite component H is scanned only inside
-    its degree box s <= deg_H, where all its Betti numbers live (see the
-    module docstring).  `max_scan` caps the multidegrees held in all
+    sum of the top degrees.  A hypersurface (|E| = d + 1) is not scanned
+    unless `on_complex` is set: its table is beta_{0,0} = 1 and, when |u+|
+    <= max_degree, beta_{1,Au+} = 1, certified by its degree complex
+    (`_Plan.hypersurface_table`).  A bipartite component H is scanned only
+    inside its degree box s <= deg_H, where all its Betti numbers live (see
+    the module docstring).  `max_scan` caps the multidegrees held in all
     components together, one representative per twin orbit: each
     component's whole levels up to d - 1, which the Hilbert function
     needs, and for a bipartite component only the representatives in its
-    box past them.  A negative `max_scan` or `max_fiber` is a ValueError.
+    box past them; a hypersurface that is not scanned holds level 0, as a
+    free component does.  A negative `max_scan` or `max_fiber` is a
+    ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -416,10 +439,11 @@ def betti_table(
     `on_complex(s, delta)` is invoked for every element s of the scanned
     semigroup, orbits expanded, that the scan builds a complex for: all of
     them in a component that is not bipartite, and those in the degree box
-    in one that is.  s is the component's own multidegree (aligned with
-    the component's vertices, in g's order) and delta its degree complex,
-    component by component in the order of `connected_components`, each
-    level by level in sorted order; it exists for audits.
+    in one that is; with it set, hypersurfaces are scanned too.  s is the
+    component's own multidegree (aligned with the component's vertices, in
+    g's order) and delta its degree complex, component by component in the
+    order of `connected_components`, each level by level in sorted order;
+    it exists for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
@@ -430,12 +454,20 @@ def betti_table(
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[int | None] = []
     scanned = 0
-    for plan in _plans(g):
-        levels, top, hvec, scanned = plan.levels(max_degree, max_scan, scanned)
-        reg_pd = None if hvec is None else (len(hvec) - 1, len(plan.h.edges) - plan.d)
-        local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex, reg_pd)
-        if hvec is not None and top <= max_degree:
-            _check_k_polynomial(plan, hvec, local)
+    for plan in _plans(g, scan=on_complex is not None):
+        top = plan.top
+        if plan.closed:
+            # level 0 is held as a free component's is, and nothing past it
+            if scanned >= max_scan:
+                raise ScanOverflowError(max_scan, 0)
+            scanned += 1
+            local = plan.hypersurface_table(max_degree, field, max_fiber)
+        else:
+            levels, top, hvec, scanned = plan.levels(max_degree, max_scan, scanned)
+            reg_pd = None if hvec is None else (len(hvec) - 1, len(plan.h.edges) - plan.d)
+            local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex, reg_pd)
+            if hvec is not None and top <= max_degree:
+                _check_k_polynomial(plan, hvec, local)
         positions = [g.index[v] for v in plan.h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
         tops.append(top)
@@ -492,8 +524,9 @@ def _scan(
     homology of Delta_s is H~_{i-1}, so beta_{i,s} = (-1)^{i-1} times the
     reduced Euler characteristic (`_reduced_euler`), over every field: the
     Hilbert function, Cohen-Macaulayness and the Euler characteristic do
-    not depend on it.  A negative count is an internal error.  Every other
-    complex that is not a cone runs `reduced_homology`.
+    not depend on it.  A negative count is an internal error.  Level 0's
+    complex is {empty set}, so beta_{0,0} = 1 is written without homology;
+    every other complex that is not a cone runs `reduced_homology`.
     """
     ground = tuple(h.edges)
     at: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
@@ -501,7 +534,8 @@ def _scan(
         at[iu].append((1 << e, iu, iv))
         at[iv].append((1 << e, iu, iv))
     order = sorted(range(len(at)), key=lambda v: len(at[v]))
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    # level 0's complex is {empty set}: beta_{0,0} = 1, with no homology run
+    entries = {(0, (0,) * len(h.vertices)): 1}
     below: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d, level in enumerate(levels):
         # the top level is never looked up, unless it is expanded
@@ -519,6 +553,8 @@ def _scan(
                 raise FiberOverflowError(max_fiber)
             if keep:
                 here[r] = tuple([shared.setdefault(mask, mask) for mask in masks])
+            if not d:
+                continue
             common = -1
             for mask in masks:
                 common &= mask
@@ -702,28 +738,100 @@ def _check_k_polynomial(
         )
 
 
+def _relation(h: Graph) -> tuple[int, ...]:
+    """The primitive integer vector u spanning ker A, one entry per edge of
+    h, for a connected graph h with |E| = d + 1; u is fixed up to sign.
+
+    A search tree T from the first vertex r leaves |E| - |V| + 1 edges
+    outside it: one when h is bipartite, two when it is not.  Each such
+    edge f = {a, b} closes the walk r -> a along T, f, b -> r along T,
+    signed alternately from +1 at r.  A walk of even length is a cycle
+    (its tree path to the fork is walked out and back with opposite signs)
+    and its vector w lies in ker A.  A walk of odd length ends on the sign
+    it starts with, so A w = 2 e_r, and the difference of two such walks
+    lies in ker A.  So u is an even walk's vector if there is one, else the
+    difference of the two odd ones.  Either way u is +-1 at an edge f that
+    no other walk uses, so u is primitive: ker A is a line, and u generates
+    its integer points.  O(|V| + |E|).
+    """
+    ends = h.edge_indices
+    at: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
+    for e, (iu, iv) in enumerate(ends):
+        at[iu].append((e, iv))
+        at[iv].append((e, iu))
+    depth = [-1] * len(h.vertices)
+    parent = [-1] * len(h.vertices)  # the tree edge to each vertex's parent
+    depth[0], order = 0, [0]
+    for v in order:  # breadth first, the queue growing as it is read
+        for e, w in at[v]:
+            if depth[w] < 0:
+                depth[w], parent[w] = depth[v] + 1, e
+                order.append(w)
+    odd = []
+    for f, (a, b) in enumerate(ends):
+        if f in (parent[a], parent[b]):
+            continue
+        even = (depth[a] + depth[b]) % 2  # the walk has depth a + depth b + 1 edges
+        w = [0] * len(ends)
+        w[f] = (-1) ** depth[a]
+        for x, sign in ((a, 1), (b, -1 if even else 1)):
+            while depth[x]:  # the tree edge into x is step depth[x] - 1 out of r
+                e = parent[x]
+                w[e] += sign * (-1) ** (depth[x] - 1)
+                iu, iv = ends[e]
+                x = iu + iv - x
+        if even:
+            return tuple(w)
+        odd.append(w)
+    first, second = odd
+    return tuple(x - y for x, y in zip(first, second))
+
+
 class _Plan:
     """One connected component H with an edge, and what decides how far it
-    is scanned: its incidence rank d; whether k[H] is normal, that is H is
-    bipartite or satisfies the odd cycle condition (Ohsugi-Hibi, J. Algebra
-    207, 1998), searched exhaustively up to EXHAUSTIVE_VERTEX_LIMIT
-    vertices; the degree box deg_H of a bipartite H, None otherwise; its
-    twin group; and its top degree in closed form: 0 when k[H] is free
-    (d = |E|, no syzygies), reg + pd = (u-1)v for K_{u,v} with u <= v
-    (`complete_bipartite_reg_pd`), None otherwise."""
+    is scanned.
 
-    def __init__(self, h: Graph, bipartite: bool):
+    Its incidence rank d = dim k[H]; for a hypersurface (|E| = d + 1) the
+    primitive vector u of ker A (`_relation`); the sides (u, v) of H =
+    K_{u,v}, unless the plan is closed; and its top degree in closed form:
+    0 when k[H] is free (d = |E|, no syzygies), |u+| for a hypersurface,
+    reg + pd = (u-1)v for K_{u,v} with u <= v (`complete_bipartite_reg_pd`),
+    None otherwise.
+
+    A hypersurface is `closed`, answered by theorem, unless `scan` asks for
+    its complexes: I_H is a height-one prime of the edge polynomial ring,
+    so it is principal (Matsumura, Commutative Ring Theory, Thm 20.1), and
+    it is the lattice ideal of ker A = Z u (Sturmfels, Groebner Bases and
+    Convex Polytopes, Lemma 4.1), so it is generated by x^{u+} - x^{u-}
+    (`hypersurface_table`, which checks the entry beta_{1,Au+} = 1 on the
+    degree complex at Au+).  A closed plan builds nothing more.  Every
+    other plan holds whether k[H] is normal, that is H is bipartite or
+    satisfies the odd cycle condition (Ohsugi-Hibi, J. Algebra 207, 1998),
+    searched exhaustively up to EXHAUSTIVE_VERTEX_LIMIT vertices; the
+    degree box deg_H of a bipartite H, None otherwise; and its twin group.
+    """
+
+    def __init__(self, h: Graph, bipartite: bool, scan: bool):
         self.h = h
         self.d = incidence_rank(h)
+        codim = len(h.edges) - self.d
+        self.relation = _relation(h) if codim == 1 else None
+        self.closed = self.relation is not None and not scan
+        self.sides = None if self.closed else recognize_complete_bipartite(h)
+        if codim == 0:
+            self.top: int | None = 0
+        elif self.relation is not None:
+            self.top = sum(x for x in self.relation if x > 0)
+        else:
+            self.top = None if self.sides is None else sum(complete_bipartite_reg_pd(*self.sides))
+        if self.closed:
+            return  # never scanned: no normality test, box or twin group
         self.normal = bipartite or (
             len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
             and odd_cycle_condition(h).status == "satisfied"
         )
         self.box = tuple(map(len, h._adjacency)) if bipartite else None
         self.twins = _TwinGroup(h, twin_classes(h))
-        self.sides = recognize_complete_bipartite(h)
-        closed = None if self.sides is None else sum(complete_bipartite_reg_pd(*self.sides))
-        self.top = 0 if self.d == len(h.edges) else closed
 
     def levels(
         self, max_degree: int, max_scan: int, held: int = 0
@@ -736,9 +844,10 @@ class _Plan:
         A normal ring is Cohen-Macaulay (Hochster, Ann. Math. 96, 1972), so
         pd = |E| - d, reg = deg h and the resolution ends at degree
         pd + deg h, which the whole levels up to d - 1 fix (`_h_vector`);
-        for K_{u,v} the sum cross-checks the closed form.  The levels are
-        cut at the top degree and to the box, and grown past d - 1 inside
-        it (`_grow`)."""
+        where the top degree has a closed form, the sum cross-checks it.
+        The levels are cut at the top degree and to the box, and grown past
+        d - 1 inside it (`_grow`); a hypersurface's levels are cut without
+        its closed form, which only certifies them."""
         h, d, twins = self.h, self.d, self.twins
         # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
         # no syzygies, so level 0 is enough
@@ -746,46 +855,85 @@ class _Plan:
         try:
             levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins)
             held += sum(map(len, levels))
-            top, hvec = self.top, None
+            # a scanned hypersurface is cut where the scan alone would cut
+            # it, not at |u+|, so that audits see every complex they did
+            # before the closed form
+            cut, hvec = None if self.relation else self.top, None
             if self.normal and len(levels) == d:
                 hvec = _h_vector(_hilbert(levels, twins), d)
-                hilbert = len(h.edges) - d + len(hvec) - 1
-                if self.sides is not None and hilbert != top:
+                cut = len(h.edges) - d + len(hvec) - 1
+                if self.top is not None and cut != self.top:
+                    sides = self.sides
+                    name = "a component" if sides is None else f"K_{{{sides[0]},{sides[1]}}}"
                     raise RuntimeError(
-                        f"internal error: K_{{{self.sides[0]},{self.sides[1]}}} has "
-                        f"pd + deg h = {hilbert}, not the closed-form top degree {top}"
+                        f"internal error: {name} has pd + deg h = {cut}, "
+                        f"not the closed-form top degree {self.top}"
                     )
-                top = hilbert
-            stop = max_degree if top is None else min(max_degree, top)
+            stop = max_degree if cut is None else min(max_degree, cut)
             levels = levels[: stop + 1]
             if self.box is not None:
                 levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
             held = _grow(h, levels, stop, max_scan, twins, held, self.box)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        return levels, top, hvec, held
+        return levels, cut if self.top is None else self.top, hvec, held
+
+    def hypersurface_table(
+        self, max_degree: int, field: FieldSpec, max_fiber: int
+    ) -> dict[tuple[int, tuple[int, ...]], int]:
+        """The Betti table of a closed hypersurface up to `max_degree`:
+        beta_{0,0} = 1, and beta_{1,Au+} = 1 when |u+| <= max_degree.
+
+        The resolution is 0 -> S(-Au+) -> S -> k[H] -> 0.  The entry is
+        certified by the degree complex at Au+ (`build_delta`): the fiber
+        of Au+ is {u+, u-}, as ker A = Z u, so the complex is two disjoint
+        facets, supp u+ and supp u-, with reduced homology [0, 1, 0, ...]
+        over every field.  Any other homology is an internal error."""
+        h = self.h
+        table = {(0, (0,) * len(h.vertices)): 1}
+        if self.top > max_degree:
+            return table
+        s = [0] * len(h.vertices)
+        for (iu, iv), x in zip(h.edge_indices, self.relation):
+            if x > 0:
+                s[iu] += x
+                s[iv] += x
+        hom = reduced_homology(build_delta(h, s, max_fiber=max_fiber), field)
+        if hom != [0, 1] + [0] * (len(hom) - 2):
+            raise RuntimeError(
+                f"internal error: the degree complex of the relation of a hypersurface, "
+                f"at {tuple(s)}, has reduced homology {hom}, not that of two points"
+            )
+        table[(1, tuple(s))] = 1
+        return table
 
 
-def _plans(g: Graph) -> list[_Plan]:
+def _plans(g: Graph, scan: bool) -> list[_Plan]:
     """The plan of each connected component of g with an edge, as an
-    induced subgraph of g, in the order of `connected_components`."""
+    induced subgraph of g, in the order of `connected_components`; a
+    hypersurface is closed unless `scan` is set."""
     parts = (induced_subgraph(g, comp) for comp in connected_components(g))
-    return [_Plan(h, bipartite) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
+    return [_Plan(h, bipartite, scan) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
 
 
 def known_complete_degree(g: Graph) -> int | None:
     """Largest standard degree any Betti entry of k[G] can live in, when
     every connected component has a known top degree (`_Plan`): it is
-    free, complete bipartite, or normal; None otherwise.
+    free, a hypersurface, complete bipartite, or normal; None otherwise.
 
-    A free or complete bipartite component's top degree is a closed form.
-    Any other normal component's is read off its Hilbert function up to
-    degree d - 1, so this scans those levels, under the default `max_scan`
-    (ScanOverflowError past it).  Every class is Cohen-Macaulay, so the top
-    degree adds up across a disjoint union.
+    A free, hypersurface or complete bipartite component's top degree is a
+    closed form: 0, |u+| for the primitive relation u (a height-one prime
+    is principal, Matsumura Thm 20.1, and I_H is the lattice ideal of
+    ker A, Sturmfels Lemma 4.1; `betti_table` certifies the relation on
+    its degree complex at Au+, two points) and (u-1)v.  Any other normal
+    component's
+    is read off its Hilbert function up to degree d - 1, so this scans
+    those levels, under the default `max_scan` (ScanOverflowError past
+    it).  Every class is Cohen-Macaulay, so the top degree adds up across
+    a disjoint union.
     """
     tops = []
-    for plan in _plans(g):
+    for plan in _plans(g, scan=False):
         top = plan.top
         if top is None and plan.normal:
             top = plan.levels(plan.d - 1, DEFAULT_MAX_SCAN)[1]

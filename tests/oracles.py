@@ -1,16 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the engine's algorithms: fibers come
-from an exhaustive product-box sweep, induced cycles from testing every
-vertex subset, faces from every subset of every facet, boundary matrices
-from the definition, ranks from sympy's exact domain matrices, and the
-convolution from the definition.  The two composition checks are audits
+from an exhaustive product-box sweep, relations from an exhaustive sweep of
+small coefficients, induced cycles from testing every vertex subset, faces
+from every subset of every facet, boundary matrices from the definition,
+ranks from sympy's exact domain matrices, and the convolution from the
+definition.  The two composition checks are audits
 of the engine's own boundary maps, not references.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from sympy.polys.domains import GF, QQ, ZZ
@@ -39,6 +41,47 @@ def box_fiber(g: Graph, s) -> list[tuple[int, ...]]:
         if tuple(total) == s:
             hits.append(combo)
     return sorted(hits)
+
+
+def primitive_relation(g: Graph) -> tuple[int, ...]:
+    """The one integer vector u with A u = 0, first nonzero entry positive
+    and entries without a common factor, for a graph with at most 10 edges
+    whose relations form a line, as for |E| = dim k[G] + 1.
+
+    Every coefficient vector in {-2..2}^E is tried, edge by edge: a choice
+    is dropped as soon as a vertex whose edges are all chosen has a nonzero
+    sum.  The primitive relation of such a graph has entries +-1 and +-2 (2
+    on a path walked out and back between two odd cycles), so the sweep
+    holds it; finding two primitive vectors means the relations are no line."""
+    m = len(g.edges)
+    assert m <= 10, "brute force is for small graphs"
+    closing: list[list[int]] = [[] for _ in range(m)]  # the vertices whose last edge is e
+    for v in range(len(g.vertices)):
+        touching = [e for e, ends in enumerate(g.edge_indices) if v in ends]
+        if touching:
+            closing[max(touching)].append(v)
+    total = [0] * len(g.vertices)
+    found = set()
+
+    def extend(chosen: list[int]) -> None:
+        e = len(chosen)
+        if e == m:
+            if any(chosen) and math.gcd(*chosen) == 1:
+                first = next(c for c in chosen if c)
+                found.add(tuple(c if first > 0 else -c for c in chosen))
+            return
+        iu, iv = g.edge_indices[e]
+        for c in range(-2, 3):
+            total[iu] += c
+            total[iv] += c
+            if not any(total[v] for v in closing[e]):
+                extend(chosen + [c])
+            total[iu] -= c
+            total[iv] -= c
+
+    extend([])
+    assert len(found) == 1, found
+    return found.pop()
 
 
 def induced_cycles(g: Graph, max_length: int) -> list[tuple[str, ...]]:

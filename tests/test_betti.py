@@ -22,6 +22,7 @@ from toricgraph import (
     cycle_graph,
     disjoint_union,
     enumerate_fiber,
+    incidence_rank,
     invariants,
     induced_subgraph,
     is_bipartite,
@@ -36,7 +37,14 @@ from toricgraph import (
 )
 from toricgraph import betti
 
-from oracles import box_fiber, homology_via_sympy, induced_cycles, non_normal_graph, random_graph
+from oracles import (
+    box_fiber,
+    homology_via_sympy,
+    induced_cycles,
+    non_normal_graph,
+    primitive_relation,
+    random_graph,
+)
 from whole_scan import whole_graph_entries
 
 
@@ -236,8 +244,10 @@ def test_known_complete_degree_matches_the_certified_table(data_dir):
     # the degree is None exactly when the table to the edge count is not
     # certified, and otherwise it is the table's top standard degree.
     # random_graph almost never draws a graph that is not normal, so
-    # non_normal_graph adds 20, beside the pattern graph and two triangles
-    # joined by a path; none of these has a certified table
+    # non_normal_graph adds 20 with |E| >= d + 2, beside the pattern graph;
+    # none of these has a certified table.  Its draws with |E| = d + 1, and
+    # two triangles joined by a path, are hypersurfaces, whose top degree
+    # and table are closed forms
     with open(os.path.join(data_dir, "f.json"), encoding="utf-8") as fh:
         pattern = loads_graph(fh.read())
     joined = Graph.from_edges(
@@ -245,10 +255,12 @@ def test_known_complete_degree_matches_the_certified_table(data_dir):
     )
     rng = random.Random(2121)
     graphs = [random_graph(rng) for _ in range(80)]
-    non_normal = [non_normal_graph(rng, max_edges=9) for _ in range(20)] + [pattern, joined]
-    graphs += non_normal
+    non_normal, hypersurfaces = [pattern], [joined]
+    while len(non_normal) < 21:
+        g = non_normal_graph(rng, max_vertices=7, max_edges=9)
+        (non_normal if len(g.edges) - incidence_rank(g) >= 2 else hypersurfaces).append(g)
     unknown = 0
-    for g in graphs:
+    for g in graphs + non_normal + hypersurfaces:
         known, table = known_complete_degree(g), betti_table(g)
         assert (known is None) == (not table.certified), g
         if known is None:
@@ -256,6 +268,9 @@ def test_known_complete_degree_matches_the_certified_table(data_dir):
         else:
             assert known == max(sum(s) // 2 for _, s in table.entries), g
     assert unknown >= len(non_normal)
+    assert len(hypersurfaces) >= 20
+    for g in hypersurfaces:
+        assert invariants(g, betti_table(g)).cohen_macaulay == "yes", g
 
 
 def test_closed_form_top_degrees_scan_nothing(monkeypatch):
@@ -444,12 +459,22 @@ def test_representatives_cover_each_plain_level(name):
 
 def test_orbit_scan_cap_counts_representatives():
     # the cap trips at the first degree where the representatives listed so
-    # far exceed it; the plain scan lists every element, so it trips no later
+    # far exceed it; the plain scan lists every element, so it trips no later.
+    # A hypersurface (|E| = d + 1) lists no levels: C_4 holds level 0 alone
+    c4 = TWIN_GRAPHS["C4"]
+    with pytest.raises(ScanOverflowError) as exc:
+        betti_table(c4, 6, max_scan=0)
+    assert (exc.value.limit, exc.value.degree) == (0, 0)
+    assert betti_table(c4, 6, max_scan=1).certified
+
+    def scanned(g):
+        return len(connected_components(g)) == 1 and len(g.edges) - incidence_rank(g) != 1
+
     rng = random.Random(2024)
-    graphs = [g for g in TWIN_GRAPHS.values() if len(connected_components(g)) == 1]
+    graphs = [g for g in TWIN_GRAPHS.values() if scanned(g)]
     while len(graphs) < 15:
         g = _plant_twins(rng, random_graph(rng, max_vertices=5, max_edges=7))
-        if g.edges and len(connected_components(g)) == 1:
+        if g.edges and scanned(g):
             graphs.append(g)
     overflows = 0
     for g in graphs:
@@ -502,10 +527,11 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # live in the box s <= deg (totally unimodular incidence matrix:
     # squarefree initial ideals, upper semicontinuity, 0/1 degrees): the
     # levels to d - 1 = 5 stay whole (65 representatives), those past it
-    # hold the box only (122 in all), and 38 complexes need homology: 32
-    # are ranked, and 6 have one homological index left (degree 2 and the
-    # top degree 8, reg 2 and pd 6) and are counted by their chains; the
-    # grower returns the running count of representatives held
+    # hold the box only (122 in all), and 37 complexes past level 0 need
+    # homology: 31 are ranked, and 6 have one homological index left
+    # (degree 2 and the top degree 8, reg 2 and pd 6) and are counted by
+    # their chains; level 0's {empty set} needs neither.  The grower
+    # returns the running count of representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
@@ -515,12 +541,18 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     table = betti_table(g, 8)
     assert table.certified
     assert held == [65, 122]
-    assert (len(homology), len(euler)) == (32, 6)
+    assert (len(homology), len(euler)) == (31, 6)
 
 
 def _bowtie(prefix="v"):
     c, a, b, d, e = (f"{prefix}{x}" for x in "cabde")
     return Graph((c, a, b, d, e), ((c, a), (a, b), (b, c), (c, d), (d, e), (e, c)))
+
+
+def _bridged_bowtie(prefix="v"):
+    """The bowtie with an edge joining its triangles: |E| = d + 2, normal."""
+    g = _bowtie(prefix)
+    return Graph(g.vertices, g.edges + ((f"{prefix}a", f"{prefix}d"),))
 
 
 def _count_calls(monkeypatch, name, owner=betti):
@@ -567,7 +599,8 @@ def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
 
 def test_each_component_builds_its_twin_group_once(monkeypatch):
     # a component's plan hands its group to semigroup_levels, which uses it
-    # as it is rather than building a second one from the classes
+    # as it is rather than building a second one from the classes; a
+    # hypersurface builds neither
     built = []
     init = betti._TwinGroup.__init__
 
@@ -579,7 +612,8 @@ def test_each_component_builds_its_twin_group_once(monkeypatch):
     levels = _count_calls(monkeypatch, "semigroup_levels")
     for g, bound, components in (
         (complete_bipartite_graph(3, 4), 8, 1),
-        (disjoint_union(_bowtie("p"), _bowtie("q")), 6, 2),
+        (disjoint_union(_complete_graph(4), _bridged_bowtie()), 8, 2),
+        (disjoint_union(_bowtie("p"), _bowtie("q")), 6, 0),
     ):
         built.clear()
         levels.clear()
@@ -830,8 +864,9 @@ def test_k33_degree_complexes_outside_the_degree_box_are_acyclic():
 def test_k44_scans_its_degree_box(monkeypatch):
     # K_{4,4} to its top degree 12: the levels to d - 1 = 6 hold 157
     # representatives, and with the degree box past them 418 of the 3,241
-    # a whole scan holds; 147 complexes need homology instead of 225, 139
-    # ranked and 8 counted by their chains (degree 2 and the top degree 12)
+    # a whole scan holds; past level 0, 146 complexes need homology instead
+    # of 224, 138 ranked and 8 counted by their chains (degree 2 and the top
+    # degree 12)
     g = complete_bipartite_graph(4, 4)
     assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
     held = _count_results(monkeypatch, "_grow")
@@ -840,7 +875,7 @@ def test_k44_scans_its_degree_box(monkeypatch):
     table = betti_table(g)
     assert table.certified
     assert held == [157, 418]
-    assert (len(homology), len(euler)) == (139, 8)
+    assert (len(homology), len(euler)) == (138, 8)
     inv = invariants(g, table)
     assert (inv.regularity, inv.projective_dimension) == (3, 9)
 
@@ -889,14 +924,23 @@ def test_facets_from_one_vertex_match_box_fibers(name, bound):
         assert delta == _box_complex(g, s), s
 
 
+def _chorded_cycle(n):
+    """C_n with a chord from v1 to v4: two even cycles when n is even."""
+    g = cycle_graph(n)
+    return Graph(g.vertices, g.edges + (("v1", "v4"),))
+
+
+# normal graphs with |E| >= d + 2, scanned with their h-vectors; the
+# hypersurfaces that stood here (C6, C8, the bowtie, two bowties) are
+# closed forms now, checked in HYPERSURFACES
 EULER_GRAPHS = {
     "K24": complete_bipartite_graph(2, 4),
     "K33": complete_bipartite_graph(3, 3),
     "K34": complete_bipartite_graph(3, 4),
-    "C6": cycle_graph(6),
-    "C8": cycle_graph(8),
-    "bowtie": _bowtie(),
-    "bowties": disjoint_union(_bowtie("p"), _bowtie("q")),
+    "C6+chord": _chorded_cycle(6),
+    "C8+chord": _chorded_cycle(8),
+    "bowtie+edge": _bridged_bowtie(),
+    "K4+C4": disjoint_union(_complete_graph(4), cycle_graph(4, "s")),
 }
 
 
@@ -912,9 +956,9 @@ def test_euler_counts_match_the_whole_scan(monkeypatch, name):
         assert betti_table(g, field=field).entries == whole_graph_entries(g, top, field), field
     assert euler
     if name == "K24":
-        # reg 1: every degree past 0 leaves one index, so only level 0's
-        # irrelevant complex is ranked, once per field
-        assert [args[0].masks for args in homology] == [(0,)] * 3
+        # reg 1: every degree past 0 leaves one index, and level 0's
+        # {empty set} is seeded, so no complex is ranked
+        assert homology == []
 
 
 def test_negative_euler_count_is_an_internal_error(monkeypatch):
@@ -936,11 +980,137 @@ def test_hilbert_cross_checks_raise(monkeypatch):
         entries = scan(*args, **kwargs)
         return dict(list(entries.items())[:-1])
 
+    # K_4 has no closed form; C_6 has one, and is scanned only for audits
     monkeypatch.setattr(betti, "_scan", drop_top_entry)
-    with pytest.raises(RuntimeError, match="h-vector"):
-        betti_table(cycle_graph(6))
+    for g, audit in ((_complete_graph(4), None), (cycle_graph(6), lambda s, delta: None)):
+        with pytest.raises(RuntimeError, match="h-vector"):
+            betti_table(g, on_complex=audit)
+    monkeypatch.undo()
+
+    # a scanned hypersurface's h-vector cross-checks |u+|
+    relation = betti._relation
+    monkeypatch.setattr(betti, "_relation", lambda h: tuple(2 * x for x in relation(h)))
+    with pytest.raises(RuntimeError, match="a component has pd [+] deg h = 3, not the closed-form top degree 6"):
+        betti_table(cycle_graph(6), on_complex=lambda s, delta: None)
     monkeypatch.undo()
 
     monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
     with pytest.raises(RuntimeError, match="closed-form"):
         betti_table(complete_bipartite_graph(2, 3))
+
+
+def _hypersurface_graph(rng):
+    """A random connected graph on 4 to 7 vertices with |E| = dim k[G] + 1:
+    an even cycle, or, with an odd cycle among its cycles, a theta (two
+    vertices joined by three paths), a figure-eight (two cycles sharing a
+    vertex) or a dumbbell (two cycles joined by a path), with pendant trees
+    grown on the rest of the vertices.  Two triangles joined by a path of
+    length 2 are not normal; half of the dumbbells are that.  Vertex and
+    edge order are shuffled."""
+    count = 0
+
+    def fresh(k):
+        nonlocal count
+        count += k
+        return list(range(count - k, count))
+
+    def walk(vs, closed):
+        return list(zip(vs, vs[1:] + vs[:1] if closed else vs[1:]))
+
+    kind = rng.choice(("cycle", "theta", "eight", "dumbbell"))
+    if kind == "cycle":
+        edges = walk(fresh(rng.choice((4, 6))), True)
+    elif kind == "theta":
+        # path lengths p <= q <= r, not all of one parity, on p + q + r - 1 vertices
+        p, q, r = rng.choice([(1, 2, 2), (1, 2, 3), (2, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 3)])
+        x, y = fresh(2)
+        edges = [e for k in (p, q, r) for e in walk([x, *fresh(k - 1), y], False)]
+    elif kind == "eight":
+        a, b = rng.choice([(3, 3), (3, 4), (3, 5)])
+        (c,) = fresh(1)
+        edges = walk([c, *fresh(a - 1)], True) + walk([c, *fresh(b - 1)], True)
+    else:
+        a, b, length = rng.choice([(3, 3, 2), (3, 3, 2), (3, 3, 1), (3, 4, 1)])
+        first, second = fresh(a), fresh(b)
+        edges = walk(first, True) + walk(second, True)
+        edges += walk([first[0], *fresh(length - 1), second[0]], False)
+    for v in fresh(rng.randint(0, 7 - count)):
+        edges.append((rng.randrange(v), v))
+    labels = [f"h{v}" for v in range(count)]
+    rng.shuffle(labels)
+    pairs = [(labels[u], labels[v]) if rng.random() < 0.5 else (labels[v], labels[u]) for u, v in edges]
+    rng.shuffle(pairs)
+    return Graph(tuple(labels), tuple(pairs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_hypersurface_tables_match_the_whole_scan(rng):
+    # the relation comes from a brute-force sweep, the table from a whole
+    # scan of every semigroup element: neither reads the closed form.
+    # Below |u+| the table holds beta_{0,0} alone and is uncertified
+    g = _hypersurface_graph(rng)
+    assert len(g.edges) == incidence_rank(g) + 1
+    u = primitive_relation(g)
+    assert betti._relation(g) in (u, tuple(-x for x in u)), g
+    top = sum(x for x in u if x > 0)
+    bound = top + rng.randint(-1, 1)
+    for field in (RATIONALS, FieldSpec(2)):
+        table = betti_table(g, bound, field=field)
+        assert table.certified == (bound >= top), (g, bound)
+        assert table.entries == whole_graph_entries(g, bound, field), (g, bound, field)
+
+
+HYPERSURFACES = {
+    "C4": cycle_graph(4),
+    "C6": cycle_graph(6),
+    "C8": cycle_graph(8),
+    "bowtie": _bowtie(),
+    "bowties": disjoint_union(_bowtie("p"), _bowtie("q")),
+    # two triangles joined by a path of length 2: not normal
+    "dumbbell": Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "m"), ("m", "x"), ("x", "y"), ("y", "z"), ("z", "x")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPERSURFACES))
+def test_hypersurface_tables_are_closed_forms(monkeypatch, name):
+    # |E| = d + 1: I_H is principal, generated by the binomial of the
+    # primitive relation u, so a component's table is beta_{0,0} and
+    # beta_{1,Au+}, and its top degree |u+|.  No level is listed, no odd
+    # cycle searched and no twin group built; each component ranks one
+    # complex, the one at Au+ that certifies the relation.  With on_complex
+    # the component is scanned instead, to the same table
+    g = HYPERSURFACES[name]
+    top = known_complete_degree(g)
+    components = len(connected_components(g))
+    calls = [
+        _count_calls(monkeypatch, fn)
+        for fn in ("semigroup_levels", "odd_cycle_condition", "twin_classes", "reduced_homology")
+    ]
+    tables = [betti_table(g, field=field) for field in (RATIONALS, FieldSpec(2), FieldSpec(3))]
+    assert [len(c) for c in calls] == [0, 0, 0, 3 * components]
+    monkeypatch.undo()
+    for field, table in zip((RATIONALS, FieldSpec(2), FieldSpec(3)), tables):
+        assert table.certified and table.caveats == ()
+        assert table.entries == whole_graph_entries(g, top, field), field
+        assert table == betti_table(g, field=field, on_complex=lambda s, delta: None)
+    inv = invariants(g, tables[0])
+    assert (inv.projective_dimension, inv.regularity) == (components, top - components)
+    assert inv.cohen_macaulay == "yes"
+
+
+@pytest.mark.parametrize("wrong", ["doubled", "one entry dropped"])
+def test_wrong_relation_degree_is_an_internal_error(monkeypatch, wrong):
+    # the degree complex at Au+ must be two points; a relation that is not
+    # primitive, or not a relation, puts the entry where that fails
+    relation = betti._relation
+
+    def mutated(h):
+        u = relation(h)
+        return tuple(2 * x for x in u) if wrong == "doubled" else (0,) + u[1:]
+
+    monkeypatch.setattr(betti, "_relation", mutated)
+    with pytest.raises(RuntimeError, match="internal error: the degree complex of the relation"):
+        betti_table(cycle_graph(6))

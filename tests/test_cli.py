@@ -387,6 +387,19 @@ def test_failed_hilbert_cross_check_exits_1_with_one_line(capsys, data_dir, monk
     assert err.startswith("toricgraph: error: internal error: K_{2,3}") and err.count("\n") == 1
 
 
+def test_failed_relation_certificate_exits_1_with_one_line(capsys, data_dir, monkeypatch):
+    # a doubled relation puts beta_1 where the degree complex is no two points
+    from toricgraph import betti
+
+    relation = betti._relation
+    monkeypatch.setattr(betti, "_relation", lambda h: tuple(2 * x for x in relation(h)))
+    code, out, err = _run(capsys, "betti", _path(data_dir, "c6.edges"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricgraph: error: internal error: the degree complex of the relation")
+    assert err.count("\n") == 1
+
+
 def test_bad_search_bounds_fail_before_the_scan(capsys, monkeypatch, tmp_path):
     # K_{4,4} + triangle + P_6 has 17 vertices, one past the exhaustive
     # cycle search; its scan takes about as long as a whole run, so a bad

@@ -47,6 +47,10 @@ def _cases() -> dict[str, list[str]]:
     cases["f.analyze-max-deg-6"] = ["analyze", "tests/data/f.json", "--max-deg", "6"]
     cases["bowties.analyze-max-deg-6"] = ["analyze", "tests/data/bowties.json", "--max-deg", "6"]
     cases["c6.betti"] = ["betti", "tests/data/c6.edges"]
+    # hypersurfaces, |E| = dim + 1: a table in closed form, where a scan
+    # overflows (C_12) or cannot certify (the dumbbell is not normal)
+    cases["c12.analyze"] = ["analyze", "tests/data/c12.edges"]
+    cases["dumbbell.analyze"] = ["analyze", "tests/data/dumbbell.edges"]
     cases["f.certify-noncm-embedding"] = [
         "certify-noncm", "tests/data/f.json", "--embedding", "tests/data/f_embedding.json"]
     cases["k23.betti-max-scan-2"] = ["betti", "tests/data/k23.json", "--max-scan", "2"]
