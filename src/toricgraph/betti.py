@@ -63,6 +63,20 @@ the scan counts chains for the Euler characteristic instead of ranking
 boundaries (`_scan`).  Level 0's complex, {empty set}, needs neither:
 beta_{0,0} = 1.
 
+With reg >= 2 the top two degrees are not scanned but read off the
+canonical module omega (`_Plan.canonical_entries`), unless `on_complex`
+asks for their complexes.  k[H] is Cohen-Macaulay, so the dual of its
+resolution resolves omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H -
+s}(omega), with deg_H = A 1 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3).
+By Danilov-Stanley (ibid. 6.3.5) omega is spanned by the interior
+semigroup elements, whose least degree is k_min = d - reg; the degrees
+pd + reg and pd + reg - 1 of k[H] are omega's k_min and k_min + 1, where
+its degree complexes are {empty set} and a set of points.  t is interior
+iff 2t - a_e is in the semigroup for every edge e, as the polytope
+{lambda >= 0 : A lambda = t} has half-integral vertices (`_interior`).
+Stanley reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, fixes how many
+interior elements the two levels hold, which cross-checks them.
+
 A component with |E| = d + 1 is a hypersurface, and it is not scanned.
 Its toric ideal I_H is a prime of height |E| - d = 1 in the edge
 polynomial ring, so it is principal (Matsumura, Commutative Ring Theory,
@@ -98,9 +112,11 @@ built exactly as without the box, and the scan builds no complex and runs
 no homology outside it.  The levels up to d - 1 are listed whole, since the
 Hilbert function needs them, and then cut to the box; the levels past
 d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
-and the box representatives past them.  K_{3,4} to degree 8 holds 122 of
-its 366 representatives and runs homology on 37 of the 45 complexes past
-level 0 that are not cones, 6 of them Euler counts.
+and the box representatives past them.  K_{3,4} to degree 8 holds 90 of
+its 366 representatives, scanning to degree 6, and runs homology on 27
+complexes past level 0, 1 of them an Euler count; its degrees 7 and 8
+come from the canonical module.  Scanned to 8, as for an audit, it holds
+122 and runs homology on 37, 6 of them Euler counts.
 Non-bipartite components are scanned whole: no such theorem is known for
 them.
 
@@ -116,7 +132,7 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
-from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap
+from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap, in_semigroup
 from .graph import (
     EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
@@ -220,10 +236,11 @@ def _grow(
     return held
 
 
-def _hilbert(levels: list[list[tuple[int, ...]]], twins: _TwinGroup) -> list[int]:
-    """H(0), H(1), ...: the number of semigroup elements on each of the
-    whole `levels`, every element of every orbit counted."""
-    return [1] + [sum(map(twins.orbit_size, level)) for level in levels[1:]]
+def _orbit_sizes(levels: list[list[tuple[int, ...]]], twins: _TwinGroup) -> list[list[int]]:
+    """The orbit size of each representative on the whole `levels`, level
+    0's zero vector 1 without a count; H(n), the number of semigroup
+    elements on level n, is the sum of level n's sizes."""
+    return [[1]] + [list(map(twins.orbit_size, level)) for level in levels[1:]]
 
 
 class _TwinGroup:
@@ -420,18 +437,21 @@ def betti_table(
     plan (`_Plan.levels`) gives its levels and top degree: a normal
     component's comes from its levels up to d - 1, so it is known only when
     max_degree >= d - 1; the table is certified when max_degree reaches the
-    sum of the top degrees.  A hypersurface (|E| = d + 1) is not scanned
-    unless `on_complex` is set: its table is beta_{0,0} = 1 and, when |u+|
-    <= max_degree, beta_{1,Au+} = 1, certified by its degree complex
-    (`_Plan.hypersurface_table`).  A bipartite component H is scanned only
-    inside its degree box s <= deg_H, where all its Betti numbers live (see
-    the module docstring).  `max_scan` caps the multidegrees held in all
-    components together, one representative per twin orbit: each
-    component's whole levels up to d - 1, which the Hilbert function
-    needs, and for a bipartite component only the representatives in its
-    box past them; a hypersurface that is not scanned holds level 0, as a
-    free component does.  A negative `max_scan` or `max_fiber` is a
-    ValueError.
+    sum of the top degrees.  A normal component with reg >= 2 whose top
+    degree max_degree reaches is scanned only to its top degree - 2,
+    unless `on_complex` is set: its top two degrees are read off its
+    canonical module (`_Plan.canonical_entries`).  A hypersurface (|E| =
+    d + 1) is not scanned unless `on_complex` is set: its table is
+    beta_{0,0} = 1 and, when |u+| <= max_degree, beta_{1,Au+} = 1,
+    certified by its degree complex (`_Plan.hypersurface_table`).  A
+    bipartite component H is scanned only inside its degree box s <=
+    deg_H, where all its Betti numbers live (see the module docstring).
+    `max_scan` caps the multidegrees held in all components together, one
+    representative per twin orbit: each component's whole levels up to
+    d - 1, which the Hilbert function needs, and for a bipartite component
+    only the representatives in its box past them; a hypersurface that is
+    not scanned holds level 0, as a free component does.  A negative
+    `max_scan` or `max_fiber` is a ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -439,11 +459,12 @@ def betti_table(
     `on_complex(s, delta)` is invoked for every element s of the scanned
     semigroup, orbits expanded, that the scan builds a complex for: all of
     them in a component that is not bipartite, and those in the degree box
-    in one that is; with it set, hypersurfaces are scanned too.  s is the
-    component's own multidegree (aligned with the component's vertices, in
-    g's order) and delta its degree complex, component by component in the
-    order of `connected_components`, each level by level in sorted order;
-    it exists for audits.
+    in one that is; with it set, hypersurfaces and the top two degrees of
+    normal components are scanned too.  s is the component's own
+    multidegree (aligned with the component's vertices, in g's order) and
+    delta its degree complex, component by component in the order of
+    `connected_components`, each level by level in sorted order; it exists
+    for audits.
     """
     if max_degree is None:
         max_degree = len(g.edges)
@@ -463,9 +484,11 @@ def betti_table(
             scanned += 1
             local = plan.hypersurface_table(max_degree, field, max_fiber)
         else:
-            levels, top, hvec, scanned = plan.levels(max_degree, max_scan, scanned)
+            levels, top, hvec, scanned, tail = plan.levels(max_degree, max_scan, scanned)
             reg_pd = None if hvec is None else (len(hvec) - 1, len(plan.h.edges) - plan.d)
             local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex, reg_pd)
+            if tail is not None:
+                local.update(tail)  # past every scanned level, in the scan's order
             if hvec is not None and top <= max_degree:
                 _check_k_polynomial(plan, hvec, local)
         positions = [g.index[v] for v in plan.h.vertices]
@@ -527,6 +550,11 @@ def _scan(
     not depend on it.  A negative count is an internal error.  Level 0's
     complex is {empty set}, so beta_{0,0} = 1 is written without homology;
     every other complex that is not a cone runs `reduced_homology`.
+    With reg >= 2 the levels reach the top degree only in an audit: the
+    top two degrees are otherwise read off the canonical module (by
+    duality, Danilov-Stanley's interior elements, half-integral vertices
+    and Stanley reciprocity; `_Plan.canonical_entries`), and the scan's
+    Euler counts are those at degree 2.
     """
     ground = tuple(h.edges)
     at: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
@@ -588,7 +616,14 @@ def _scan(
                     masks = [_relabel(mask, swaps) for mask in masks]
                 on_complex(t, SimplicialComplex(ground, masks))
         below = here
-    # level by level, then by multidegree and index, as a plain scan finds them
+    return _in_scan_order(entries)
+
+
+def _in_scan_order(
+    entries: dict[tuple[int, tuple[int, ...]], int]
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The entries level by level, then by multidegree and index, as a
+    plain scan finds them."""
     return dict(sorted(entries.items(), key=lambda item: (sum(item[0][1]), item[0][1], item[0][0])))
 
 
@@ -657,6 +692,36 @@ def _pulled(
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
                 yield bit, mask
+
+
+def _interior(h: Graph, t: tuple[int, ...], twins: _TwinGroup) -> bool:
+    """Whether t, a canonical element of the edge semigroup of h, lies in
+    the relative interior of its cone: t = A lambda for some lambda > 0.
+
+    That holds iff every edge e has lambda_e > 0 at some point of the
+    polytope {lambda >= 0 : A lambda = t}, and then at one of its vertices.
+    Those are half-integral, as a basic solution of the incidence matrix
+    of a graph is (fractional b-matchings), so 2 lambda is a decomposition
+    of 2t using e; conversely one such decomposition mu gives lambda =
+    mu / 2.  So t is interior iff 2t - a_e is in the semigroup for every
+    edge e (`in_semigroup`).  A twin swap that fixes t carries the test of
+    e to that of its image, so one edge is tested per set of ends taken
+    up to runs of equal weight in a twin class."""
+    two = [2 * x for x in t]
+    tested = set()
+    for iu, iv in h.edge_indices:
+        ends = tuple(sorted((_slide(t, iu, twins.before), _slide(t, iv, twins.before))))
+        if ends in tested:
+            continue
+        tested.add(ends)
+        two[iu] -= 1
+        two[iv] -= 1
+        inside = in_semigroup(h, two)
+        two[iu] += 1
+        two[iv] += 1
+        if not inside:
+            return False
+    return True
 
 
 def _convolve(
@@ -816,6 +881,7 @@ class _Plan:
         self.d = incidence_rank(h)
         codim = len(h.edges) - self.d
         self.relation = _relation(h) if codim == 1 else None
+        self.scan = scan
         self.closed = self.relation is not None and not scan
         self.sides = None if self.closed else recognize_complete_bipartite(h)
         if codim == 0:
@@ -830,16 +896,25 @@ class _Plan:
             len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
             and odd_cycle_condition(h).status == "satisfied"
         )
-        self.box = tuple(map(len, h._adjacency)) if bipartite else None
+        self.degrees = tuple(map(len, h._adjacency))  # deg_H = A 1
+        self.box = self.degrees if bipartite else None
         self.twins = _TwinGroup(h, twin_classes(h))
 
     def levels(
         self, max_degree: int, max_scan: int, held: int = 0
-    ) -> tuple[list[list[tuple[int, ...]]], int | None, list[int] | None, int]:
+    ) -> tuple[
+        list[list[tuple[int, ...]]],
+        int | None,
+        list[int] | None,
+        int,
+        dict[tuple[int, tuple[int, ...]], int] | None,
+    ]:
         """The levels to scan up to `max_degree`, the top degree (None if
         unknown), the h-vector (None unless the levels reach d - 1 of a
-        normal ring) and `held` plus the representatives held, which
-        `max_scan` caps (ScanOverflowError).
+        normal ring), `held` plus the representatives held, which
+        `max_scan` caps (ScanOverflowError), and the entries at the top
+        degrees that are read off the canonical module instead of scanned
+        (None where the levels hold every degree).
 
         A normal ring is Cohen-Macaulay (Hochster, Ann. Math. 96, 1972), so
         pd = |E| - d, reg = deg h and the resolution ends at degree
@@ -847,11 +922,25 @@ class _Plan:
         where the top degree has a closed form, the sum cross-checks it.
         The levels are cut at the top degree and to the box, and grown past
         d - 1 inside it (`_grow`); a hypersurface's levels are cut without
-        its closed form, which only certifies them."""
+        its closed form, which only certifies them.
+
+        Where reg >= 2, the top degree pd + reg is within `max_degree` and
+        no audit asks for the complexes (`scan`), the levels stop two
+        degrees short of it, and `canonical_entries` writes the top two
+        from the least interior elements, by the duality of the
+        resolution with that of the canonical module.  They lie on the
+        whole levels k_min = d - reg and k_min + 1 <= d - 1: k_min is the
+        least degree of the canonical module, a(R) = reg - d
+        (Danilov-Stanley), and its elements are found by the
+        half-integral interior test (`_interior`) and counted against
+        Stanley reciprocity.  With reg = 1 only the top level would go,
+        one Euler count per complex, which measured no slower than the
+        interior tests, so it is scanned."""
         h, d, twins = self.h, self.d, self.twins
         # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
         # no syzygies, so level 0 is enough
         whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
+        tail = None
         try:
             levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins)
             held += sum(map(len, levels))
@@ -860,7 +949,8 @@ class _Plan:
             # before the closed form
             cut, hvec = None if self.relation else self.top, None
             if self.normal and len(levels) == d:
-                hvec = _h_vector(_hilbert(levels, twins), d)
+                sizes = _orbit_sizes(levels, twins)
+                hvec = _h_vector(list(map(sum, sizes)), d)
                 cut = len(h.edges) - d + len(hvec) - 1
                 if self.top is not None and cut != self.top:
                     sides = self.sides
@@ -870,13 +960,77 @@ class _Plan:
                         f"not the closed-form top degree {self.top}"
                     )
             stop = max_degree if cut is None else min(max_degree, cut)
+            if hvec is not None and len(hvec) > 2 and cut <= max_degree and not self.scan:
+                tail = self.canonical_entries(levels, sizes, hvec)
+                stop = cut - 2
             levels = levels[: stop + 1]
             if self.box is not None:
                 levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
             held = _grow(h, levels, stop, max_scan, twins, held, self.box)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        return levels, cut if self.top is None else self.top, hvec, held
+        return levels, cut if self.top is None else self.top, hvec, held, tail
+
+    def canonical_entries(
+        self, levels: list[list[tuple[int, ...]]], sizes: list[list[int]], hvec: list[int]
+    ) -> dict[tuple[int, tuple[int, ...]], int]:
+        """The Betti entries of a normal ring with reg = deg h >= 2 at its
+        top degrees pd + reg and pd + reg - 1, from the whole `levels` up
+        to d - 1 and their orbit `sizes`.
+
+        k[H] is Cohen-Macaulay, so the dual of its minimal resolution
+        resolves the canonical module omega, shifted by deg_H = A 1:
+        beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega) (Bruns-Herzog,
+        Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid. 6.3.5)
+        omega is spanned by the interior semigroup elements Omega, and
+        beta_{j,t}(omega) is H~_{j-1} of K^t = {F : t - a_F in Omega}.
+        Omega starts at level k_min = d - reg, so at level k_min K^t is
+        {empty set} for t in Omega: beta_{pd, deg_H - t} = 1.  At level
+        k_min + 1 it is {empty set} and the p points e with t - a_e in
+        Omega_{k_min}, when t is in Omega: beta_{pd-1, deg_H - t} = p - 1
+        for p >= 2, and beta_{pd, deg_H - t} = 1 for p = 0, over every
+        field.  Every interior t has t >= 1 (`_interior` tests it).
+
+        Stanley reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, gives
+        |Omega_{k_min}| = h_reg and |Omega_{k_min + 1}| = h_{reg-1} +
+        d h_reg, and every entry lies at a multidegree >= 0: a mismatch is
+        an internal error.  The counts and the orbits are twin-invariant,
+        so each is taken once per representative."""
+        h, d, twins = self.h, self.d, self.twins
+        reg, pd = len(hvec) - 1, len(h.edges) - d
+        k = d - reg
+        least = {r for r in levels[k] if min(r) and _interior(h, r, twins)}
+        found = [(pd, r, 1) for r in least]
+        counts = [sum(n for r, n in zip(levels[k], sizes[k]) if r in least), 0]
+        for r, n in zip(levels[k + 1], sizes[k + 1]):
+            if not min(r):
+                continue
+            p = sum(twins.down(r, iu, iv)[0] in least for iu, iv in h.edge_indices)
+            if p > 1:
+                found.append((pd - 1, r, p - 1))
+            elif not p:
+                if not _interior(h, r, twins):
+                    continue
+                found.append((pd, r, 1))
+            counts[1] += n
+        expected = [hvec[reg], hvec[reg - 1] + d * hvec[reg]]
+        if counts != expected:
+            raise RuntimeError(
+                f"internal error: a component has {counts} interior elements at degrees "
+                f"{k} and up, not the {expected} that its h-vector {hvec} gives"
+            )
+        deg = self.degrees
+        entries = {}
+        for i, r, beta in found:
+            for t, _ in twins.orbit(r):
+                s = tuple(x - y for x, y in zip(deg, t))
+                if min(s) < 0:
+                    raise RuntimeError(
+                        f"internal error: the interior element {t} lies outside the degree "
+                        f"box {deg}"
+                    )
+                entries[(i, s)] = beta
+        return _in_scan_order(entries)
 
     def hypersurface_table(
         self, max_degree: int, field: FieldSpec, max_fiber: int
@@ -926,11 +1080,12 @@ def known_complete_degree(g: Graph) -> int | None:
     is principal, Matsumura Thm 20.1, and I_H is the lattice ideal of
     ker A, Sturmfels Lemma 4.1; `betti_table` certifies the relation on
     its degree complex at Au+, two points) and (u-1)v.  Any other normal
-    component's
-    is read off its Hilbert function up to degree d - 1, so this scans
-    those levels, under the default `max_scan` (ScanOverflowError past
-    it).  Every class is Cohen-Macaulay, so the top degree adds up across
-    a disjoint union.
+    component's is read off its Hilbert function up to degree d - 1, so
+    this scans those levels, under the default `max_scan`
+    (ScanOverflowError past it); where the top degree lies within them
+    and reg >= 2, the plan also reads the top two degrees off the
+    canonical module, and their cross-checks run.  Every class is
+    Cohen-Macaulay, so the top degree adds up across a disjoint union.
     """
     tops = []
     for plan in _plans(g, scan=False):

@@ -112,6 +112,49 @@ def induced_cycles(g: Graph, max_length: int) -> list[tuple[str, ...]]:
     return [tuple(g.vertices[i] for i in cyc) for cyc in sorted(found, key=lambda c: (len(c), c))]
 
 
+def interior_by_decompositions(g: Graph, t) -> bool:
+    """Whether t = A lambda for some lambda with every lambda_e > 0, for t
+    in the edge cone of g.
+
+    The vertices of {lambda >= 0 : A lambda = t} are half-integral, and a
+    point with every lambda_e > 0 exists iff each edge is positive at
+    some vertex.  So t is interior iff the supports of the decompositions
+    of 2t cover every edge.  They come from a sweep that gives each edge,
+    in order, every weight its ends still allow, and drops a choice as soon
+    as a vertex whose edges are all weighed is not met; it stops once every
+    edge is covered."""
+    m = len(g.edges)
+    closing: list[list[int]] = [[] for _ in range(m)]  # the vertices whose last edge is e
+    for v in range(len(g.vertices)):
+        touching = [e for e, ends in enumerate(g.edge_indices) if v in ends]
+        assert touching, "every vertex needs an edge"
+        closing[max(touching)].append(v)
+    residual = [2 * x for x in t]
+    chosen: list[int] = []
+    covered: set[int] = set()
+
+    def sweep() -> None:
+        e = len(chosen)
+        if e == m:
+            covered.update(f for f, c in enumerate(chosen) if c)
+            return
+        iu, iv = g.edge_indices[e]
+        for c in range(min(residual[iu], residual[iv]) + 1):
+            residual[iu] -= c
+            residual[iv] -= c
+            if not any(residual[v] for v in closing[e]):
+                chosen.append(c)
+                sweep()
+                chosen.pop()
+            residual[iu] += c
+            residual[iv] += c
+            if len(covered) == m:
+                return
+
+    sweep()
+    return len(covered) == m
+
+
 def box_size(g: Graph, s) -> int:
     size = 1
     for iu, iv in g.edge_indices:

@@ -1,8 +1,10 @@
 """The multigraded Betti table scan and the invariants derived from it."""
 
+import hashlib
 import os
 import random
-from itertools import accumulate, combinations_with_replacement
+from collections import Counter
+from itertools import accumulate, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,13 +41,21 @@ from toricgraph import betti
 
 from oracles import (
     box_fiber,
+    has_unjoined_odd_cycles,
     homology_via_sympy,
     induced_cycles,
+    interior_by_decompositions,
     non_normal_graph,
     primitive_relation,
     random_graph,
 )
 from whole_scan import whole_graph_entries
+
+
+def _audit(s, delta):
+    """An `on_complex` that looks at nothing: with it the scan builds
+    every complex up to the top degree, none read off the canonical
+    module."""
 
 
 def test_triangle_table_is_trivial():
@@ -447,8 +457,9 @@ def test_representatives_cover_each_plain_level(name):
     plain = semigroup_levels(g, 5)
     assert len(reps) == len(plain)
     # H(n) counts every element: orbits expanded, or the trivial group's
-    hilbert = betti._hilbert(reps, group)
-    assert hilbert == betti._hilbert(plain, betti._TwinGroup(g, ())) == [len(full) for full in plain]
+    hilbert = list(map(sum, betti._orbit_sizes(reps, group)))
+    plain_sizes = betti._orbit_sizes(plain, betti._TwinGroup(g, ()))
+    assert hilbert == list(map(sum, plain_sizes)) == [len(full) for full in plain]
     for level, full in zip(reps, plain):
         assert all(_canonical(r, classes) == r for r in level)
         assert all(group.orbit_size(r) == len(group.orbit(r)) for r in level)
@@ -460,6 +471,8 @@ def test_representatives_cover_each_plain_level(name):
 def test_orbit_scan_cap_counts_representatives():
     # the cap trips at the first degree where the representatives listed so
     # far exceed it; the plain scan lists every element, so it trips no later.
+    # The audited scan is the one that lists every level to the top degree;
+    # without an audit a normal component stops short of it.
     # A hypersurface (|E| = d + 1) lists no levels: C_4 holds level 0 alone
     c4 = TWIN_GRAPHS["C4"]
     with pytest.raises(ScanOverflowError) as exc:
@@ -492,7 +505,7 @@ def test_orbit_scan_cap_counts_representatives():
                 semigroup_levels(g, bound, cap, twin_classes(g))
             assert exc.value.degree == degree
             with pytest.raises(ScanOverflowError) as exc:
-                betti_table(g, 6, max_scan=cap)
+                betti_table(g, 6, max_scan=cap, on_complex=_audit)
             assert (exc.value.limit, exc.value.degree) == (cap, degree)
             with pytest.raises(ScanOverflowError) as exc:
                 semigroup_levels(g, bound, cap)
@@ -505,7 +518,8 @@ def test_max_scan_equal_to_the_representative_count_passes():
     g = complete_bipartite_graph(2, 3)
     levels = semigroup_levels(g, 3, classes=twin_classes(g))
     count = sum(map(len, levels))
-    assert (count, sum(betti._hilbert(levels, betti._TwinGroup(g, twin_classes(g))))) == (12, 65)
+    sizes = betti._orbit_sizes(levels, betti._TwinGroup(g, twin_classes(g)))
+    assert (count, sum(map(sum, sizes))) == (12, 65)
     assert semigroup_levels(g, 3, count, twin_classes(g)) == levels
     assert betti_table(g, max_scan=count).certified
     with pytest.raises(ScanOverflowError) as exc:
@@ -530,18 +544,29 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # hold the box only (122 in all), and 37 complexes past level 0 need
     # homology: 31 are ranked, and 6 have one homological index left
     # (degree 2 and the top degree 8, reg 2 and pd 6) and are counted by
-    # their chains; level 0's {empty set} needs neither.  The grower
-    # returns the running count of representatives held
+    # their chains; level 0's {empty set} needs neither.  That is the scan
+    # an audit sees.  Without one, the scan stops at degree 6 = top - 2
+    # (90 representatives held): levels 7 and 8 are written from the
+    # canonical module's least interior elements, one orbit at level
+    # k_min = 4, (2,1,1 | 1,1,1,1), and two at level 5 that lie over it,
+    # found by stepping down, with no interior test: (3,1,1 | 2,1,1,1) over
+    # one of its elements (no entry), (2,2,1 | 2,1,1,1) over two (beta_5 =
+    # 1).  The interior test tries one edge per orbit of the swaps that fix
+    # (2,1,1 | 1,1,1,1), at a1 and at a2: 2 of the 12.  That leaves 26
+    # complexes ranked and 1 counted (degree 2).  The grower returns the
+    # running count of representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
-    held = _count_results(monkeypatch, "_grow")
-    homology = _count_calls(monkeypatch, "reduced_homology")
-    euler = _count_calls(monkeypatch, "_reduced_euler")
-    table = betti_table(g, 8)
-    assert table.certified
-    assert held == [65, 122]
-    assert (len(homology), len(euler)) == (31, 6)
+    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 90], 26, 1, 2))):
+        held = _count_results(monkeypatch, "_grow")
+        homology = _count_calls(monkeypatch, "reduced_homology")
+        euler = _count_calls(monkeypatch, "_reduced_euler")
+        interior = _count_calls(monkeypatch, "in_semigroup")
+        table = betti_table(g, 8, on_complex=audit)
+        monkeypatch.undo()
+        assert table.certified
+        assert (held, len(homology), len(euler), len(interior)) == work
 
 
 def _bowtie(prefix="v"):
@@ -623,23 +648,26 @@ def test_each_component_builds_its_twin_group_once(monkeypatch):
 
 def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
     # K_4 has d = 4, h = 1 + 2t + t^2 and pd 2, so its top degree 4 lies
-    # past d - 1 = 3: the levels to 3 fix h, then the scan goes on to 4;
-    # K_{3,3} minus an edge likewise has top degree 5 > 4
+    # past d - 1 = 3: the levels to 3 fix h, then an audited scan goes on
+    # to 4; K_{3,3} minus an edge likewise has top degree 5 > 4.  Without
+    # an audit both stop at top - 2 (reg 2) and read the top two degrees
+    # off the canonical module, within the levels to d - 1
     minus = complete_bipartite_graph(3, 3)
     for g, calls, top in (
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        # semigroup_levels grows the levels to d - 1 through _grow
-        grown = _count_calls(monkeypatch, "_grow")
-        table = betti_table(g)
-        assert [args[2] for args in grown] == calls
-        assert table.certified
-        assert table.entries == whole_graph_entries(g, len(g.edges))
-        assert max(sum(s) // 2 for _, s in table.entries) == top == known_complete_degree(g)
+        for audit, grown_to in ((_audit, calls), (None, [calls[0], top - 2])):
+            # semigroup_levels grows the levels to d - 1 through _grow
+            grown = _count_calls(monkeypatch, "_grow")
+            table = betti_table(g, on_complex=audit)
+            monkeypatch.undo()
+            assert [args[2] for args in grown] == grown_to
+            assert table.certified
+            assert table.entries == whole_graph_entries(g, len(g.edges))
+            assert max(sum(s) // 2 for _, s in table.entries) == top == known_complete_degree(g)
         # below d - 1 the Hilbert function is not known: no certificate
         assert not betti_table(g, calls[0] - 1).certified
-        monkeypatch.undo()
 
 
 def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
@@ -648,7 +676,8 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
     # their level lists, and continues their tally; each representative's
     # orbit is sized once.  K_4 is not bipartite, so its level 4 is whole;
     # K_{3,3} minus an edge is, so its levels are cut to its degree box
-    # and level 5 is grown inside it
+    # and level 5 is grown inside it.  Only an audited scan reaches the
+    # top degree past d - 1: without one these stop at top - 2 <= d - 1
     minus = complete_bipartite_graph(3, 3)
     for g in (_complete_graph(4), Graph(minus.vertices, minus.edges[1:])):
         calls, held = [], []
@@ -666,7 +695,7 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
         sized = []
         monkeypatch.setattr(betti, "_grow", recorded)
         monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
-        betti_table(g)
+        betti_table(g, on_complex=_audit)
         monkeypatch.undo()
         (first, start), (second, given) = calls
         assert len(start) == 1 and len(given) == len(first) and len(second) == len(first) + 1
@@ -686,19 +715,27 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
 
 
 def test_scan_cap_between_d_minus_1_and_the_top_degree():
-    # K_4: levels to d - 1 = 3 fix its top degree 4.  A cap that holds the
-    # representatives of levels 0..3 but not of level 4 trips at degree 4,
-    # both for one copy and for the second of two, whose tally starts after
-    # the first's levels
+    # K_4: levels to d - 1 = 3 fix its top degree 4.  In an audited scan a
+    # cap that holds the representatives of levels 0..3 but not of level
+    # 4 trips at degree 4, both for one copy and for the second of two,
+    # whose tally starts after the first's levels.  Without an audit level
+    # 4 is never held (degrees 3 and 4 come from the canonical module), so
+    # the levels to 3 are enough
     k4 = _complete_graph(4)
     counts = [len(level) for level in semigroup_levels(k4, 4, classes=twin_classes(k4))]
     other = Graph.from_edges((f"{u}'", f"{v}'") for u, v in k4.edges)
-    for g, before in ((k4, 0), (disjoint_union(k4, other), sum(counts))):
+    for g, copies in ((k4, 1), (disjoint_union(k4, other), 2)):
+        before = (copies - 1) * sum(counts)
         for cap in (before + sum(counts[:4]), before + sum(counts) - 1):
             with pytest.raises(ScanOverflowError) as exc:
-                betti_table(g, max_scan=cap)
+                betti_table(g, max_scan=cap, on_complex=_audit)
             assert (exc.value.limit, exc.value.degree) == (cap, 4)
-        assert betti_table(g, max_scan=before + sum(counts)).certified
+        assert betti_table(g, max_scan=before + sum(counts), on_complex=_audit).certified
+        held = copies * sum(counts[:4])
+        assert betti_table(g, max_scan=held).certified
+        with pytest.raises(ScanOverflowError) as exc:
+            betti_table(g, max_scan=held - 1)
+        assert (exc.value.limit, exc.value.degree) == (held - 1, 3)
 
 
 def test_betti_table_counts_each_orbit_once(monkeypatch):
@@ -863,19 +900,26 @@ def test_k33_degree_complexes_outside_the_degree_box_are_acyclic():
 
 def test_k44_scans_its_degree_box(monkeypatch):
     # K_{4,4} to its top degree 12: the levels to d - 1 = 6 hold 157
-    # representatives, and with the degree box past them 418 of the 3,241
-    # a whole scan holds; past level 0, 146 complexes need homology instead
-    # of 224, 138 ranked and 8 counted by their chains (degree 2 and the top
-    # degree 12)
+    # representatives, and with the degree box past them, to degree 10 =
+    # top - 2, 368 of the 3,241 a whole scan to 12 holds (418 to 12);
+    # past level 0, 132 complexes need homology, 131 ranked and 1 counted
+    # by its chains (degree 2).  Degrees 11 and 12 are written from the
+    # canonical module: level k_min = 4 holds one interior orbit, the
+    # all-ones vector, whose swaps carry every edge to every other (one
+    # interior test), and level 5 one orbit over it (p = 1, no entry).
+    # An audit still sees the scan to 12, with 138 ranked and 8 counted
+    # (degree 2 and the top degree 12); it takes 2 s, so it is not run
+    # here
     g = complete_bipartite_graph(4, 4)
     assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
     held = _count_results(monkeypatch, "_grow")
     homology = _count_calls(monkeypatch, "reduced_homology")
     euler = _count_calls(monkeypatch, "_reduced_euler")
+    interior = _count_calls(monkeypatch, "in_semigroup")
     table = betti_table(g)
     assert table.certified
-    assert held == [157, 418]
-    assert (len(homology), len(euler)) == (138, 8)
+    assert held == [157, 368]
+    assert (len(homology), len(euler), len(interior)) == (131, 1, 1)
     inv = invariants(g, table)
     assert (inv.regularity, inv.projective_dimension) == (3, 9)
 
@@ -885,10 +929,14 @@ def test_facet_pulls_are_pinned(monkeypatch):
     # vertex with the fewest edges where there is one: the relabelled masks
     # and the twin steps down are pinned, as the wall time is too noisy to
     # guard them (pulling over every edge took 3,964 / 781 on K_{3,4} and
-    # 92,368 / 4,108 on K_{4,4})
+    # 92,368 / 4,108 on K_{4,4}).  The top two degrees are read off the
+    # canonical module, so their complexes are not built (1,008 / 242 and
+    # 18,788 / 1,158 with them); the steps down include the canonical
+    # count p at level k_min + 1, one per edge of each orbit there with
+    # every weight positive: 2 x 12 on K_{3,4}, 1 x 16 on K_{4,4}
     for g, bound, work in (
-        (complete_bipartite_graph(3, 4), 8, (1008, 242)),
-        (complete_bipartite_graph(4, 4), None, (18788, 1158)),
+        (complete_bipartite_graph(3, 4), 8, (484, 177)),
+        (complete_bipartite_graph(4, 4), None, (10422, 987)),
     ):
         relabels = _count_calls(monkeypatch, "_relabel")
         downs = _count_calls(monkeypatch, "down", betti._TwinGroup)
@@ -947,18 +995,28 @@ EULER_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(EULER_GRAPHS))
 def test_euler_counts_match_the_whole_scan(monkeypatch, name):
     # a Cohen-Macaulay component's complexes with one homological index
-    # left are counted by their chains; the whole scan ranks every non-cone
+    # left are counted by their chains; the whole scan ranks every non-cone.
+    # Only an audited scan reaches the top degree of a component with
+    # reg >= 2, where one index is left too; without an audit it is read
+    # off the canonical module.  With reg = 1 (K_{2,4}) both scan alike
     g = EULER_GRAPHS[name]
     top = known_complete_degree(g)
-    homology = _count_calls(monkeypatch, "reduced_homology")
-    euler = _count_calls(monkeypatch, "_reduced_euler")
-    for field in (RATIONALS, FieldSpec(2), FieldSpec(3)):
-        assert betti_table(g, field=field).entries == whole_graph_entries(g, top, field), field
-    assert euler
-    if name == "K24":
-        # reg 1: every degree past 0 leaves one index, and level 0's
-        # {empty set} is seeded, so no complex is ranked
-        assert homology == []
+    whole = {field: whole_graph_entries(g, top, field) for field in (RATIONALS, FieldSpec(2), FieldSpec(3))}
+    counted = []
+    for audit in (None, _audit):
+        homology = _count_calls(monkeypatch, "reduced_homology")
+        euler = _count_calls(monkeypatch, "_reduced_euler")
+        for field, entries in whole.items():
+            assert betti_table(g, field=field, on_complex=audit).entries == entries, field
+        monkeypatch.undo()
+        counted.append(len(euler))
+        if name == "K24":
+            # reg 1: every degree past 0 leaves one index, and level 0's
+            # {empty set} is seeded, so no complex is ranked
+            assert homology == []
+    # degree 2 leaves one index in every scan
+    assert 0 < counted[0] <= counted[1]
+    assert (counted[0] == counted[1]) == (name == "K24")
 
 
 def test_negative_euler_count_is_an_internal_error(monkeypatch):
@@ -997,6 +1055,151 @@ def test_hilbert_cross_checks_raise(monkeypatch):
     monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
     with pytest.raises(RuntimeError, match="closed-form"):
         betti_table(complete_bipartite_graph(2, 3))
+
+
+def _drawn_graph(rng, n, m, bipartite, keep):
+    """A random graph on n vertices with m edges, drawn across a random
+    split when `bipartite`, from all pairs otherwise, until `keep` takes
+    one."""
+    labels = [f"v{i}" for i in range(n)]
+    while True:
+        left = rng.randint(2, n - 2)
+        if bipartite:
+            pairs = [(u, v) for u in labels[:left] for v in labels[left:]]
+        else:
+            pairs = list(combinations(labels, 2))
+        rng.shuffle(pairs)
+        g = Graph(tuple(labels), tuple(pairs[:m]))
+        if keep(g):
+            return g
+
+
+def test_interior_test_matches_the_decomposition_oracle():
+    # t is interior iff 2t - a_e is in the semigroup for every edge e
+    # (half-integral vertices), tested once per edge orbit of the swaps
+    # that fix t; the oracle lists the decompositions of 2t itself.  Every
+    # representative of the levels up to d - 1, where the least interior
+    # elements lie, is tested, on normal graphs and on non-normal ones
+    rng = random.Random(5)
+    graphs = [_complete_graph(4), _bridged_bowtie(), complete_bipartite_graph(3, 3), _chorded_cycle(6)]
+    for i in range(8):
+        n, m = rng.randint(5, 6), rng.randint(6, 8)
+        graphs.append(_drawn_graph(rng, n, m, i % 2 == 0, lambda g: len(connected_components(g)) == 1))
+    graphs += [non_normal_graph(rng, max_vertices=7, max_edges=8) for _ in range(2)]
+    seen = Counter()
+    for g in graphs:
+        twins = betti._TwinGroup(g, twin_classes(g))
+        for level in semigroup_levels(g, incidence_rank(g) - 1, classes=twins)[1:]:
+            for t in level:
+                interior = betti._interior(g, t, twins)
+                assert interior == interior_by_decompositions(g, t), (g, t)
+                seen[interior, min(t) > 0] += 1
+    # some elements with every weight positive are not interior
+    assert min(seen[True, True], seen[False, True]) >= 20 and seen[True, False] == 0
+
+
+def test_canonical_route_matches_the_audited_and_whole_scans(monkeypatch):
+    # a normal component with reg >= 2 has its top two degrees read off the
+    # canonical module; the audited scan builds their complexes, and the
+    # whole scan every complex of the whole graph (up to 9 edges).  The
+    # draws hold bipartite and other components, reg 1 (scanned), p >= 2
+    # points over a least interior element, and new generators of the
+    # canonical module at k_min + 1
+    kinds = {"bipartite": set(), "other": set(), "p >= 2": set(), "new generator": set()}
+    route = betti._Plan.canonical_entries
+
+    def recorded(plan, levels, sizes, hvec):
+        entries = route(plan, levels, sizes, hvec)
+        reg, pd = len(hvec) - 1, len(plan.h.edges) - plan.d
+        kinds["bipartite" if plan.box else "other"].add(plan.h.edges)
+        if any(i == pd - 1 for i, _ in entries):
+            kinds["p >= 2"].add(plan.h.edges)
+        if any(i == pd and sum(s) // 2 == pd + reg - 1 for i, s in entries):
+            kinds["new generator"].add(plan.h.edges)
+        return entries
+
+    monkeypatch.setattr(betti._Plan, "canonical_entries", recorded)
+    rng = random.Random(6)
+    sizes = [(rng.randint(6, 8), rng.randint(9, 11), True) for _ in range(8)]
+    sizes += [(rng.randint(6, 7), rng.randint(9, 12), False) for _ in range(10)]
+    graphs = [
+        _drawn_graph(rng, n, m, bipartite, lambda g: not has_unjoined_odd_cycles(g))
+        for n, m, bipartite in sizes
+    ]
+    regs = Counter()
+    for g in graphs:
+        top = known_complete_degree(g)
+        for field in (RATIONALS, FieldSpec(2)):
+            table = betti_table(g, field=field)
+            assert table.certified, g
+            assert table.entries == betti_table(g, field=field, on_complex=_audit).entries, (g, field)
+            if len(g.edges) <= 9:
+                assert table.entries == whole_graph_entries(g, top, field), (g, field)
+        for comp in connected_components(g):
+            h = induced_subgraph(g, comp)
+            if len(h.edges) > incidence_rank(h) + 1:
+                regs[invariants(h, betti_table(h)).regularity > 1] += 1
+    assert min(map(len, kinds.values())) >= 4, kinds
+    assert regs[False] >= 4 and regs[True] >= 10, regs
+
+
+# the tables of the frontier graphs as a scan of every degree found them,
+# before the top two degrees were read off the canonical module: entry
+# count, sum of the entries, and the SHA-256 of repr(sorted_entries())
+FRONTIER_TABLES = {
+    "K34": (156, 180, "6a14f09ba793335a86c204d47cd661dba251575a844b264ac76e52b6c442df9b"),
+    "K35": (710, 900, "bbb80ff2e7f09699a0854ebf9683eb41a07974ec02221e9c10abab2c5b4f241c"),
+    "K44": (1324, 1800, "7b010257f925a54eb3c0cc10eac226877841f3782bde8e9255308a3a814bbd18"),
+    "Q3": (123, 142, "c2f35c9e62965ed80f00e6b892ba4bc08bf3e679f2ff5ba8857960e7e7bcaf37"),
+}
+
+
+def _cube():
+    vertices = [f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"]
+    edges = [(u, v) for u, v in combinations(vertices, 2) if sum(x != y for x, y in zip(u, v)) == 1]
+    return Graph(tuple(vertices), tuple(edges))
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_TABLES))
+def test_frontier_tables_are_the_scanned_ones(name):
+    g = {
+        "K34": complete_bipartite_graph(3, 4),
+        "K35": complete_bipartite_graph(3, 5),
+        "K44": complete_bipartite_graph(4, 4),
+        "Q3": _cube(),
+    }[name]
+    table = betti_table(g)
+    assert table.certified
+    digest = hashlib.sha256(repr(table.sorted_entries()).encode()).hexdigest()
+    assert (len(table.entries), sum(table.entries.values()), digest) == FRONTIER_TABLES[name]
+
+
+def test_canonical_cross_checks_raise(monkeypatch):
+    # K_{3,4}: h = 1 + 6t + 3t^2, so level k_min = 4 holds h_2 = 3 interior
+    # elements, the orbit of (2,1,1 | 1,1,1,1), which give beta_6 at degree
+    # 8, and level 5 holds h_1 + d h_2 = 6 + 6 * 3 = 24: the orbits of
+    # (3,1,1 | 2,1,1,1), over one of them (p = 1), and of (2,2,1 | 2,1,1,1),
+    # over two (p = 2), which give beta_5 = 1 at degree 7
+    g = complete_bipartite_graph(3, 4)
+    (plan,) = betti._plans(g, scan=False)
+    levels = semigroup_levels(g, plan.d - 1, classes=plan.twins)
+    sizes = betti._orbit_sizes(levels, plan.twins)
+    hvec = betti._h_vector(list(map(sum, sizes)), plan.d)
+    assert hvec == [1, 6, 3]
+    entries = plan.canonical_entries(levels, sizes, hvec)
+    assert Counter((i, sum(s) // 2, b) for (i, s), b in entries.items()) == {(6, 8, 1): 3, (5, 7, 1): 12}
+    with pytest.raises(RuntimeError, match=r"has \[3, 24\] interior elements .* not the \[3, 25\]"):
+        plan.canonical_entries(levels, sizes, [1, 7, 3])
+    plan.degrees = (4, 4, 1, 3, 3, 3, 3)  # below the weight 2 that a3 takes in an orbit
+    with pytest.raises(RuntimeError, match="outside the degree box"):
+        plan.canonical_entries(levels, sizes, hvec)
+    # a dropped least orbit: the table would lose its three beta_6 entries.
+    # Level 5 still counts 24, each element now passing the interior test
+    interior = betti._interior
+    least = (2, 1, 1, 1, 1, 1, 1)
+    monkeypatch.setattr(betti, "_interior", lambda h, t, twins: t != least and interior(h, t, twins))
+    with pytest.raises(RuntimeError, match=r"has \[0, 24\] interior elements"):
+        betti_table(g)
 
 
 def _hypersurface_graph(rng):

@@ -400,6 +400,20 @@ def test_failed_relation_certificate_exits_1_with_one_line(capsys, data_dir, mon
     assert err.count("\n") == 1
 
 
+def test_failed_canonical_count_exits_1_with_one_line(capsys, data_dir, monkeypatch):
+    # an interior test that passes nothing leaves K_{3,4}'s canonical
+    # module empty at degrees 4 and 5, where its h-vector 1 + 6t + 3t^2
+    # puts 3 and 24 elements
+    from toricgraph import betti
+
+    monkeypatch.setattr(betti, "_interior", lambda h, t, twins: False)
+    code, out, err = _run(capsys, "betti", _path(data_dir, "k34.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricgraph: error: internal error: a component has [0, 0] interior elements")
+    assert err.count("\n") == 1
+
+
 def test_bad_search_bounds_fail_before_the_scan(capsys, monkeypatch, tmp_path):
     # K_{4,4} + triangle + P_6 has 17 vertices, one past the exhaustive
     # cycle search; its scan takes about as long as a whole run, so a bad
