@@ -46,56 +46,75 @@ component at its top degree when it knows one, and convolves the component
 tables.  That visits the sum of the components' element counts instead of
 their product.
 
-One plan per component (`_Plan`) decides its levels and its top degree,
-the largest standard degree of a Betti entry, for `betti_table` and
-`known_complete_degree` alike.  The top degree is known when the ring is
-free (0), a hypersurface (below), K_{u,v} ((u-1)v in closed form) or
-normal, that is bipartite or satisfying the odd cycle condition
-(Ohsugi-Hibi).  A normal ring of
-dimension d = `incidence_rank` is Cohen-Macaulay (Hochster) with negative
-a-invariant (Danilov-Stanley), so the level sizes H(0), ..., H(d - 1) fix
-its h-vector, and the resolution ends at degree pd + deg h with pd = |E| -
-d.  Such a component is scanned to d - 1, and on to the top degree only if
-that lies further.  Each finished component table is cross-checked against
-its h-vector.  reg = deg h and pd also leave a single homological index
-at some degrees (2, the top degree, and every degree when reg = 1); there
-the scan counts chains for the Euler characteristic instead of ranking
-boundaries (`_scan`).  Level 0's complex, {empty set}, needs neither:
-beta_{0,0} = 1.
+One plan per component (`_Plan`) answers it: `_Plan.table` takes the
+route, and the top degree, the largest standard degree of a Betti entry,
+is the one `betti_table` and `known_complete_degree` both read.  The
+routes rest on these theorems, each stated here once.
 
-With reg >= 2 the top two degrees are not scanned but read off the
-canonical module omega (`_Plan.canonical_entries`), unless `on_complex`
-asks for their complexes.  k[H] is Cohen-Macaulay, so the dual of its
-resolution resolves omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H -
-s}(omega), with deg_H = A 1 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3).
-By Danilov-Stanley (ibid. 6.3.5) omega is spanned by the interior
-semigroup elements, whose least degree is k_min = d - reg; the degrees
-pd + reg and pd + reg - 1 of k[H] are omega's k_min and k_min + 1, where
-its degree complexes are {empty set} and a set of points.  t is interior
-iff 2t - a_e is in the semigroup for every edge e, as the polytope
-{lambda >= 0 : A lambda = t} has half-integral vertices (`_interior`).
-Stanley reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, fixes how many
-interior elements the two levels hold, which cross-checks them.
+Top degrees.  A free ring (|E| = d, d = `incidence_rank`) has no
+syzygies: 0.  k[K_{u,v}] with u <= v is the determinantal ring of the
+2-minors of a generic u x v matrix, Cohen-Macaulay of dimension u + v - 1,
+so reg = u - 1, pd = uv - (u + v - 1) = (u-1)(v-1), and the top degree is
+(u-1)v (`complete_bipartite_reg_pd`).  k[H] is normal when H is bipartite
+or satisfies the odd cycle condition (Ohsugi-Hibi, J. Algebra 207, 1998).
+A normal ring is Cohen-Macaulay (Hochster, Ann. Math. 96, 1972), so
+pd = |E| - d, reg = deg h and the resolution ends at degree pd + deg h;
+its a-invariant deg h - d is negative (Danilov-Stanley; Bruns-Herzog,
+Cohen-Macaulay Rings, 6.3), so deg h <= d - 1 and the level sizes H(0),
+..., H(d - 1) fix the h-vector (`_h_vector`), which is nonnegative.  Such
+a component is scanned to d - 1, and on to the top degree only if that
+lies further.  The alternating sum of a finished table,
+sum (-1)^i beta_{i,j} t^j, is the K-polynomial h(t) (1 - t)^{|E| - d},
+which cross-checks it (`_check_k_polynomial`).
 
-A component with |E| = d + 1 is a hypersurface, and it is not scanned.
-Its toric ideal I_H is a prime of height |E| - d = 1 in the edge
-polynomial ring, so it is principal (Matsumura, Commutative Ring Theory,
-Thm 20.1); it is the lattice ideal of ker A (Sturmfels, Groebner Bases and
-Convex Polytopes, Lemma 4.1), a line spanned by a primitive vector u
-(`_relation`, from a search tree in O(|V| + |E|)).  So I_H is generated by
-x^{u+} - x^{u-}: the table is beta_{0,0} = 1 and beta_{1,Au+} = 1, and the
-top degree is |u+|, whether k[H] is normal or not (even cycles, K_{2,2},
-the bowtie, two odd cycles joined by a path).  The entry is certified by a
-computed complex: the fiber of Au+ is {u+, u-}, so the degree complex
-there (`build_delta`) is the two disjoint facets supp u+ and supp u-, with
-reduced homology [0, 1, 0, ...], and anything else is an internal error
-(`_Plan.hypersurface_table`).  With `on_complex` a hypersurface is scanned
-as far as any other component, its closed form aside, and gives the same
-table.
+One homological index.  The ideal is generated in degree >= 2, so at
+standard degree j >= 1 beta_{i,j} of a Cohen-Macaulay ring is nonzero only
+for max(1, j - reg) <= i <= min(j - 1, pd).  Where that leaves one index
+i, which happens at j = 2, at the top degree pd + reg and at every j when
+reg = 1, the only homology of Delta_s is H~_{i-1}, so beta_{i,s} =
+(-1)^{i-1} times its reduced Euler characteristic, over every field: the
+Hilbert function, Cohen-Macaulayness and the Euler characteristic do not
+depend on it.  There the scan counts chains instead of ranking boundaries
+(`_scan`).  Level 0's complex, {empty set}, needs neither: beta_{0,0} = 1.
 
-A bipartite component H is scanned only inside its degree box, the
-multidegrees s <= deg_H entrywise, because no Betti number of k[H] lives
-outside it:
+The canonical module.  With reg >= 2 the top two degrees of a normal ring
+are not scanned but read off its canonical module omega
+(`_Plan.canonical_entries`), unless `on_complex` asks for their
+complexes.  k[H] is Cohen-Macaulay, so the dual of its resolution resolves
+omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega), with deg_H = A 1
+(Bruns-Herzog, Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid.
+6.3.5) omega is spanned by the interior semigroup elements Omega, whose
+least degree is k_min = d - reg, and beta_{j,t}(omega) is H~_{j-1} of
+K^t = {F : t - a_F in Omega}.  The degrees pd + reg and pd + reg - 1 of
+k[H] are omega's k_min and k_min + 1, where K^t is {empty set} and a set
+of points.  t = A lambda is interior iff every edge e has lambda_e > 0 at
+some point of the polytope {lambda >= 0 : A lambda = t}, and then at one
+of its vertices; those are half-integral, as a basic solution of the
+incidence matrix of a graph is (fractional b-matchings).  So t is interior
+iff 2t - a_e is in the semigroup for every edge e (`_interior`).  Stanley
+reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, puts h_reg interior
+elements at level k_min and h_{reg-1} + d h_reg at k_min + 1, which
+cross-checks them.
+
+Hypersurfaces.  A component with |E| = d + 1 is a hypersurface, and it is
+not scanned.  Its toric ideal I_H is a prime of height |E| - d = 1 in the
+edge polynomial ring, so it is principal (Matsumura, Commutative Ring
+Theory, Thm 20.1); it is the lattice ideal of ker A (Sturmfels, Groebner
+Bases and Convex Polytopes, Lemma 4.1), a line spanned by a primitive
+vector u (`_relation`, from a search tree in O(|V| + |E|)).  So I_H is
+generated by x^{u+} - x^{u-}: the table is beta_{0,0} = 1 and
+beta_{1,Au+} = 1, and the top degree is |u+|, whether k[H] is normal or
+not (even cycles, K_{2,2}, the bowtie, two odd cycles joined by a path).
+The entry is certified by a computed complex: the fiber of Au+ is
+{u+, u-}, so the degree complex there (`build_delta`) is the two disjoint
+facets supp u+ and supp u-, with reduced homology [0, 1, 0, ...], and
+anything else is an internal error (`_Plan.hypersurface_table`).  With
+`on_complex` a hypersurface is scanned as far as any other component, its
+closed form aside, and gives the same table.
+
+The degree box.  A bipartite component H is scanned only inside its degree
+box, the multidegrees s <= deg_H entrywise, because no Betti number of
+k[H] lives outside it:
 
 1. The incidence matrix A of a bipartite graph is totally unimodular, so
    every initial ideal of I_H is squarefree (Sturmfels, Groebner Bases and
@@ -431,27 +450,18 @@ def betti_table(
     """All Betti entries of standard degree <= max_degree.
 
     max_degree defaults to the edge count (a safe but often generous bound).
-    Each connected component with an edge is scanned on its own, up to
-    max_degree or its top degree, whichever is lower; the component tables
-    are then convolved (Kuenneth) and cut at max_degree.  Each component's
-    plan (`_Plan.levels`) gives its levels and top degree: a normal
-    component's comes from its levels up to d - 1, so it is known only when
-    max_degree >= d - 1; the table is certified when max_degree reaches the
-    sum of the top degrees.  A normal component with reg >= 2 whose top
-    degree max_degree reaches is scanned only to its top degree - 2,
-    unless `on_complex` is set: its top two degrees are read off its
-    canonical module (`_Plan.canonical_entries`).  A hypersurface (|E| =
-    d + 1) is not scanned unless `on_complex` is set: its table is
-    beta_{0,0} = 1 and, when |u+| <= max_degree, beta_{1,Au+} = 1,
-    certified by its degree complex (`_Plan.hypersurface_table`).  A
-    bipartite component H is scanned only inside its degree box s <=
-    deg_H, where all its Betti numbers live (see the module docstring).
-    `max_scan` caps the multidegrees held in all components together, one
-    representative per twin orbit: each component's whole levels up to
-    d - 1, which the Hilbert function needs, and for a bipartite component
-    only the representatives in its box past them; a hypersurface that is
-    not scanned holds level 0, as a free component does.  A negative
-    `max_scan` or `max_fiber` is a ValueError.
+    Each connected component with an edge is answered on its own by its
+    plan (`_Plan.table`), up to max_degree or its top degree, whichever is
+    lower; the component tables are then convolved (Kuenneth) and cut at
+    max_degree.  The table is certified when max_degree reaches the sum of
+    the components' top degrees; a normal component's is known only when
+    max_degree >= d - 1.  `max_scan` caps the multidegrees held in all
+    components together, one representative per twin orbit: each
+    component's whole levels up to d - 1, which the Hilbert function
+    needs, and for a bipartite component only the representatives in its
+    degree box past them; a hypersurface that is not scanned holds level 0,
+    as a free component does.  A negative `max_scan` or `max_fiber` is a
+    ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -474,26 +484,12 @@ def betti_table(
     _check_cap("max_scan", max_scan)
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[int | None] = []
-    scanned = 0
+    held = 0
     for plan in _plans(g, scan=on_complex is not None):
-        top = plan.top
-        if plan.closed:
-            # level 0 is held as a free component's is, and nothing past it
-            if scanned >= max_scan:
-                raise ScanOverflowError(max_scan, 0)
-            scanned += 1
-            local = plan.hypersurface_table(max_degree, field, max_fiber)
-        else:
-            levels, top, hvec, scanned, tail = plan.levels(max_degree, max_scan, scanned)
-            reg_pd = None if hvec is None else (len(hvec) - 1, len(plan.h.edges) - plan.d)
-            local = _scan(plan.h, levels, plan.twins, field, max_fiber, on_complex, reg_pd)
-            if tail is not None:
-                local.update(tail)  # past every scanned level, in the scan's order
-            if hvec is not None and top <= max_degree:
-                _check_k_polynomial(plan, hvec, local)
+        local, held = plan.table(max_degree, field, max_fiber, max_scan, held, on_complex)
         positions = [g.index[v] for v in plan.h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
-        tops.append(top)
+        tops.append(plan.top)
 
     known = None if None in tops else sum(tops)
     certified = assume_complete or (known is not None and max_degree >= known)
@@ -539,22 +535,12 @@ def _scan(
     the swaps that reach t.
 
     `reg_pd` is (reg, pd) of a Cohen-Macaulay ring, known from its
-    h-vector: reg = deg h and pd = |E| - d (Hochster's theorem, as in
-    `_Plan.levels`).  The ideal is generated in degree >= 2, so at standard
-    degree j >= 1 beta_{i,j} is nonzero only for max(1, j - reg) <= i <=
-    min(j - 1, pd).  Where that leaves one index i, which happens at j = 2,
-    at the top degree pd + reg and at every j when reg = 1, the only
-    homology of Delta_s is H~_{i-1}, so beta_{i,s} = (-1)^{i-1} times the
-    reduced Euler characteristic (`_reduced_euler`), over every field: the
-    Hilbert function, Cohen-Macaulayness and the Euler characteristic do
-    not depend on it.  A negative count is an internal error.  Level 0's
+    h-vector.  At a standard degree j >= 1 where max(1, j - reg) <= i <=
+    min(j - 1, pd) leaves one index i (see the module docstring),
+    beta_{i,s} is (-1)^{i-1} times the reduced Euler characteristic
+    (`_reduced_euler`); a negative count is an internal error.  Level 0's
     complex is {empty set}, so beta_{0,0} = 1 is written without homology;
     every other complex that is not a cone runs `reduced_homology`.
-    With reg >= 2 the levels reach the top degree only in an audit: the
-    top two degrees are otherwise read off the canonical module (by
-    duality, Danilov-Stanley's interior elements, half-integral vertices
-    and Stanley reciprocity; `_Plan.canonical_entries`), and the scan's
-    Euler counts are those at degree 2.
     """
     ground = tuple(h.edges)
     at: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
@@ -616,15 +602,7 @@ def _scan(
                     masks = [_relabel(mask, swaps) for mask in masks]
                 on_complex(t, SimplicialComplex(ground, masks))
         below = here
-    return _in_scan_order(entries)
-
-
-def _in_scan_order(
-    entries: dict[tuple[int, tuple[int, ...]], int]
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """The entries level by level, then by multidegree and index, as a
-    plain scan finds them."""
-    return dict(sorted(entries.items(), key=lambda item: (sum(item[0][1]), item[0][1], item[0][0])))
+    return entries
 
 
 def _facets(
@@ -698,15 +676,11 @@ def _interior(h: Graph, t: tuple[int, ...], twins: _TwinGroup) -> bool:
     """Whether t, a canonical element of the edge semigroup of h, lies in
     the relative interior of its cone: t = A lambda for some lambda > 0.
 
-    That holds iff every edge e has lambda_e > 0 at some point of the
-    polytope {lambda >= 0 : A lambda = t}, and then at one of its vertices.
-    Those are half-integral, as a basic solution of the incidence matrix
-    of a graph is (fractional b-matchings), so 2 lambda is a decomposition
-    of 2t using e; conversely one such decomposition mu gives lambda =
-    mu / 2.  So t is interior iff 2t - a_e is in the semigroup for every
-    edge e (`in_semigroup`).  A twin swap that fixes t carries the test of
-    e to that of its image, so one edge is tested per set of ends taken
-    up to runs of equal weight in a twin class."""
+    That holds iff 2t - a_e is in the semigroup (`in_semigroup`) for every
+    edge e, by the half-integral vertices of the module docstring.  A twin
+    swap that fixes t carries the test of e to that of its image, so one
+    edge is tested per set of ends taken up to runs of equal weight in a
+    twin class."""
     two = [2 * x for x in t]
     tested = set()
     for iu, iv in h.edge_indices:
@@ -750,9 +724,7 @@ def _convolve(
 
 def complete_bipartite_reg_pd(u: int, v: int) -> tuple[int, int]:
     """Regularity u - 1 and projective dimension (u-1)(v-1) of k[K_{u,v}]
-    for 1 <= u <= v.  The ring is the determinantal ring of the 2-minors of
-    a generic u x v matrix: Cohen-Macaulay of dimension u + v - 1, so pd is
-    its codimension uv - (u + v - 1)."""
+    for 1 <= u <= v, a determinantal ring (see the module docstring)."""
     return u - 1, (u - 1) * (v - 1)
 
 
@@ -760,12 +732,10 @@ def _h_vector(sizes: Sequence[int], d: int) -> list[int]:
     """The h-vector h_0, ..., h_{deg h} of a normal ring of dimension d
     whose Hilbert function starts H(0), ..., H(d - 1) = sizes[:d].
 
-    The Hilbert series is h(t) / (1 - t)^d.  A normal ring has negative
-    a-invariant deg h - d (Danilov-Stanley; Bruns-Herzog, Cohen-Macaulay
-    Rings, 6.3), so deg h <= d - 1, and the coefficients of
-    (1 - t)^d * sum_{n < d} H(n) t^n below t^d are h.  A normal ring is
-    Cohen-Macaulay, so h is nonnegative; a negative coefficient is an
-    internal error.
+    The Hilbert series is h(t) / (1 - t)^d and deg h <= d - 1 (see the
+    module docstring), so the coefficients of (1 - t)^d * sum_{n < d}
+    H(n) t^n below t^d are h.  h is nonnegative; a negative coefficient is
+    an internal error.
     """
     h = _times_one_minus_t(sizes[:d], d)
     while h[-1] == 0:
@@ -785,14 +755,12 @@ def _times_one_minus_t(coeffs: Sequence[int], power: int) -> list[int]:
     return out
 
 
-def _check_k_polynomial(
-    plan: _Plan, hvec: list[int], table: dict[tuple[int, tuple[int, ...]], int]
-) -> None:
+def _check_k_polynomial(plan: _Plan, table: dict[tuple[int, tuple[int, ...]], int]) -> None:
     """Cross-check a component's finished Betti table against its h-vector:
     the alternating sum of the table, sum (-1)^i beta_{i,j} t^j, is the
     K-polynomial, the numerator of the Hilbert series over the edge
     polynomial ring, which is h(t) (1 - t)^{|E| - d}."""
-    codim = len(plan.h.edges) - plan.d
+    hvec, codim = plan.hvec, plan.codim
     k = _times_one_minus_t(hvec + [0] * codim, codim)
     euler: dict[int, int] = {}
     for (i, s), b in table.items():
@@ -819,11 +787,7 @@ def _relation(h: Graph) -> tuple[int, ...]:
     no other walk uses, so u is primitive: ker A is a line, and u generates
     its integer points.  O(|V| + |E|).
     """
-    ends = h.edge_indices
-    at: list[list[tuple[int, int]]] = [[] for _ in h.vertices]
-    for e, (iu, iv) in enumerate(ends):
-        at[iu].append((e, iv))
-        at[iv].append((e, iu))
+    ends, at = h.edge_indices, h._incident
     depth = [-1] * len(h.vertices)
     parent = [-1] * len(h.vertices)  # the tree edge to each vertex's parent
     depth[0], order = 0, [0]
@@ -853,38 +817,35 @@ def _relation(h: Graph) -> tuple[int, ...]:
 
 
 class _Plan:
-    """One connected component H with an edge, and what decides how far it
-    is scanned.
+    """One connected component H with an edge, and the route that answers
+    it (`table`).
 
-    Its incidence rank d = dim k[H]; for a hypersurface (|E| = d + 1) the
-    primitive vector u of ker A (`_relation`); the sides (u, v) of H =
-    K_{u,v}, unless the plan is closed; and its top degree in closed form:
-    0 when k[H] is free (d = |E|, no syzygies), |u+| for a hypersurface,
-    reg + pd = (u-1)v for K_{u,v} with u <= v (`complete_bipartite_reg_pd`),
-    None otherwise.
+    Its incidence rank d = dim k[H] and its codimension |E| - d, the pd of
+    k[H] where that is Cohen-Macaulay; for a hypersurface (|E| = d + 1)
+    the primitive vector u of ker A (`_relation`); the sides (u, v) of
+    H = K_{u,v}, unless the plan is closed; its top degree `top`, 0 when
+    k[H] is free, |u+| for a hypersurface, (u-1)v for K_{u,v} with u <= v
+    (`complete_bipartite_reg_pd`), and otherwise None until the levels of
+    a normal ring fix it; and its h-vector `hvec`, None until then.
 
-    A hypersurface is `closed`, answered by theorem, unless `scan` asks for
-    its complexes: I_H is a height-one prime of the edge polynomial ring,
-    so it is principal (Matsumura, Commutative Ring Theory, Thm 20.1), and
-    it is the lattice ideal of ker A = Z u (Sturmfels, Groebner Bases and
-    Convex Polytopes, Lemma 4.1), so it is generated by x^{u+} - x^{u-}
-    (`hypersurface_table`, which checks the entry beta_{1,Au+} = 1 on the
-    degree complex at Au+).  A closed plan builds nothing more.  Every
-    other plan holds whether k[H] is normal, that is H is bipartite or
-    satisfies the odd cycle condition (Ohsugi-Hibi, J. Algebra 207, 1998),
-    searched exhaustively up to EXHAUSTIVE_VERTEX_LIMIT vertices; the
-    degree box deg_H of a bipartite H, None otherwise; and its twin group.
+    A hypersurface is `closed`, answered in closed form, unless `scan`
+    asks for its complexes, and a closed plan builds nothing more.  Every
+    other plan holds whether k[H] is normal, H bipartite or satisfying the
+    odd cycle condition, searched exhaustively up to
+    EXHAUSTIVE_VERTEX_LIMIT vertices; the degree box deg_H of a bipartite
+    H, None otherwise; and its twin group.
     """
 
     def __init__(self, h: Graph, bipartite: bool, scan: bool):
         self.h = h
         self.d = incidence_rank(h)
-        codim = len(h.edges) - self.d
-        self.relation = _relation(h) if codim == 1 else None
+        self.codim = len(h.edges) - self.d
+        self.relation = _relation(h) if self.codim == 1 else None
         self.scan = scan
         self.closed = self.relation is not None and not scan
         self.sides = None if self.closed else recognize_complete_bipartite(h)
-        if codim == 0:
+        self.hvec: list[int] | None = None
+        if self.codim == 0:
             self.top: int | None = 0
         elif self.relation is not None:
             self.top = sum(x for x in self.relation if x > 0)
@@ -900,68 +861,99 @@ class _Plan:
         self.box = self.degrees if bipartite else None
         self.twins = _TwinGroup(h, twin_classes(h))
 
+    def table(
+        self,
+        max_degree: int,
+        field: FieldSpec,
+        max_fiber: int,
+        max_scan: int,
+        held: int,
+        on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None,
+    ) -> tuple[dict[tuple[int, tuple[int, ...]], int], int]:
+        """H's Betti entries up to `max_degree`, and `held` plus the
+        multidegrees H holds, which `max_scan` caps together with the
+        `held` before it (ScanOverflowError).  The routes rest on the
+        theorems stated in the module docstring:
+
+        - A closed hypersurface holds level 0, as a free component does,
+          and its table is written from u (`hypersurface_table`): I_H is a
+          principal prime (Matsumura, Thm 20.1), the lattice ideal of
+          ker A (Sturmfels, Lemma 4.1).
+        - Any other component scans its levels (`levels`, `_scan`), in
+          its degree box when H is bipartite (Sturmfels, ch. 8;
+          Herzog-Hibi, 3.3), and stops at its top degree: 0 when free,
+          (u-1)v for K_{u,v} (a determinantal ring), pd + deg h for a
+          normal ring (Ohsugi-Hibi), which is Cohen-Macaulay (Hochster)
+          with negative a-invariant (Danilov-Stanley), once its levels
+          fix its h-vector.  A normal ring's degrees that leave one
+          homological index are answered by an Euler count.
+        - A normal component with reg >= 2 whose top degree `max_degree`
+          reaches has its top two degrees read off the canonical module
+          (`canonical_entries`; Bruns-Herzog, 3.3; Danilov-Stanley;
+          half-integral vertices; Stanley reciprocity), unless the plan
+          scans them.
+        - A table that reaches the top degree fixed by an h-vector is
+          checked against the K-polynomial (`_check_k_polynomial`)."""
+        if self.closed:
+            if held >= max_scan:
+                raise ScanOverflowError(max_scan, 0)
+            return self.hypersurface_table(max_degree, field, max_fiber), held + 1
+        levels, held, tail = self.levels(max_degree, max_scan, held)
+        reg_pd = None if self.hvec is None else (len(self.hvec) - 1, self.codim)
+        entries = _scan(self.h, levels, self.twins, field, max_fiber, on_complex, reg_pd)
+        entries.update(tail)
+        if self.hvec is not None and self.top <= max_degree:
+            _check_k_polynomial(self, entries)
+        return entries, held
+
     def levels(
         self, max_degree: int, max_scan: int, held: int = 0
-    ) -> tuple[
-        list[list[tuple[int, ...]]],
-        int | None,
-        list[int] | None,
-        int,
-        dict[tuple[int, tuple[int, ...]], int] | None,
-    ]:
-        """The levels to scan up to `max_degree`, the top degree (None if
-        unknown), the h-vector (None unless the levels reach d - 1 of a
-        normal ring), `held` plus the representatives held, which
-        `max_scan` caps (ScanOverflowError), and the entries at the top
-        degrees that are read off the canonical module instead of scanned
-        (None where the levels hold every degree).
+    ) -> tuple[list[list[tuple[int, ...]]], int, dict[tuple[int, tuple[int, ...]], int]]:
+        """The levels to scan up to `max_degree`, `held` plus the
+        representatives held, which `max_scan` caps (ScanOverflowError),
+        and the entries at the top two degrees that are read off the
+        canonical module instead of scanned ({} where the levels hold
+        every degree).
 
-        A normal ring is Cohen-Macaulay (Hochster, Ann. Math. 96, 1972), so
-        pd = |E| - d, reg = deg h and the resolution ends at degree
-        pd + deg h, which the whole levels up to d - 1 fix (`_h_vector`);
-        where the top degree has a closed form, the sum cross-checks it.
-        The levels are cut at the top degree and to the box, and grown past
-        d - 1 inside it (`_grow`); a hypersurface's levels are cut without
-        its closed form, which only certifies them.
+        The whole levels are listed up to d - 1 for a normal ring, up to 0
+        for a free one and up to `max_degree` otherwise.  Where they reach
+        d - 1 of a normal ring they fix `hvec` (`_h_vector`) and `top`, the
+        degree codim + deg h, which a closed form must equal.  The levels
+        are then cut at the top degree and to the box, and grown past
+        d - 1 inside it (`_grow`).  A scanned hypersurface's are cut
+        without its closed form, so that an audit sees every complex a
+        scan can build.
 
-        Where reg >= 2, the top degree pd + reg is within `max_degree` and
-        no audit asks for the complexes (`scan`), the levels stop two
-        degrees short of it, and `canonical_entries` writes the top two
-        from the least interior elements, by the duality of the
-        resolution with that of the canonical module.  They lie on the
-        whole levels k_min = d - reg and k_min + 1 <= d - 1: k_min is the
-        least degree of the canonical module, a(R) = reg - d
-        (Danilov-Stanley), and its elements are found by the
-        half-integral interior test (`_interior`) and counted against
-        Stanley reciprocity.  With reg = 1 only the top level would go,
-        one Euler count per complex, which measured no slower than the
-        interior tests, so it is scanned."""
+        Where reg = deg h >= 2, the top degree is within `max_degree` and
+        the plan does not `scan`, the levels stop two degrees short of it,
+        and `canonical_entries` writes the top two from the whole levels
+        k_min = d - reg and k_min + 1 <= d - 1.  With reg = 1 only the top
+        level would go, one Euler count per complex, which measured no
+        slower than the interior tests, so it is scanned."""
         h, d, twins = self.h, self.d, self.twins
         # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
         # no syzygies, so level 0 is enough
         whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
-        tail = None
+        tail = {}
         try:
             levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins)
             held += sum(map(len, levels))
-            # a scanned hypersurface is cut where the scan alone would cut
-            # it, not at |u+|, so that audits see every complex they did
-            # before the closed form
             cut, hvec = None if self.relation else self.top, None
             if self.normal and len(levels) == d:
                 sizes = _orbit_sizes(levels, twins)
                 hvec = _h_vector(list(map(sum, sizes)), d)
-                cut = len(h.edges) - d + len(hvec) - 1
-                if self.top is not None and cut != self.top:
+                cut = self.codim + len(hvec) - 1
+                if self.top not in (None, cut):
                     sides = self.sides
                     name = "a component" if sides is None else f"K_{{{sides[0]},{sides[1]}}}"
                     raise RuntimeError(
                         f"internal error: {name} has pd + deg h = {cut}, "
                         f"not the closed-form top degree {self.top}"
                     )
+                self.top, self.hvec = cut, hvec
             stop = max_degree if cut is None else min(max_degree, cut)
             if hvec is not None and len(hvec) > 2 and cut <= max_degree and not self.scan:
-                tail = self.canonical_entries(levels, sizes, hvec)
+                tail = self.canonical_entries(levels, sizes)
                 stop = cut - 2
             levels = levels[: stop + 1]
             if self.box is not None:
@@ -969,35 +961,39 @@ class _Plan:
             held = _grow(h, levels, stop, max_scan, twins, held, self.box)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        return levels, cut if self.top is None else self.top, hvec, held, tail
+        return levels, held, tail
+
+    def known_top(self) -> int | None:
+        """`top`, listing the whole levels up to d - 1 under the default
+        `max_scan` (ScanOverflowError past it) where they fix it, that is
+        for a normal ring without a closed form; None where nothing fixes
+        it."""
+        if self.top is None and self.normal:
+            self.levels(self.d - 1, DEFAULT_MAX_SCAN)
+        return self.top
 
     def canonical_entries(
-        self, levels: list[list[tuple[int, ...]]], sizes: list[list[int]], hvec: list[int]
+        self, levels: list[list[tuple[int, ...]]], sizes: list[list[int]]
     ) -> dict[tuple[int, tuple[int, ...]], int]:
         """The Betti entries of a normal ring with reg = deg h >= 2 at its
-        top degrees pd + reg and pd + reg - 1, from the whole `levels` up
-        to d - 1 and their orbit `sizes`.
+        top degrees pd + reg and pd + reg - 1, from its h-vector `hvec`,
+        the whole `levels` up to d - 1 and their orbit `sizes`, by the
+        duality with the canonical module omega stated in the module
+        docstring.
 
-        k[H] is Cohen-Macaulay, so the dual of its minimal resolution
-        resolves the canonical module omega, shifted by deg_H = A 1:
-        beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega) (Bruns-Herzog,
-        Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid. 6.3.5)
-        omega is spanned by the interior semigroup elements Omega, and
-        beta_{j,t}(omega) is H~_{j-1} of K^t = {F : t - a_F in Omega}.
-        Omega starts at level k_min = d - reg, so at level k_min K^t is
-        {empty set} for t in Omega: beta_{pd, deg_H - t} = 1.  At level
-        k_min + 1 it is {empty set} and the p points e with t - a_e in
-        Omega_{k_min}, when t is in Omega: beta_{pd-1, deg_H - t} = p - 1
-        for p >= 2, and beta_{pd, deg_H - t} = 1 for p = 0, over every
+        The interior elements Omega start at level k_min = d - reg, so
+        each t in Omega there gives beta_{pd, deg_H - t} = 1.  At level
+        k_min + 1, with p the number of edges e with t - a_e in
+        Omega_{k_min}, p >= 2 gives beta_{pd-1, deg_H - t} = p - 1, and
+        p = 0 with t interior gives beta_{pd, deg_H - t} = 1, over every
         field.  Every interior t has t >= 1 (`_interior` tests it).
 
-        Stanley reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, gives
-        |Omega_{k_min}| = h_reg and |Omega_{k_min + 1}| = h_{reg-1} +
-        d h_reg, and every entry lies at a multidegree >= 0: a mismatch is
-        an internal error.  The counts and the orbits are twin-invariant,
-        so each is taken once per representative."""
-        h, d, twins = self.h, self.d, self.twins
-        reg, pd = len(hvec) - 1, len(h.edges) - d
+        The interior elements counted against Stanley reciprocity, and
+        every entry at a multidegree >= 0, cross-check the entries: a
+        mismatch is an internal error.  The counts and the orbits are
+        twin-invariant, so each is taken once per representative."""
+        h, d, twins, hvec = self.h, self.d, self.twins, self.hvec
+        reg, pd = len(hvec) - 1, self.codim
         k = d - reg
         least = {r for r in levels[k] if min(r) and _interior(h, r, twins)}
         found = [(pd, r, 1) for r in least]
@@ -1030,19 +1026,16 @@ class _Plan:
                         f"box {deg}"
                     )
                 entries[(i, s)] = beta
-        return _in_scan_order(entries)
+        return entries
 
     def hypersurface_table(
         self, max_degree: int, field: FieldSpec, max_fiber: int
     ) -> dict[tuple[int, tuple[int, ...]], int]:
         """The Betti table of a closed hypersurface up to `max_degree`:
-        beta_{0,0} = 1, and beta_{1,Au+} = 1 when |u+| <= max_degree.
-
-        The resolution is 0 -> S(-Au+) -> S -> k[H] -> 0.  The entry is
-        certified by the degree complex at Au+ (`build_delta`): the fiber
-        of Au+ is {u+, u-}, as ker A = Z u, so the complex is two disjoint
-        facets, supp u+ and supp u-, with reduced homology [0, 1, 0, ...]
-        over every field.  Any other homology is an internal error."""
+        beta_{0,0} = 1, and beta_{1,Au+} = 1 when |u+| <= max_degree.  The
+        entry is certified by the degree complex at Au+ (`build_delta`),
+        which must be two points (see the module docstring); any other
+        homology is an internal error."""
         h = self.h
         table = {(0, (0,) * len(h.vertices)): 1}
         if self.top > max_degree:
@@ -1072,27 +1065,19 @@ def _plans(g: Graph, scan: bool) -> list[_Plan]:
 
 def known_complete_degree(g: Graph) -> int | None:
     """Largest standard degree any Betti entry of k[G] can live in, when
-    every connected component has a known top degree (`_Plan`): it is
-    free, a hypersurface, complete bipartite, or normal; None otherwise.
+    every connected component has a known top degree (`_Plan.known_top`):
+    it is free, a hypersurface, complete bipartite, or normal; None
+    otherwise.
 
     A free, hypersurface or complete bipartite component's top degree is a
-    closed form: 0, |u+| for the primitive relation u (a height-one prime
-    is principal, Matsumura Thm 20.1, and I_H is the lattice ideal of
-    ker A, Sturmfels Lemma 4.1; `betti_table` certifies the relation on
-    its degree complex at Au+, two points) and (u-1)v.  Any other normal
-    component's is read off its Hilbert function up to degree d - 1, so
-    this scans those levels, under the default `max_scan`
-    (ScanOverflowError past it); where the top degree lies within them
-    and reg >= 2, the plan also reads the top two degrees off the
-    canonical module, and their cross-checks run.  Every class is
+    closed form.  Any other normal component's is read off its Hilbert
+    function up to degree d - 1, so this scans those levels, under the
+    default `max_scan` (ScanOverflowError past it); where the top degree
+    lies within them and reg >= 2, the plan also reads the top two degrees
+    off the canonical module, and their cross-checks run.  Every class is
     Cohen-Macaulay, so the top degree adds up across a disjoint union.
     """
-    tops = []
-    for plan in _plans(g, scan=False):
-        top = plan.top
-        if top is None and plan.normal:
-            top = plan.levels(plan.d - 1, DEFAULT_MAX_SCAN)[1]
-        tops.append(top)
+    tops = [plan.known_top() for plan in _plans(g, scan=False)]
     return None if None in tops else sum(tops)
 
 

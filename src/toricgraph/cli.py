@@ -41,6 +41,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     _dumps_json,
+    _json_error,
     _loads_json,
     _read_text,
     _resolve_cycle_cap,
@@ -63,13 +64,7 @@ def _load_json_file(path: str, what: str):
     try:
         return _loads_json(text)
     except (ValueError, RecursionError) as exc:
-        from json import JSONDecodeError  # loaded: only json.loads raises here
-
-        if isinstance(exc, JSONDecodeError):
-            raise ValueError(f"{what} file {path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
-        # the scanner's ValueError (too many digits) or RecursionError (too
-        # deep) names no line
-        raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{what} file {path}: {_json_error(exc, column=False)}") from None
 
 
 def _graph_section(g: Graph) -> dict:

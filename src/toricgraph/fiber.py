@@ -119,11 +119,7 @@ def _search(g: Graph, s: Sequence[int], max_size: int, first_only: bool) -> list
     if any(x < 0 for x in s) or sum(s) % 2 == 1:
         return []
 
-    ends = g.edge_indices
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge, other end)
-    for e, (iu, iv) in enumerate(ends):
-        incident[iu].append((e, iv))
-        incident[iv].append((e, iu))
+    ends, incident = g.edge_indices, g._incident
     residual = list(s)
     free = [len(inc) for inc in incident]  # unweighted edges at each vertex
     coeffs = [-1] * m  # the weight on each edge, -1 while it has none

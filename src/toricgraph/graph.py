@@ -150,6 +150,15 @@ class Graph(_Value):
         return tuple(frozenset(s) for s in adj)
 
     @cached_property
+    def _incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(edge, other end) for each edge at each vertex, in edge order."""
+        at: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for e, (iu, iv) in enumerate(self.edge_indices):
+            at[iu].append((e, iv))
+            at[iv].append((e, iu))
+        return tuple(map(tuple, at))
+
+    @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor positions of each vertex, increasing."""
         return tuple(tuple(sorted(a)) for a in self._adjacency)
@@ -477,6 +486,19 @@ def _loads_json(text: str) -> object:
     return json.loads(text)
 
 
+def _json_error(exc: ValueError | RecursionError, column: bool = True) -> str:
+    """The one-line message for an error `_loads_json` raised: "line L,
+    column C: invalid JSON (why)", the column left out unless `column`.
+    The scanner's ValueError (too many digits) or RecursionError (too
+    deep) names no place."""
+    from json import JSONDecodeError  # loaded: only json.loads raises here
+
+    if not isinstance(exc, JSONDecodeError):
+        return f"invalid JSON ({exc})"
+    place = f"line {exc.lineno}, column {exc.colno}" if column else f"line {exc.lineno}"
+    return f"{place}: invalid JSON ({exc.msg})"
+
+
 def _dumps_json(value: object) -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
     values reports hold: dicts with str keys, lists, tuples, str, int, bool
@@ -563,14 +585,7 @@ def _parse_json(text: str) -> Graph:
     try:
         obj = _loads_json(text)
     except (ValueError, RecursionError) as exc:
-        from json import JSONDecodeError  # loaded: only json.loads raises here
-
-        if isinstance(exc, JSONDecodeError):
-            raise GraphFormatError(
-                f"line {exc.lineno}, column {exc.colno}: invalid JSON ({exc.msg})") from None
-        # the scanner's ValueError (too many digits) or RecursionError (too
-        # deep) names no place
-        raise GraphFormatError(f"invalid JSON ({exc})") from None
+        raise GraphFormatError(_json_error(exc)) from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level: expected an object with 'vertices' and 'edges'")
     for key in ("vertices", "edges"):

@@ -128,7 +128,8 @@ def _boundary_columns(
     faces: list[int], rows: list[int], dropped: Callable[[int], bool] = lambda face: False
 ) -> list[dict[int, int]]:
     """Boundary columns of the given d-faces over the (d-1)-faces `rows`, all
-    masks.  A boundary term that is not a row must be `dropped`."""
+    masks.  A boundary term that is not a row must be `dropped`; any other
+    is an internal error."""
     row_index = {f: i for i, f in enumerate(rows)}
     cols: list[dict[int, int]] = []
     for face in faces:
@@ -141,7 +142,10 @@ def _boundary_columns(
             if i is not None:
                 col[i] = sign
             elif not dropped(term):
-                raise KeyError(term)
+                raise RuntimeError(
+                    f"internal error: the boundary of the face {face:#b} holds {term:#b}, "
+                    "which is neither a chain nor dropped"
+                )
             rest, sign = rest ^ low, -sign
         cols.append(col)
     return cols

@@ -738,6 +738,22 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
         assert (exc.value.limit, exc.value.degree) == (held - 1, 3)
 
 
+@pytest.mark.parametrize("closed_first", [False, True])
+def test_scan_cap_across_a_closed_and_a_scanned_component(closed_first):
+    # K_{2,3} holds its whole levels to d - 1 = 3, 1 + 1 + 4 + 6 = 12
+    # representatives, and the closed C_4 holds level 0 alone.  The cap
+    # counts both, in component order: one below 13, the component that
+    # comes second overflows, C_4 at level 0 or K_{2,3} at level 3
+    k23, c4 = complete_bipartite_graph(2, 3), cycle_graph(4, "c")
+    assert [len(level) for level in semigroup_levels(k23, 3, classes=twin_classes(k23))] == [1, 1, 4, 6]
+    g = disjoint_union(c4, k23) if closed_first else disjoint_union(k23, c4)
+    table = betti_table(g, max_scan=12 + 1)
+    assert table.certified and table.caveats == ()
+    with pytest.raises(ScanOverflowError) as exc:
+        betti_table(g, max_scan=12)
+    assert (exc.value.limit, exc.value.degree) == (12, 3 if closed_first else 0)
+
+
 def test_betti_table_counts_each_orbit_once(monkeypatch):
     # the Hilbert function sums orbit sizes once per representative past
     # level 0, up to d - 1 = 5 (64 of them); the levels past it hold
@@ -1108,9 +1124,9 @@ def test_canonical_route_matches_the_audited_and_whole_scans(monkeypatch):
     kinds = {"bipartite": set(), "other": set(), "p >= 2": set(), "new generator": set()}
     route = betti._Plan.canonical_entries
 
-    def recorded(plan, levels, sizes, hvec):
-        entries = route(plan, levels, sizes, hvec)
-        reg, pd = len(hvec) - 1, len(plan.h.edges) - plan.d
+    def recorded(plan, levels, sizes):
+        entries = route(plan, levels, sizes)
+        reg, pd = len(plan.hvec) - 1, len(plan.h.edges) - plan.d
         kinds["bipartite" if plan.box else "other"].add(plan.h.edges)
         if any(i == pd - 1 for i, _ in entries):
             kinds["p >= 2"].add(plan.h.edges)
@@ -1186,13 +1202,16 @@ def test_canonical_cross_checks_raise(monkeypatch):
     sizes = betti._orbit_sizes(levels, plan.twins)
     hvec = betti._h_vector(list(map(sum, sizes)), plan.d)
     assert hvec == [1, 6, 3]
-    entries = plan.canonical_entries(levels, sizes, hvec)
+    plan.hvec = hvec
+    entries = plan.canonical_entries(levels, sizes)
     assert Counter((i, sum(s) // 2, b) for (i, s), b in entries.items()) == {(6, 8, 1): 3, (5, 7, 1): 12}
+    plan.hvec = [1, 7, 3]
     with pytest.raises(RuntimeError, match=r"has \[3, 24\] interior elements .* not the \[3, 25\]"):
-        plan.canonical_entries(levels, sizes, [1, 7, 3])
+        plan.canonical_entries(levels, sizes)
+    plan.hvec = hvec
     plan.degrees = (4, 4, 1, 3, 3, 3, 3)  # below the weight 2 that a3 takes in an orbit
     with pytest.raises(RuntimeError, match="outside the degree box"):
-        plan.canonical_entries(levels, sizes, hvec)
+        plan.canonical_entries(levels, sizes)
     # a dropped least orbit: the table would lose its three beta_6 entries.
     # Level 5 still counts 24, each element now passing the interior test
     interior = betti._interior

@@ -414,6 +414,22 @@ def test_failed_canonical_count_exits_1_with_one_line(capsys, data_dir, monkeypa
     assert err.count("\n") == 1
 
 
+def test_failed_boundary_term_exits_1_with_one_line(capsys, monkeypatch, tmp_path):
+    # a link test that passes nothing leaves the boundary terms in the star
+    # of K_{3,3}'s degree complexes neither chains nor dropped
+    from toricgraph import homology
+
+    relative = homology._relative_faces
+    monkeypatch.setattr(homology, "_relative_faces", lambda core: (relative(core)[0], lambda face: False))
+    k33 = tmp_path / "k33.edges"
+    k33.write_text("".join(f"a{i} b{j}\n" for i in (1, 2, 3) for j in (1, 2, 3)))
+    code, out, err = _run(capsys, "betti", str(k33))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricgraph: error: internal error: the boundary of the face ")
+    assert err.count("\n") == 1
+
+
 def test_bad_search_bounds_fail_before_the_scan(capsys, monkeypatch, tmp_path):
     # K_{4,4} + triangle + P_6 has 17 vertices, one past the exhaustive
     # cycle search; its scan takes about as long as a whole run, so a bad

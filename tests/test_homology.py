@@ -145,11 +145,12 @@ def test_star_quotient_builds_fewer_boundary_columns(monkeypatch):
 
 def test_boundary_terms_outside_the_rows_must_be_dropped():
     # the edge {0, 1} over the row {0}: the term {1} is dropped as a link
-    # face, or raises when it is not one
+    # face, or is an internal error when it is not one
     assert homology._boundary_columns([0b11], [0b01], lambda face: face == 0b10) == [{0: -1}]
-    with pytest.raises(KeyError):
+    message = "internal error: the boundary of the face 0b11 holds 0b10"
+    with pytest.raises(RuntimeError, match=message):
         homology._boundary_columns([0b11], [0b01], lambda face: False)
-    with pytest.raises(KeyError):
+    with pytest.raises(RuntimeError, match=message):
         homology._boundary_columns([0b11], [0b01])
 
 
