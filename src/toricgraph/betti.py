@@ -148,10 +148,11 @@ degrees (see `known_complete_degree`).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
-from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap, in_semigroup
+from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap, decomposition_degree, in_semigroup
 from .graph import (
     EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
@@ -193,12 +194,14 @@ def semigroup_levels(
     the canonical multidegrees that are sums of exactly d edge columns (total
     degree 2d).
 
-    `classes` are classes of mutually twin vertices, as increasing vertex
-    positions (see `twin_classes`), or the `_TwinGroup` they generate, which
-    is then used as it is; a multidegree is canonical when its weights do
-    not increase along each class.  With no classes the group is trivial
-    and every element is listed.  `max_scan` caps the representatives
-    listed, over all levels, not the elements they stand for.
+    `classes` are disjoint classes of mutually twin vertices, each as
+    strictly increasing vertex positions, 0 to |V| - 1 (see
+    `twin_classes`), or the `_TwinGroup` they generate, which is then used
+    as it is; any other classes are a ValueError.  A multidegree is
+    canonical when its weights do not increase along each class.  With no
+    classes the group is trivial and every element is listed.  `max_scan`
+    caps the representatives listed, over all levels, not the elements
+    they stand for.
 
     Complete by construction: any sum of d columns is a sum of d-1 columns
     plus one more, and twin swaps permute the columns, so translating the
@@ -280,6 +283,11 @@ class _TwinGroup:
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
         n = len(g.vertices)
         self.classes = tuple(tuple(c) for c in classes)
+        flat = [v for cls in self.classes for v in cls]
+        if len(set(flat)) < len(flat) or not set(flat) <= set(range(n)) or any(
+            list(cls) != sorted(cls) for cls in self.classes
+        ):
+            raise ValueError(f"twin classes {self.classes} are not disjoint increasing vertex positions")
         self.before = [-1] * n  # the previous vertex of the class, or -1
         self.after = [-1] * n
         for cls in self.classes:
@@ -485,7 +493,7 @@ def betti_table(
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
     tops: list[int | None] = []
     held = 0
-    for plan in _plans(g, scan=on_complex is not None):
+    for plan in _plans(g):
         local, held = plan.table(max_degree, field, max_fiber, max_scan, held, on_complex)
         positions = [g.index[v] for v in plan.h.vertices]
         entries = _convolve(entries, local, positions, 2 * max_degree)
@@ -542,11 +550,7 @@ def _scan(
     complex is {empty set}, so beta_{0,0} = 1 is written without homology;
     every other complex that is not a cone runs `reduced_homology`.
     """
-    ground = tuple(h.edges)
-    at: list[list[tuple[int, int, int]]] = [[] for _ in h.vertices]
-    for e, (iu, iv) in enumerate(h.edge_indices):
-        at[iu].append((1 << e, iu, iv))
-        at[iv].append((1 << e, iu, iv))
+    ground, at = tuple(h.edges), h._incident
     order = sorted(range(len(at)), key=lambda v: len(at[v]))
     # level 0's complex is {empty set}: beta_{0,0} = 1, with no homology run
     entries = {(0, (0,) * len(h.vertices)): 1}
@@ -608,7 +612,7 @@ def _scan(
 def _facets(
     s: tuple[int, ...],
     below: dict[tuple[int, ...], tuple[int, ...]],
-    at: list[list[tuple[int, int, int]]],
+    at: tuple[tuple[tuple[int, int], ...], ...],
     order: list[int],
     twins: _TwinGroup,
 ) -> list[int]:
@@ -626,7 +630,7 @@ def _facets(
     representative of s - a_e, relabelled by the twin swaps that carry it
     to s - a_e.  x is a vertex with s_x = 1 if there is one, else any with
     s_x >= 1, the fewest edges first (`order`); `at` lists each vertex's
-    edges.
+    edges with their other ends (`Graph._incident`).
 
     When s_x = 1, Delta_{s-a_e} has no edge at x, so every G | {e} is a
     facet and the sets from different e differ at x: no test is needed.
@@ -641,7 +645,7 @@ def _facets(
             break
         if s[v] and x < 0:
             x = v
-    pulled = _pulled(s, below, at[x], twins)
+    pulled = _pulled(s, below, x, at[x], twins)
     if s[x] == 1:
         return [mask | bit for bit, mask in pulled]
     facets: set[int] = set()
@@ -657,15 +661,18 @@ def _facets(
 def _pulled(
     s: tuple[int, ...],
     below: dict[tuple[int, ...], tuple[int, ...]],
-    edges: list[tuple[int, int, int]],
+    x: int,
+    edges: tuple[tuple[int, int], ...],
     twins: _TwinGroup,
 ) -> Iterator[tuple[int, int]]:
-    """(bit of e, G) for each of the `edges` e with both ends positive in
-    canonical s and each facet G of Delta_{s-a_e}, relabelled from the
-    facets held for its representative."""
-    for bit, iu, iv in edges:
-        if s[iu] and s[iv]:
-            c, moves = twins.down(s, iu, iv)
+    """(bit of e, G) for each of the `edges` e = {x, w}, given as (e, w),
+    with w positive in canonical s (s_x is) and each facet G of
+    Delta_{s-a_e}, relabelled from the facets held for its
+    representative."""
+    for e, w in edges:
+        if s[w]:
+            bit = 1 << e
+            c, moves = twins.down(s, x, w)
             for mask in below.get(c, ()):
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
@@ -823,27 +830,25 @@ class _Plan:
     Its incidence rank d = dim k[H] and its codimension |E| - d, the pd of
     k[H] where that is Cohen-Macaulay; for a hypersurface (|E| = d + 1)
     the primitive vector u of ker A (`_relation`); the sides (u, v) of
-    H = K_{u,v}, unless the plan is closed; its top degree `top`, 0 when
-    k[H] is free, |u+| for a hypersurface, (u-1)v for K_{u,v} with u <= v
+    H = K_{u,v}; its top degree `top`, 0 when k[H] is free, |u+| for a
+    hypersurface, (u-1)v for K_{u,v} with u <= v
     (`complete_bipartite_reg_pd`), and otherwise None until the levels of
-    a normal ring fix it; and its h-vector `hvec`, None until then.
+    a normal ring fix it (`hilbert`); its h-vector `hvec`, None until
+    then; and deg_H = A 1, which is the degree box of a bipartite H (`box`,
+    None otherwise).
 
-    A hypersurface is `closed`, answered in closed form, unless `scan`
-    asks for its complexes, and a closed plan builds nothing more.  Every
-    other plan holds whether k[H] is normal, H bipartite or satisfying the
-    odd cycle condition, searched exhaustively up to
-    EXHAUSTIVE_VERTEX_LIMIT vertices; the degree box deg_H of a bipartite
-    H, None otherwise; and its twin group.
+    Whether k[H] is `normal`, H bipartite or satisfying the odd cycle
+    condition, searched exhaustively up to EXHAUSTIVE_VERTEX_LIMIT
+    vertices, and its twin group `twins` are made when first read, so a
+    hypersurface answered in closed form builds neither.
     """
 
-    def __init__(self, h: Graph, bipartite: bool, scan: bool):
+    def __init__(self, h: Graph, bipartite: bool):
         self.h = h
         self.d = incidence_rank(h)
         self.codim = len(h.edges) - self.d
         self.relation = _relation(h) if self.codim == 1 else None
-        self.scan = scan
-        self.closed = self.relation is not None and not scan
-        self.sides = None if self.closed else recognize_complete_bipartite(h)
+        self.sides = recognize_complete_bipartite(h)
         self.hvec: list[int] | None = None
         if self.codim == 0:
             self.top: int | None = 0
@@ -851,15 +856,19 @@ class _Plan:
             self.top = sum(x for x in self.relation if x > 0)
         else:
             self.top = None if self.sides is None else sum(complete_bipartite_reg_pd(*self.sides))
-        if self.closed:
-            return  # never scanned: no normality test, box or twin group
-        self.normal = bipartite or (
-            len(h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
-            and odd_cycle_condition(h).status == "satisfied"
-        )
-        self.degrees = tuple(map(len, h._adjacency))  # deg_H = A 1
+        self.degrees = tuple(map(len, h._incident))  # deg_H = A 1
         self.box = self.degrees if bipartite else None
-        self.twins = _TwinGroup(h, twin_classes(h))
+
+    @cached_property
+    def normal(self) -> bool:
+        return self.box is not None or (
+            len(self.h.vertices) <= EXHAUSTIVE_VERTEX_LIMIT
+            and odd_cycle_condition(self.h).status == "satisfied"
+        )
+
+    @cached_property
+    def twins(self) -> _TwinGroup:
+        return _TwinGroup(self.h, twin_classes(self.h))
 
     def table(
         self,
@@ -872,33 +881,52 @@ class _Plan:
     ) -> tuple[dict[tuple[int, tuple[int, ...]], int], int]:
         """H's Betti entries up to `max_degree`, and `held` plus the
         multidegrees H holds, which `max_scan` caps together with the
-        `held` before it (ScanOverflowError).  The routes rest on the
-        theorems stated in the module docstring:
+        `held` before it (ScanOverflowError).  This is the one place that
+        takes H's route; the routes rest on the theorems stated in the
+        module docstring:
 
-        - A closed hypersurface holds level 0, as a free component does,
-          and its table is written from u (`hypersurface_table`): I_H is a
+        - A hypersurface holds level 0, as a free component does, and its
+          table is written from u (`hypersurface_table`): I_H is a
           principal prime (Matsumura, Thm 20.1), the lattice ideal of
-          ker A (Sturmfels, Lemma 4.1).
-        - Any other component scans its levels (`levels`, `_scan`), in
-          its degree box when H is bipartite (Sturmfels, ch. 8;
-          Herzog-Hibi, 3.3), and stops at its top degree: 0 when free,
-          (u-1)v for K_{u,v} (a determinantal ring), pd + deg h for a
-          normal ring (Ohsugi-Hibi), which is Cohen-Macaulay (Hochster)
-          with negative a-invariant (Danilov-Stanley), once its levels
-          fix its h-vector.  A normal ring's degrees that leave one
-          homological index are answered by an Euler count.
+          ker A (Sturmfels, Lemma 4.1).  With `on_complex` it is scanned
+          like any other component, and cut at `max_degree` rather than
+          at |u+| unless its levels fix its h-vector, so that an audit
+          sees every complex a scan can build.
+        - Any other component lists its whole levels (`hilbert`), cuts
+          them at its top degree and to its degree box when H is
+          bipartite (Sturmfels, ch. 8; Herzog-Hibi, 3.3), grows them past
+          d - 1 inside the box (`_grow`) and scans them (`_scan`).  The
+          top degree is 0 when free, (u-1)v for K_{u,v} (a determinantal
+          ring), pd + deg h for a normal ring (Ohsugi-Hibi), which is
+          Cohen-Macaulay (Hochster) with negative a-invariant
+          (Danilov-Stanley), once its levels fix its h-vector.  A normal
+          ring's degrees that leave one homological index are answered
+          by an Euler count.
         - A normal component with reg >= 2 whose top degree `max_degree`
           reaches has its top two degrees read off the canonical module
           (`canonical_entries`; Bruns-Herzog, 3.3; Danilov-Stanley;
-          half-integral vertices; Stanley reciprocity), unless the plan
-          scans them.
+          half-integral vertices; Stanley reciprocity), and its levels
+          stop two degrees short of the top, unless `on_complex` asks for
+          their complexes.  With reg = 1 only the top level would go, one
+          Euler count per complex, which measured no slower than the
+          interior tests, so it is scanned.
         - A table that reaches the top degree fixed by an h-vector is
           checked against the K-polynomial (`_check_k_polynomial`)."""
-        if self.closed:
+        if self.relation is not None and on_complex is None:
             if held >= max_scan:
                 raise ScanOverflowError(max_scan, 0)
             return self.hypersurface_table(max_degree, field, max_fiber), held + 1
-        levels, held, tail = self.levels(max_degree, max_scan, held)
+        levels, sizes, held = self.hilbert(max_degree, max_scan, held)
+        cut = self.top if sizes is not None or self.relation is None else None
+        stop = max_degree if cut is None else min(max_degree, cut)
+        tail = {}
+        if sizes is not None and len(self.hvec) > 2 and cut <= max_degree and on_complex is None:
+            tail = self.canonical_entries(levels, sizes)
+            stop = cut - 2
+        levels = levels[: stop + 1]
+        if self.box is not None:
+            levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
+        held = _grow(self.h, levels, stop, max_scan, self.twins, held, self.box)
         reg_pd = None if self.hvec is None else (len(self.hvec) - 1, self.codim)
         entries = _scan(self.h, levels, self.twins, field, max_fiber, on_complex, reg_pd)
         entries.update(tail)
@@ -906,71 +934,40 @@ class _Plan:
             _check_k_polynomial(self, entries)
         return entries, held
 
-    def levels(
+    def hilbert(
         self, max_degree: int, max_scan: int, held: int = 0
-    ) -> tuple[list[list[tuple[int, ...]]], int, dict[tuple[int, tuple[int, ...]], int]]:
-        """The levels to scan up to `max_degree`, `held` plus the
-        representatives held, which `max_scan` caps (ScanOverflowError),
-        and the entries at the top two degrees that are read off the
-        canonical module instead of scanned ({} where the levels hold
-        every degree).
+    ) -> tuple[list[list[tuple[int, ...]]], list[list[int]] | None, int]:
+        """The whole levels up to `max_degree`, listed by
+        `semigroup_levels`; their orbit sizes where they fix the h-vector,
+        else None; and `held` plus the representatives listed, which
+        `max_scan` caps (ScanOverflowError).
 
-        The whole levels are listed up to d - 1 for a normal ring, up to 0
-        for a free one and up to `max_degree` otherwise.  Where they reach
-        d - 1 of a normal ring they fix `hvec` (`_h_vector`) and `top`, the
-        degree codim + deg h, which a closed form must equal.  The levels
-        are then cut at the top degree and to the box, and grown past
-        d - 1 inside it (`_grow`).  A scanned hypersurface's are cut
-        without its closed form, so that an audit sees every complex a
-        scan can build.
-
-        Where reg = deg h >= 2, the top degree is within `max_degree` and
-        the plan does not `scan`, the levels stop two degrees short of it,
-        and `canonical_entries` writes the top two from the whole levels
-        k_min = d - reg and k_min + 1 <= d - 1.  With reg = 1 only the top
-        level would go, one Euler count per complex, which measured no
-        slower than the interior tests, so it is scanned."""
-        h, d, twins = self.h, self.d, self.twins
+        The levels stop at d - 1 for a normal ring and at 0 for a free
+        one.  Where they reach d - 1 of a normal ring they fix `hvec`
+        (`_h_vector`) and `top`, the degree codim + deg h, which a closed
+        form must equal."""
+        h, d = self.h, self.d
         # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
         # no syzygies, so level 0 is enough
         whole = 0 if self.top == 0 else d - 1 if self.normal else max_degree
-        tail = {}
         try:
-            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, twins)
-            held += sum(map(len, levels))
-            cut, hvec = None if self.relation else self.top, None
-            if self.normal and len(levels) == d:
-                sizes = _orbit_sizes(levels, twins)
-                hvec = _h_vector(list(map(sum, sizes)), d)
-                cut = self.codim + len(hvec) - 1
-                if self.top not in (None, cut):
-                    sides = self.sides
-                    name = "a component" if sides is None else f"K_{{{sides[0]},{sides[1]}}}"
-                    raise RuntimeError(
-                        f"internal error: {name} has pd + deg h = {cut}, "
-                        f"not the closed-form top degree {self.top}"
-                    )
-                self.top, self.hvec = cut, hvec
-            stop = max_degree if cut is None else min(max_degree, cut)
-            if hvec is not None and len(hvec) > 2 and cut <= max_degree and not self.scan:
-                tail = self.canonical_entries(levels, sizes)
-                stop = cut - 2
-            levels = levels[: stop + 1]
-            if self.box is not None:
-                levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
-            held = _grow(h, levels, stop, max_scan, twins, held, self.box)
+            levels = semigroup_levels(h, min(max_degree, whole), max_scan - held, self.twins)
         except ScanOverflowError as exc:
             raise ScanOverflowError(max_scan, exc.degree) from None
-        return levels, held, tail
-
-    def known_top(self) -> int | None:
-        """`top`, listing the whole levels up to d - 1 under the default
-        `max_scan` (ScanOverflowError past it) where they fix it, that is
-        for a normal ring without a closed form; None where nothing fixes
-        it."""
-        if self.top is None and self.normal:
-            self.levels(self.d - 1, DEFAULT_MAX_SCAN)
-        return self.top
+        held += sum(map(len, levels))
+        if not (len(levels) == d and self.normal):
+            return levels, None, held
+        sizes = _orbit_sizes(levels, self.twins)
+        hvec = _h_vector(list(map(sum, sizes)), d)
+        top = self.codim + len(hvec) - 1
+        if self.top not in (None, top):
+            name = "a component" if self.sides is None else f"K_{{{self.sides[0]},{self.sides[1]}}}"
+            raise RuntimeError(
+                f"internal error: {name} has pd + deg h = {top}, "
+                f"not the closed-form top degree {self.top}"
+            )
+        self.top, self.hvec = top, hvec
+        return levels, sizes, held
 
     def canonical_entries(
         self, levels: list[list[tuple[int, ...]]], sizes: list[list[int]]
@@ -1031,7 +1028,7 @@ class _Plan:
     def hypersurface_table(
         self, max_degree: int, field: FieldSpec, max_fiber: int
     ) -> dict[tuple[int, tuple[int, ...]], int]:
-        """The Betti table of a closed hypersurface up to `max_degree`:
+        """The Betti table of a hypersurface up to `max_degree`:
         beta_{0,0} = 1, and beta_{1,Au+} = 1 when |u+| <= max_degree.  The
         entry is certified by the degree complex at Au+ (`build_delta`),
         which must be two points (see the module docstring); any other
@@ -1040,44 +1037,43 @@ class _Plan:
         table = {(0, (0,) * len(h.vertices)): 1}
         if self.top > max_degree:
             return table
-        s = [0] * len(h.vertices)
-        for (iu, iv), x in zip(h.edge_indices, self.relation):
-            if x > 0:
-                s[iu] += x
-                s[iv] += x
+        s = decomposition_degree(h, [max(x, 0) for x in self.relation])
         hom = reduced_homology(build_delta(h, s, max_fiber=max_fiber), field)
         if hom != [0, 1] + [0] * (len(hom) - 2):
             raise RuntimeError(
                 f"internal error: the degree complex of the relation of a hypersurface, "
-                f"at {tuple(s)}, has reduced homology {hom}, not that of two points"
+                f"at {s}, has reduced homology {hom}, not that of two points"
             )
-        table[(1, tuple(s))] = 1
+        table[(1, s)] = 1
         return table
 
 
-def _plans(g: Graph, scan: bool) -> list[_Plan]:
+def _plans(g: Graph) -> list[_Plan]:
     """The plan of each connected component of g with an edge, as an
-    induced subgraph of g, in the order of `connected_components`; a
-    hypersurface is closed unless `scan` is set."""
+    induced subgraph of g, in the order of `connected_components`."""
     parts = (induced_subgraph(g, comp) for comp in connected_components(g))
-    return [_Plan(h, bipartite, scan) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
+    return [_Plan(h, bipartite) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
 
 
 def known_complete_degree(g: Graph) -> int | None:
     """Largest standard degree any Betti entry of k[G] can live in, when
-    every connected component has a known top degree (`_Plan.known_top`):
-    it is free, a hypersurface, complete bipartite, or normal; None
-    otherwise.
+    every connected component has a known top degree (`_Plan.top`): it is
+    free, a hypersurface, complete bipartite, or normal; None otherwise.
 
     A free, hypersurface or complete bipartite component's top degree is a
     closed form.  Any other normal component's is read off its Hilbert
-    function up to degree d - 1, so this scans those levels, under the
-    default `max_scan` (ScanOverflowError past it); where the top degree
-    lies within them and reg >= 2, the plan also reads the top two degrees
-    off the canonical module, and their cross-checks run.  Every class is
+    function up to degree d - 1 (`_Plan.hilbert`), so this lists those
+    levels, under the default `max_scan` (ScanOverflowError past it), and
+    checks that the h-vector they give is nonnegative.  No table is
+    written, so the canonical-module entries and their cross-checks, which
+    every table of `betti_table` runs, are not made here.  Every class is
     Cohen-Macaulay, so the top degree adds up across a disjoint union.
     """
-    tops = [plan.known_top() for plan in _plans(g, scan=False)]
+    tops = []
+    for plan in _plans(g):
+        if plan.top is None and plan.normal:
+            plan.hilbert(plan.d - 1, DEFAULT_MAX_SCAN)
+        tops.append(plan.top)
     return None if None in tops else sum(tops)
 
 

@@ -25,7 +25,6 @@ from .betti import DEFAULT_MAX_SCAN, betti_table, complete_bipartite_reg_pd, inv
 from .complexes import build_delta
 from .fiber import DEFAULT_MAX_FIBER, _check_cap
 from .graph import (  # the odd cycle names are re-exported
-    EXHAUSTIVE_VERTEX_LIMIT,
     Graph,
     OddCycleVerdict,
     _induced_cycles,

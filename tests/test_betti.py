@@ -533,6 +533,15 @@ def test_max_scan_equal_to_the_representative_count_passes():
 def test_semigroup_levels_rejects_non_twins():
     with pytest.raises(ValueError, match="not twins"):
         semigroup_levels(path_graph(4), 2, classes=((0, 1),))
+    # classes that are not disjoint, strictly increasing positions in
+    # range(n): a repeated vertex (linked to itself, the slide along its
+    # class would never end), positions past the end or negative, a
+    # decreasing class, and two classes sharing a vertex
+    g = complete_bipartite_graph(2, 3)
+    for classes in ([(2, 2)], [(2, 9)], [(-1, 0)], [(-3, 3)], [(3, 2)], [(2, 3), (3, 4)]):
+        with pytest.raises(ValueError, match="not disjoint increasing vertex positions"):
+            semigroup_levels(g, 3, classes=classes)
+    assert len(semigroup_levels(g, 3, classes=[(0, 1), (2, 3, 4)])) == 4
 
 
 def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
@@ -625,7 +634,9 @@ def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
 def test_each_component_builds_its_twin_group_once(monkeypatch):
     # a component's plan hands its group to semigroup_levels, which uses it
     # as it is rather than building a second one from the classes; a
-    # hypersurface builds neither
+    # hypersurface answered in closed form builds neither, and runs no
+    # normality test either (the odd cycle condition), which an audit of
+    # the bowties does run, once per bowtie
     built = []
     init = betti._TwinGroup.__init__
 
@@ -635,15 +646,38 @@ def test_each_component_builds_its_twin_group_once(monkeypatch):
 
     monkeypatch.setattr(betti._TwinGroup, "__init__", counted)
     levels = _count_calls(monkeypatch, "semigroup_levels")
-    for g, bound, components in (
-        (complete_bipartite_graph(3, 4), 8, 1),
-        (disjoint_union(_complete_graph(4), _bridged_bowtie()), 8, 2),
-        (disjoint_union(_bowtie("p"), _bowtie("q")), 6, 0),
+    normality = _count_calls(monkeypatch, "odd_cycle_condition")
+    bowties = disjoint_union(_bowtie("p"), _bowtie("q"))
+    for g, bound, audit, components, tested in (
+        (complete_bipartite_graph(3, 4), 8, None, 1, 0),
+        (disjoint_union(_complete_graph(4), _bridged_bowtie()), 8, None, 2, 2),
+        (bowties, 6, None, 0, 0),
+        (bowties, 6, _audit, 2, 2),
     ):
         built.clear()
         levels.clear()
-        assert betti_table(g, bound).certified
+        normality.clear()
+        assert betti_table(g, bound, on_complex=audit).certified
         assert len(built) == len(levels) == components
+        assert len(normality) == tested
+
+
+def test_known_complete_degree_writes_no_canonical_entries(monkeypatch):
+    # known_complete_degree needs only the h-vector, so it neither reads the
+    # top two degrees off the canonical module nor tests interiority;
+    # betti_table on the same graphs does both.  Q_3 (reg 3, top degree 8)
+    # and K_{3,4} minus an edge (reg 2, top 7) lie past d - 1; C_8 with a
+    # chord making a 4-cycle (d = 7, pd 2, reg 3) has its top degree 5
+    # within the levels to d - 1 that fix it
+    k34, c8 = complete_bipartite_graph(3, 4), cycle_graph(8)
+    theta = Graph(c8.vertices, c8.edges + ((c8.vertices[0], c8.vertices[3]),))
+    for g in (_cube(), Graph(k34.vertices, k34.edges[1:]), theta):
+        for run, calls in ((known_complete_degree, 0), (betti_table, 1)):
+            entries = _count_calls(monkeypatch, "canonical_entries", betti._Plan)
+            interior = _count_calls(monkeypatch, "_interior")
+            run(g)
+            monkeypatch.undo()
+            assert len(entries) == calls and bool(interior) == bool(calls), (g, run)
 
 
 def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
@@ -1197,7 +1231,7 @@ def test_canonical_cross_checks_raise(monkeypatch):
     # (3,1,1 | 2,1,1,1), over one of them (p = 1), and of (2,2,1 | 2,1,1,1),
     # over two (p = 2), which give beta_5 = 1 at degree 7
     g = complete_bipartite_graph(3, 4)
-    (plan,) = betti._plans(g, scan=False)
+    (plan,) = betti._plans(g)
     levels = semigroup_levels(g, plan.d - 1, classes=plan.twins)
     sizes = betti._orbit_sizes(levels, plan.twins)
     hvec = betti._h_vector(list(map(sum, sizes)), plan.d)
