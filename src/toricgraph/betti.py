@@ -65,7 +65,9 @@ Cohen-Macaulay Rings, 6.3), so deg h <= d - 1 and the level sizes H(0),
 a component is scanned to d - 1, and on to the top degree only if that
 lies further.  The alternating sum of a finished table,
 sum (-1)^i beta_{i,j} t^j, is the K-polynomial h(t) (1 - t)^{|E| - d},
-which cross-checks it (`_check_k_polynomial`).
+which cross-checks it (`_check_k_polynomial`).  For bipartite H, reg <=
+nu(H) - 1, with nu the matching number (Herzog-Hibi, Mathematics 8,
+2020; `_matching_number`), which cross-checks h.
 
 One homological index.  The ideal is generated in degree >= 2, so at
 standard degree j >= 1 beta_{i,j} of a Cohen-Macaulay ring is nonzero only
@@ -76,25 +78,35 @@ reg = 1, the only homology of Delta_s is H~_{i-1}, so beta_{i,s} =
 Hilbert function, Cohen-Macaulayness and the Euler characteristic do not
 depend on it.  There the scan counts chains instead of ranking boundaries
 (`_scan`).  Level 0's complex, {empty set}, needs neither: beta_{0,0} = 1.
+An entry of a finished table outside that window is an internal error
+(`_check_k_polynomial`).
 
-The canonical module.  With reg >= 2 the top two degrees of a normal ring
-are not scanned but read off its canonical module omega
+The canonical module.  With reg >= 2 the top three degrees of a normal
+ring are not scanned but read off its canonical module omega
 (`_Plan.canonical_entries`), unless `on_complex` asks for their
 complexes.  k[H] is Cohen-Macaulay, so the dual of its resolution resolves
 omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega), with deg_H = A 1
 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid.
 6.3.5) omega is spanned by the interior semigroup elements Omega, whose
 least degree is k_min = d - reg, and beta_{j,t}(omega) is H~_{j-1} of
-K^t = {F : t - a_F in Omega}.  The degrees pd + reg and pd + reg - 1 of
-k[H] are omega's k_min and k_min + 1, where K^t is {empty set} and a set
-of points.  t = A lambda is interior iff every edge e has lambda_e > 0 at
-some point of the polytope {lambda >= 0 : A lambda = t}, and then at one
-of its vertices; those are half-integral, as a basic solution of the
-incidence matrix of a graph is (fractional b-matchings).  So t is interior
-iff 2t - a_e is in the semigroup for every edge e (`_interior`).  Stanley
-reciprocity, H(omega; t) = t^d h(1/t) / (1 - t)^d, puts h_reg interior
-elements at level k_min and h_{reg-1} + d h_reg at k_min + 1, which
-cross-checks them.
+K^t = {F : t - a_F in Omega}.  The degrees pd + reg, pd + reg - 1 and
+pd + reg - 2 of k[H] are omega's k_min, k_min + 1 and k_min + 2, and a
+face F of K^t there has t - a_F on level k_min or above, so K^t is
+{empty set}, a set of points and a graph (`_canonical_graph`), whose
+homology its components and cycles give over every field.  t = A lambda
+is interior iff every edge e has lambda_e > 0 at some point of the
+polytope {lambda >= 0 : A lambda = t}, and then at one of its vertices;
+those are half-integral, as a basic solution of the incidence matrix of a
+graph is (fractional b-matchings).  So t is interior iff 2t - a_e is in
+the semigroup for every edge e (`_interior`).  Only t <= deg_H gives an
+entry, since deg_H - t must lie in NA, so a level k_min + 2 past the whole
+levels (level d, when reg = 2) is grown only inside the degree box, for
+non-bipartite components too.  Stanley reciprocity, H(omega; t) =
+t^d h(1/t) / (1 - t)^d, puts h_reg interior elements at level k_min,
+h_{reg-1} + d h_reg at k_min + 1 and h_{reg-2} + d h_{reg-1} +
+C(d + 1, 2) h_reg at k_min + 2, which cross-checks each of them that is
+listed whole; where level k_min + 2 is whole, every interior element
+outside the box must have an acyclic K^t.
 
 Hypersurfaces.  A component with |E| = d + 1 is a hypersurface, and it is
 not scanned.  Its toric ideal I_H is a prime of height |E| - d = 1 in the
@@ -132,10 +144,12 @@ no homology outside it.  The levels up to d - 1 are listed whole, since the
 Hilbert function needs them, and then cut to the box; the levels past
 d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
 and the box representatives past them.  K_{3,4} to degree 8 holds 90 of
-its 366 representatives, scanning to degree 6, and runs homology on 27
-complexes past level 0, 1 of them an Euler count; its degrees 7 and 8
-come from the canonical module.  Scanned to 8, as for an audit, it holds
-122 and runs homology on 37, 6 of them Euler counts.
+its 366 representatives: the 65 of the whole levels up to 5, where its
+scan stops, and the 25 of level 6 = d in the box, from which the
+canonical module reads degree 6.  It runs homology on 16 complexes past
+level 0, 1 of them an Euler count; its degrees 6, 7 and 8 come from the
+canonical module.  Scanned to 8, as for an audit, it holds 122 and runs
+homology on 37, 6 of them Euler counts.
 Non-bipartite components are scanned whole: no such theorem is known for
 them.
 
@@ -150,6 +164,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap, decomposition_degree, in_semigroup
@@ -256,6 +271,11 @@ def _grow(
             raise ScanOverflowError(max_scan, d)
         levels.append(sorted(nxt))
     return held
+
+
+def _boxed(level: list[tuple[int, ...]], box: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The representatives of `level` that lie in `box` entrywise."""
+    return [r for r in level if all(x <= b for x, b in zip(r, box))]
 
 
 def _orbit_sizes(levels: list[list[tuple[int, ...]]], twins: _TwinGroup) -> list[list[int]]:
@@ -467,8 +487,9 @@ def betti_table(
     components together, one representative per twin orbit: each
     component's whole levels up to d - 1, which the Hilbert function
     needs, and for a bipartite component only the representatives in its
-    degree box past them; a hypersurface that is not scanned holds level 0,
-    as a free component does.  A negative `max_scan` or `max_fiber` is a
+    degree box past them, as for the level d in the box that the canonical
+    module reads when reg = 2; a hypersurface that is not scanned holds
+    level 0, as a free component does.  A negative `max_scan` or `max_fiber` is a
     ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
@@ -477,8 +498,8 @@ def betti_table(
     `on_complex(s, delta)` is invoked for every element s of the scanned
     semigroup, orbits expanded, that the scan builds a complex for: all of
     them in a component that is not bipartite, and those in the degree box
-    in one that is; with it set, hypersurfaces and the top two degrees of
-    normal components are scanned too.  s is the component's own
+    in one that is; with it set, hypersurfaces and the top three degrees
+    of normal components are scanned too.  s is the component's own
     multidegree (aligned with the component's vertices, in g's order) and
     delta its degree complex, component by component in the order of
     `connected_components`, each level by level in sorted order; it exists
@@ -705,6 +726,60 @@ def _interior(h: Graph, t: tuple[int, ...], twins: _TwinGroup) -> bool:
     return True
 
 
+def _canonical_graph(
+    h: Graph,
+    t: tuple[int, ...],
+    inner: set[tuple[int, ...]],
+    omega: list[tuple[int, ...]],
+    twins: _TwinGroup,
+) -> list[int]:
+    """The reduced homology [H~_{-1}, H~_0, H~_1] of the canonical module's
+    degree complex K^t = {F : t - a_F in Omega} at a canonical t >= 1 on
+    level k_min + 2, or [] where t is not interior and K^t is void.
+
+    Omega starts at level k_min, so a face holds at most two edges: K^t is
+    a graph.  Its vertices are the edges e with t - a_e in Omega_{k_min+1},
+    whose representatives `inner` holds, and its edges the pairs {e, f},
+    e != f, with a_e + a_f = t - w for w among `omega`, the elements of
+    Omega_{k_min}: the four ends of t - w, repeats included, pair off in
+    three ways.  Omega + NA lies in Omega, so K^t is a simplicial complex,
+    and an edge of it outside its vertices is an internal error.  With c
+    components, H~_0 = c - 1 and H~_1 = |E| - |V| + c; with no vertex,
+    K^t is {empty set} when t is interior (`_interior`), and void
+    otherwise."""
+    lookup = h._edge_lookup
+    vertices = {e for e, (iu, iv) in enumerate(h.edge_indices) if twins.down(t, iu, iv)[0] in inner}
+    edges = set()
+    for w in omega:
+        rest = [x - y for x, y in zip(t, w)]
+        if min(rest) < 0:
+            continue
+        a, b, c, d = (v for v, x in enumerate(rest) for _ in range(x))
+        for one, two in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            e, f = lookup.get(frozenset(one)), lookup.get(frozenset(two))
+            if e is not None and f is not None and e != f:
+                edges.add((min(e, f), max(e, f)))
+    root = {e: e for e in vertices}  # a forest over each component
+    parts = len(vertices)
+    for pair in edges:
+        if not vertices.issuperset(pair):
+            raise RuntimeError(
+                f"internal error: the degree complex of omega at {t} has the edge {pair} "
+                f"outside its vertices {sorted(vertices)}"
+            )
+        ends = []
+        for x in pair:
+            while root[x] != x:
+                x = root[x]
+            ends.append(x)
+        if ends[0] != ends[1]:
+            root[ends[0]] = ends[1]
+            parts -= 1
+    if not vertices:
+        return [1, 0, 0] if _interior(h, t, twins) else []
+    return [0, parts - 1, len(edges) - len(vertices) + parts]
+
+
 def _convolve(
     union: dict[tuple[int, tuple[int, ...]], int],
     component: dict[tuple[int, tuple[int, ...]], int],
@@ -715,16 +790,21 @@ def _convolve(
     `union` does not involve yet: beta_{i,s} = sum of beta_{i1,s1} *
     beta_{i2,s2} over i1 + i2 = i, where s1 and s2 are s off and on the
     component.  Component multidegrees are placed at `positions` in g;
-    products of total degree above `max_total` are dropped."""
+    products of total degree above `max_total` are dropped.  s1 is 0 on
+    the component, so s is one C-level read of the tuple s1 + s2, made
+    once (`itemgetter`): position p of g reads s2 where the component has
+    it and s1 elsewhere.  Each component entry's degree is summed once."""
+    width = len(next(iter(union))[1])  # at least 2: a component has an edge
+    at = dict(zip(positions, range(width, width + len(positions))))
+    place = itemgetter(*(at.get(p, p) for p in range(width)))
+    parts = [(i2, s2, sum(s2), b2) for (i2, s2), b2 in component.items()]
     out: dict[tuple[int, tuple[int, ...]], int] = {}
     for (i1, s1), b1 in union.items():
-        for (i2, s2), b2 in component.items():
-            if sum(s1) + sum(s2) > max_total:
+        room = max_total - sum(s1)
+        for i2, s2, total, b2 in parts:
+            if total > room:
                 continue
-            s = list(s1)
-            for p, x in zip(positions, s2):
-                s[p] = x
-            key = (i1 + i2, tuple(s))
+            key = (i1 + i2, place(s1 + s2))
             out[key] = out.get(key, 0) + b1 * b2
     return out
 
@@ -766,12 +846,20 @@ def _check_k_polynomial(plan: _Plan, table: dict[tuple[int, tuple[int, ...]], in
     """Cross-check a component's finished Betti table against its h-vector:
     the alternating sum of the table, sum (-1)^i beta_{i,j} t^j, is the
     K-polynomial, the numerator of the Hilbert series over the edge
-    polynomial ring, which is h(t) (1 - t)^{|E| - d}."""
+    polynomial ring, which is h(t) (1 - t)^{|E| - d}.  Every entry past
+    beta_{0,0} must also lie in the Cohen-Macaulay window max(1, j - reg)
+    <= i <= min(j - 1, pd) of the module docstring."""
     hvec, codim = plan.hvec, plan.codim
     k = _times_one_minus_t(hvec + [0] * codim, codim)
     euler: dict[int, int] = {}
     for (i, s), b in table.items():
-        euler[sum(s) // 2] = euler.get(sum(s) // 2, 0) + (-1) ** i * b
+        j = sum(s) // 2
+        if j and not max(1, j - len(hvec) + 1) <= i <= min(j - 1, codim):
+            raise RuntimeError(
+                f"internal error: beta_{{{i},{s}}} lies outside the Cohen-Macaulay window "
+                f"of a component with h-vector {hvec} and pd {codim}"
+            )
+        euler[j] = euler.get(j, 0) + (-1) ** i * b
     if {j: c for j, c in euler.items() if c} != {j: c for j, c in enumerate(k) if c}:
         raise RuntimeError(
             f"internal error: the Betti table of a component disagrees with its h-vector {hvec}"
@@ -821,6 +909,43 @@ def _relation(h: Graph) -> tuple[int, ...]:
         odd.append(w)
     first, second = odd
     return tuple(x - y for x, y in zip(first, second))
+
+
+def _matching_number(h: Graph) -> int:
+    """nu(h), the size of a largest matching of a connected bipartite graph
+    h, by augmenting paths: each vertex of colour 0 (`Graph._components`)
+    in turn searches breadth first along alternating paths for an
+    unmatched vertex of colour 1, and flips the path it finds.  A matching
+    with no augmenting path is maximum (Berge).  O(|V| |E|)."""
+    ((_, color, _),) = h._components
+    at = h._incident
+    match = [-1] * len(h.vertices)  # each vertex's partner, or -1
+    size = 0
+    for root, side in enumerate(color):
+        if side:
+            continue
+        came = {}  # colour-1 vertex -> the colour-0 vertex it was reached from
+        queue, end = [root], -1
+        for x in queue:
+            for _, y in at[x]:
+                if y in came:
+                    continue
+                came[y] = x
+                if match[y] < 0:
+                    end = y
+                    break
+                queue.append(match[y])
+            if end >= 0:
+                break
+        if end < 0:
+            continue
+        while end >= 0:  # flip the path back to the root
+            x = came[end]
+            nxt = match[x]
+            match[x], match[end] = end, x
+            end = nxt
+        size += 1
+    return size
 
 
 class _Plan:
@@ -903,15 +1028,20 @@ class _Plan:
           ring's degrees that leave one homological index are answered
           by an Euler count.
         - A normal component with reg >= 2 whose top degree `max_degree`
-          reaches has its top two degrees read off the canonical module
+          reaches has its top three degrees read off the canonical module
           (`canonical_entries`; Bruns-Herzog, 3.3; Danilov-Stanley;
           half-integral vertices; Stanley reciprocity), and its levels
-          stop two degrees short of the top, unless `on_complex` asks for
-          their complexes.  With reg = 1 only the top level would go, one
-          Euler count per complex, which measured no slower than the
-          interior tests, so it is scanned.
+          stop three degrees short of the top, unless `on_complex` asks
+          for their complexes.  Omega's level k_min + 2 is whole when
+          reg >= 3; when reg = 2 it is level d, which is grown inside the
+          degree box deg_H from level d - 1 (`_grow`, whose
+          representatives count against `max_scan`), unless the scanned
+          levels already reach it.  With reg = 1 only the top level
+          would go, one Euler count per complex, which measured no slower
+          than the interior tests, so it is scanned.
         - A table that reaches the top degree fixed by an h-vector is
-          checked against the K-polynomial (`_check_k_polynomial`)."""
+          checked against the K-polynomial and the Cohen-Macaulay window
+          (`_check_k_polynomial`)."""
         if self.relation is not None and on_complex is None:
             if held >= max_scan:
                 raise ScanOverflowError(max_scan, 0)
@@ -919,16 +1049,24 @@ class _Plan:
         levels, sizes, held = self.hilbert(max_degree, max_scan, held)
         cut = self.top if sizes is not None or self.relation is None else None
         stop = max_degree if cut is None else min(max_degree, cut)
-        tail = {}
-        if sizes is not None and len(self.hvec) > 2 and cut <= max_degree and on_complex is None:
-            tail = self.canonical_entries(levels, sizes)
-            stop = cut - 2
-        levels = levels[: stop + 1]
+        canonical = sizes is not None and len(self.hvec) > 2 and cut <= max_degree and on_complex is None
+        if canonical:
+            stop = cut - 3
+        rows = levels[: stop + 1]
         if self.box is not None:
-            levels = [[r for r in level if all(x <= b for x, b in zip(r, self.box))] for level in levels]
-        held = _grow(self.h, levels, stop, max_scan, self.twins, held, self.box)
+            rows = [_boxed(level, self.box) for level in rows]
+        held = _grow(self.h, rows, stop, max_scan, self.twins, held, self.box)
+        tail = {}
+        if canonical:
+            if len(self.hvec) == 3:  # reg 2: omega's level k_min + 2 is level d
+                d, near = self.d, rows
+                if len(rows) <= d:  # grow it inside the box from level d - 1
+                    near = levels[:-1] + [_boxed(levels[-1], self.degrees)]
+                    held = _grow(self.h, near, d, max_scan, self.twins, held, self.degrees)
+                levels = levels + (near[d:d + 1] or [[]])
+            tail = self.canonical_entries(levels, sizes)
         reg_pd = None if self.hvec is None else (len(self.hvec) - 1, self.codim)
-        entries = _scan(self.h, levels, self.twins, field, max_fiber, on_complex, reg_pd)
+        entries = _scan(self.h, rows, self.twins, field, max_fiber, on_complex, reg_pd)
         entries.update(tail)
         if self.hvec is not None and self.top <= max_degree:
             _check_k_polynomial(self, entries)
@@ -945,7 +1083,8 @@ class _Plan:
         The levels stop at d - 1 for a normal ring and at 0 for a free
         one.  Where they reach d - 1 of a normal ring they fix `hvec`
         (`_h_vector`) and `top`, the degree codim + deg h, which a closed
-        form must equal."""
+        form must equal; on a bipartite H, reg = deg h must be at most
+        nu(H) - 1 (Herzog-Hibi; `_matching_number`)."""
         h, d = self.h, self.d
         # K_{u,v}'s closed form lies no lower than d - 1; a free ring has
         # no syzygies, so level 0 is enough
@@ -960,6 +1099,12 @@ class _Plan:
         sizes = _orbit_sizes(levels, self.twins)
         hvec = _h_vector(list(map(sum, sizes)), d)
         top = self.codim + len(hvec) - 1
+        nu = None if self.box is None else _matching_number(h)
+        if nu is not None and len(hvec) > nu:
+            raise RuntimeError(
+                f"internal error: a bipartite component has reg = deg h = {len(hvec) - 1} "
+                f"past nu - 1 = {nu - 1}, from its h-vector {hvec}"
+            )
         if self.top not in (None, top):
             name = "a component" if self.sides is None else f"K_{{{self.sides[0]},{self.sides[1]}}}"
             raise RuntimeError(
@@ -973,28 +1118,36 @@ class _Plan:
         self, levels: list[list[tuple[int, ...]]], sizes: list[list[int]]
     ) -> dict[tuple[int, tuple[int, ...]], int]:
         """The Betti entries of a normal ring with reg = deg h >= 2 at its
-        top degrees pd + reg and pd + reg - 1, from its h-vector `hvec`,
-        the whole `levels` up to d - 1 and their orbit `sizes`, by the
-        duality with the canonical module omega stated in the module
-        docstring.
+        top degrees pd + reg, pd + reg - 1 and pd + reg - 2, from its
+        h-vector `hvec`, the whole `levels` up to d - 1 with their orbit
+        `sizes`, and, when reg = 2, level d's representatives in the degree
+        box deg_H (at least) as the last of `levels`, by the duality with
+        the canonical module omega stated in the module docstring.
 
         The interior elements Omega start at level k_min = d - reg, so
         each t in Omega there gives beta_{pd, deg_H - t} = 1.  At level
         k_min + 1, with p the number of edges e with t - a_e in
         Omega_{k_min}, p >= 2 gives beta_{pd-1, deg_H - t} = p - 1, and
-        p = 0 with t interior gives beta_{pd, deg_H - t} = 1, over every
-        field.  Every interior t has t >= 1 (`_interior` tests it).
+        p = 0 with t interior gives beta_{pd, deg_H - t} = 1.  At level
+        k_min + 2, K^t is a graph (`_canonical_graph`), and its reduced
+        homology H~_{j-1} gives beta_{pd-j, deg_H - t}, over every field.
+        Every interior t has t >= 1 (`_interior` tests it).  Only t <=
+        deg_H gives an entry, since deg_H - t must lie in NA, so where
+        level k_min + 2 is not whole its part in the box is enough.
 
-        The interior elements counted against Stanley reciprocity, and
-        every entry at a multidegree >= 0, cross-check the entries: a
-        mismatch is an internal error.  The counts and the orbits are
+        Cross-checks, each an internal error when it fails: the interior
+        elements counted against Stanley reciprocity on the levels listed
+        whole (all three when reg >= 3); every entry at a multidegree
+        >= 0; and, on a whole level k_min + 2, an acyclic K^t at every
+        interior element outside the box.  The counts and the orbits are
         twin-invariant, so each is taken once per representative."""
         h, d, twins, hvec = self.h, self.d, self.twins, self.hvec
-        reg, pd = len(hvec) - 1, self.codim
+        reg, pd, deg = len(hvec) - 1, self.codim, self.degrees
         k = d - reg
         least = {r for r in levels[k] if min(r) and _interior(h, r, twins)}
         found = [(pd, r, 1) for r in least]
         counts = [sum(n for r, n in zip(levels[k], sizes[k]) if r in least), 0]
+        inner = set()  # the representatives of Omega at level k_min + 1
         for r, n in zip(levels[k + 1], sizes[k + 1]):
             if not min(r):
                 continue
@@ -1005,14 +1158,38 @@ class _Plan:
                 if not _interior(h, r, twins):
                     continue
                 found.append((pd, r, 1))
+            inner.add(r)
             counts[1] += n
         expected = [hvec[reg], hvec[reg - 1] + d * hvec[reg]]
+        whole = k + 2 < len(sizes)
+        if whole:
+            counts.append(0)
+            expected.append(hvec[reg] * d * (d + 1) // 2 + hvec[reg - 1] * d + hvec[reg - 2])
+        omega = [t for r in least for t, _ in twins.orbit(r)]
+        upper = levels[k + 2]
+        for r, n in zip(upper, sizes[k + 2] if whole else [0] * len(upper)):
+            if not min(r):
+                continue
+            inside = all(x <= b for x, b in zip(r, deg))
+            if not (inside or whole):
+                continue
+            ranks = _canonical_graph(h, r, inner, omega, twins)
+            if not ranks:
+                continue  # r is not interior
+            if whole:
+                counts[2] += n
+            if inside:
+                found += [(pd - j, r, beta) for j, beta in enumerate(ranks) if beta]
+            elif any(ranks):
+                raise RuntimeError(
+                    f"internal error: the interior element {r} outside the degree box {deg} "
+                    f"has a degree complex with reduced homology {ranks}"
+                )
         if counts != expected:
             raise RuntimeError(
                 f"internal error: a component has {counts} interior elements at degrees "
                 f"{k} and up, not the {expected} that its h-vector {hvec} gives"
             )
-        deg = self.degrees
         entries = {}
         for i, r, beta in found:
             for t, _ in twins.orbit(r):
@@ -1064,10 +1241,12 @@ def known_complete_degree(g: Graph) -> int | None:
     closed form.  Any other normal component's is read off its Hilbert
     function up to degree d - 1 (`_Plan.hilbert`), so this lists those
     levels, under the default `max_scan` (ScanOverflowError past it), and
-    checks that the h-vector they give is nonnegative.  No table is
-    written, so the canonical-module entries and their cross-checks, which
-    every table of `betti_table` runs, are not made here.  Every class is
-    Cohen-Macaulay, so the top degree adds up across a disjoint union.
+    checks that the h-vector they give is nonnegative and, for a bipartite
+    component, within the matching bound.  No table is written, so neither
+    level d in the degree box nor the canonical-module entries of the top
+    three degrees and their cross-checks, which every table of
+    `betti_table` makes, are made here.  Every class is Cohen-Macaulay, so
+    the top degree adds up across a disjoint union.
     """
     tops = []
     for plan in _plans(g):

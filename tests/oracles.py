@@ -371,6 +371,16 @@ def permuted_homology(k, rng: random.Random, field) -> list[int]:
     return reduced_homology(k.permuted(perm), field)
 
 
+def matching_number(g: Graph) -> int:
+    """The size of a largest matching of g, by trying every set of edges,
+    the largest first."""
+    for k in range(len(g.vertices) // 2, 0, -1):
+        for chosen in itertools.combinations(g.edges, k):
+            if len({v for edge in chosen for v in edge}) == 2 * k:
+                return k
+    return 0
+
+
 def convolve_entries(e1: dict, e2: dict) -> dict:
     """Multigraded convolution of two Betti-entry dicts; degrees concatenate."""
     out: dict = {}

@@ -45,6 +45,7 @@ from oracles import (
     homology_via_sympy,
     induced_cycles,
     interior_by_decompositions,
+    matching_number,
     non_normal_graph,
     primitive_relation,
     random_graph,
@@ -554,20 +555,25 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # homology: 31 are ranked, and 6 have one homological index left
     # (degree 2 and the top degree 8, reg 2 and pd 6) and are counted by
     # their chains; level 0's {empty set} needs neither.  That is the scan
-    # an audit sees.  Without one, the scan stops at degree 6 = top - 2
-    # (90 representatives held): levels 7 and 8 are written from the
-    # canonical module's least interior elements, one orbit at level
-    # k_min = 4, (2,1,1 | 1,1,1,1), and two at level 5 that lie over it,
-    # found by stepping down, with no interior test: (3,1,1 | 2,1,1,1) over
-    # one of its elements (no entry), (2,2,1 | 2,1,1,1) over two (beta_5 =
-    # 1).  The interior test tries one edge per orbit of the swaps that fix
-    # (2,1,1 | 1,1,1,1), at a1 and at a2: 2 of the 12.  That leaves 26
-    # complexes ranked and 1 counted (degree 2).  The grower returns the
-    # running count of representatives held
+    # an audit sees.  Without one, the scan stops at degree 5 = top - 3
+    # (65 representatives held, the grower adding none): degrees 6, 7 and
+    # 8 are written from the canonical module.  Its least interior
+    # elements are one orbit at level k_min = 4, (2,1,1 | 1,1,1,1); two
+    # orbits at level 5 lie over it, found by stepping down, with no
+    # interior test: (3,1,1 | 2,1,1,1) over one of its elements (no entry),
+    # (2,2,1 | 2,1,1,1) over two (beta_5 = 1).  The interior test tries one
+    # edge per orbit of the swaps that fix (2,1,1 | 1,1,1,1), at a1 and at
+    # a2: 2 of the 12.  Level k_min + 2 = 6 = d is grown in the box from
+    # level 5, 25 representatives (90 held), 6 of them with every weight
+    # positive, each the end of an edge of K^t: K^t is a tree at 4 and
+    # has one cycle at (2,2,2 | 2,2,1,1) and (2,2,2 | 3,1,1,1) (beta_4 =
+    # 1), so no interior test is added.  That leaves 15 complexes ranked
+    # and 1 counted (degree 2).  The grower returns the running count of
+    # representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
-    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 90], 26, 1, 2))):
+    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 65, 90], 15, 1, 2))):
         held = _count_results(monkeypatch, "_grow")
         homology = _count_calls(monkeypatch, "reduced_homology")
         euler = _count_calls(monkeypatch, "_reduced_euler")
@@ -684,14 +690,16 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
     # K_4 has d = 4, h = 1 + 2t + t^2 and pd 2, so its top degree 4 lies
     # past d - 1 = 3: the levels to 3 fix h, then an audited scan goes on
     # to 4; K_{3,3} minus an edge likewise has top degree 5 > 4.  Without
-    # an audit both stop at top - 2 (reg 2) and read the top two degrees
-    # off the canonical module, within the levels to d - 1
+    # an audit both stop at top - 3 (reg 2) and read the top three degrees
+    # off the canonical module: the levels to d - 1, and level d = top,
+    # omega's k_min + 2, grown inside the degree box from level d - 1,
+    # although K_4 is not bipartite
     minus = complete_bipartite_graph(3, 3)
     for g, calls, top in (
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        for audit, grown_to in ((_audit, calls), (None, [calls[0], top - 2])):
+        for audit, grown_to in ((_audit, calls), (None, [calls[0], top - 3, calls[1]])):
             # semigroup_levels grows the levels to d - 1 through _grow
             grown = _count_calls(monkeypatch, "_grow")
             table = betti_table(g, on_complex=audit)
@@ -752,11 +760,15 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
     # K_4: levels to d - 1 = 3 fix its top degree 4.  In an audited scan a
     # cap that holds the representatives of levels 0..3 but not of level
     # 4 trips at degree 4, both for one copy and for the second of two,
-    # whose tally starts after the first's levels.  Without an audit level
-    # 4 is never held (degrees 3 and 4 come from the canonical module), so
-    # the levels to 3 are enough
+    # whose tally starts after the first's levels.  Without an audit
+    # degrees 2, 3 and 4 come from the canonical module, whose level
+    # k_min + 2 = 4 is held only inside the degree box, weights <= 3: 4 of
+    # level 4's 8 representatives
     k4 = _complete_graph(4)
-    counts = [len(level) for level in semigroup_levels(k4, 4, classes=twin_classes(k4))]
+    levels = semigroup_levels(k4, 4, classes=twin_classes(k4))
+    counts = [len(level) for level in levels]
+    box = [r for r in levels[4] if max(r) <= 3]
+    assert (counts, len(box)) == ([1, 1, 3, 5, 8], 4)
     other = Graph.from_edges((f"{u}'", f"{v}'") for u, v in k4.edges)
     for g, copies in ((k4, 1), (disjoint_union(k4, other), 2)):
         before = (copies - 1) * sum(counts)
@@ -765,11 +777,12 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
                 betti_table(g, max_scan=cap, on_complex=_audit)
             assert (exc.value.limit, exc.value.degree) == (cap, 4)
         assert betti_table(g, max_scan=before + sum(counts), on_complex=_audit).certified
-        held = copies * sum(counts[:4])
+        held = copies * (sum(counts[:4]) + len(box))
         assert betti_table(g, max_scan=held).certified
-        with pytest.raises(ScanOverflowError) as exc:
-            betti_table(g, max_scan=held - 1)
-        assert (exc.value.limit, exc.value.degree) == (held - 1, 3)
+        for cap, degree in ((held - 1, 4), (held - len(box) - 1, 3)):
+            with pytest.raises(ScanOverflowError) as exc:
+                betti_table(g, max_scan=cap)
+            assert (exc.value.limit, exc.value.degree) == (cap, degree)
 
 
 @pytest.mark.parametrize("closed_first", [False, True])
@@ -950,16 +963,20 @@ def test_k33_degree_complexes_outside_the_degree_box_are_acyclic():
 
 def test_k44_scans_its_degree_box(monkeypatch):
     # K_{4,4} to its top degree 12: the levels to d - 1 = 6 hold 157
-    # representatives, and with the degree box past them, to degree 10 =
-    # top - 2, 368 of the 3,241 a whole scan to 12 holds (418 to 12);
-    # past level 0, 132 complexes need homology, 131 ranked and 1 counted
-    # by its chains (degree 2).  Degrees 11 and 12 are written from the
-    # canonical module: level k_min = 4 holds one interior orbit, the
-    # all-ones vector, whose swaps carry every edge to every other (one
+    # representatives, and with the degree box past them, to degree 9 =
+    # top - 3, 319 of the 3,241 a whole scan to 12 holds (368 to 10, 418
+    # to 12); past level 0, 116 complexes need homology, 115 ranked and 1
+    # counted by its chains (degree 2).  Degrees 10, 11 and 12 are written
+    # from the canonical module: level k_min = 4 holds one interior orbit,
+    # the all-ones vector, whose swaps carry every edge to every other (one
     # interior test), and level 5 one orbit over it (p = 1, no entry).
-    # An audit still sees the scan to 12, with 138 ranked and 8 counted
-    # (degree 2 and the top degree 12); it takes 2 s, so it is not run
-    # here
+    # Level k_min + 2 = 6 is whole, and 4 of its orbits have every weight
+    # positive, all inside the box and over level 5, so with no interior
+    # test: K^t is a tree at 3, and at (2,2,1,1 | 2,2,1,1) has two
+    # components (beta_8 = 1 at degree 10).  The level holds 28 + 9 * 7 +
+    # 9 = 100 interior elements, as Stanley reciprocity says.  An audit
+    # still sees the scan to 12, with 138 ranked and 8 counted (degree 2
+    # and the top degree 12); it takes 2 s, so it is not run here
     g = complete_bipartite_graph(4, 4)
     assert sum(map(len, semigroup_levels(g, 12, classes=twin_classes(g)))) == 3241
     held = _count_results(monkeypatch, "_grow")
@@ -968,8 +985,8 @@ def test_k44_scans_its_degree_box(monkeypatch):
     interior = _count_calls(monkeypatch, "in_semigroup")
     table = betti_table(g)
     assert table.certified
-    assert held == [157, 368]
-    assert (len(homology), len(euler), len(interior)) == (131, 1, 1)
+    assert held == [157, 319]
+    assert (len(homology), len(euler), len(interior)) == (115, 1, 1)
     inv = invariants(g, table)
     assert (inv.regularity, inv.projective_dimension) == (3, 9)
 
@@ -979,14 +996,17 @@ def test_facet_pulls_are_pinned(monkeypatch):
     # vertex with the fewest edges where there is one: the relabelled masks
     # and the twin steps down are pinned, as the wall time is too noisy to
     # guard them (pulling over every edge took 3,964 / 781 on K_{3,4} and
-    # 92,368 / 4,108 on K_{4,4}).  The top two degrees are read off the
+    # 92,368 / 4,108 on K_{4,4}).  The top three degrees are read off the
     # canonical module, so their complexes are not built (1,008 / 242 and
-    # 18,788 / 1,158 with them); the steps down include the canonical
-    # count p at level k_min + 1, one per edge of each orbit there with
-    # every weight positive: 2 x 12 on K_{3,4}, 1 x 16 on K_{4,4}
+    # 18,788 / 1,158 where all three are built, 484 / 177 and 10,422 / 987
+    # where only the top two are read off); the steps down include the
+    # canonical counts at levels k_min + 1 and k_min + 2, one per edge of
+    # each orbit there with every weight positive (inside the box when
+    # that level is not whole): 2 x 12 and 6 x 12 on K_{3,4}, 1 x 16 and
+    # 4 x 16 on K_{4,4}
     for g, bound, work in (
-        (complete_bipartite_graph(3, 4), 8, (484, 177)),
-        (complete_bipartite_graph(4, 4), None, (10422, 987)),
+        (complete_bipartite_graph(3, 4), 8, (175, 186)),
+        (complete_bipartite_graph(4, 4), None, (6459, 875)),
     ):
         relabels = _count_calls(monkeypatch, "_relabel")
         downs = _count_calls(monkeypatch, "down", betti._TwinGroup)
@@ -1047,8 +1067,13 @@ def test_euler_counts_match_the_whole_scan(monkeypatch, name):
     # a Cohen-Macaulay component's complexes with one homological index
     # left are counted by their chains; the whole scan ranks every non-cone.
     # Only an audited scan reaches the top degree of a component with
-    # reg >= 2, where one index is left too; without an audit it is read
-    # off the canonical module.  With reg = 1 (K_{2,4}) both scan alike
+    # reg >= 2, where one index is left too; without an audit its top three
+    # degrees are read off the canonical module.  Degree 2 leaves one index
+    # in every scan that reaches it.  C6+chord, bowtie+edge and K_4 (beside
+    # the closed C_4) have reg 2 and pd 2, so their degree 2 is top - 2 and
+    # comes from the canonical module unless audited; C8+chord (reg 3, pd 2)
+    # and the complete bipartite graphs still scan it.  With reg = 1
+    # (K_{2,4}) both scan alike
     g = EULER_GRAPHS[name]
     top = known_complete_degree(g)
     whole = {field: whole_graph_entries(g, top, field) for field in (RATIONALS, FieldSpec(2), FieldSpec(3))}
@@ -1064,8 +1089,8 @@ def test_euler_counts_match_the_whole_scan(monkeypatch, name):
             # reg 1: every degree past 0 leaves one index, and level 0's
             # {empty set} is seeded, so no complex is ranked
             assert homology == []
-    # degree 2 leaves one index in every scan
-    assert 0 < counted[0] <= counted[1]
+    assert counted[0] <= counted[1] and counted[1] > 0
+    assert (counted[0] > 0) == (name not in ("C6+chord", "bowtie+edge", "K4+C4"))
     assert (counted[0] == counted[1]) == (name == "K24")
 
 
@@ -1105,6 +1130,36 @@ def test_hilbert_cross_checks_raise(monkeypatch):
     monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
     with pytest.raises(RuntimeError, match="closed-form"):
         betti_table(complete_bipartite_graph(2, 3))
+
+
+def test_matching_number_bounds_the_bipartite_regularity(monkeypatch):
+    # a normal bipartite component has reg = deg h <= nu - 1 (Herzog-Hibi,
+    # Mathematics 8, 2020), checked where its levels fix h; nu comes from
+    # augmenting paths, here against every set of edges: on random
+    # bipartite graphs, and on the path p0 - ... - p7 in an order whose
+    # first matches leave the last root only the augmenting path through
+    # all 7 edges.  The bound is tight on K_{3,4}, K_{4,4} and Q_3, so an
+    # h-vector with one more top entry trips it
+    rng = random.Random(7)
+    path = Graph(
+        ("p5", "p1", "p2", "p6", "p3", "p7", "p4", "p0"),
+        (("p6", "p7"), ("p4", "p5"), ("p3", "p4"), ("p1", "p2"), ("p5", "p6"), ("p0", "p1"), ("p2", "p3")),
+    )
+    graphs = [path]
+    for _ in range(30):
+        g = _bipartite_graph(rng, max_vertices=8, max_edges=10)
+        graphs += [induced_subgraph(g, comp) for comp in connected_components(g)]
+    for h in graphs:
+        assert betti._matching_number(h) == matching_number(h), h
+    tight = ((complete_bipartite_graph(3, 4), 3), (complete_bipartite_graph(4, 4), 4), (_cube(), 4))
+    for g, nu in tight:
+        assert betti._matching_number(g) == matching_number(g) == nu
+        assert invariants(g, betti_table(g)).regularity == nu - 1
+    h_vector = betti._h_vector
+    monkeypatch.setattr(betti, "_h_vector", lambda sizes, d: h_vector(sizes, d) + [1])
+    for g, nu in tight:
+        with pytest.raises(RuntimeError, match=f"reg = deg h = {nu} past nu - 1 = {nu - 1}"):
+            betti_table(g)
 
 
 def _drawn_graph(rng, n, m, bipartite, keep):
@@ -1149,23 +1204,48 @@ def test_interior_test_matches_the_decomposition_oracle():
 
 
 def test_canonical_route_matches_the_audited_and_whole_scans(monkeypatch):
-    # a normal component with reg >= 2 has its top two degrees read off the
-    # canonical module; the audited scan builds their complexes, and the
-    # whole scan every complex of the whole graph (up to 9 edges).  The
-    # draws hold bipartite and other components, reg 1 (scanned), p >= 2
-    # points over a least interior element, and new generators of the
-    # canonical module at k_min + 1
-    kinds = {"bipartite": set(), "other": set(), "p >= 2": set(), "new generator": set()}
+    # a normal component with reg >= 2 has its top three degrees read off
+    # the canonical module; the audited scan builds their complexes, and
+    # the whole scan every complex of the whole graph (up to 9 edges).  The
+    # draws hold bipartite and other components, reg 1 (scanned), reg 2
+    # (omega's level k_min + 2 = d grown in the box) and reg >= 3 (that
+    # level whole, with interior elements outside the box, whose K^t must
+    # be acyclic), p >= 2 points over a least interior element, new
+    # generators of the canonical module at k_min + 1 with reg >= 3, and
+    # at k_min + 2 a K^t in two or more components (beta_{pd-1}) and one
+    # with a cycle (beta_{pd-2}).  A new generator at k_min + 2, an
+    # interior t with no vertex in K^t, is rare: none of over 1,000 random
+    # normal graphs on 6 to 9 vertices has one, so
+    # test_canonical_cross_checks_raise reaches that branch directly
+    kinds = {
+        name: set()
+        for name in (
+            "bipartite", "other", "reg 2", "reg >= 3", "outside the box", "p >= 2",
+            "new generator, reg >= 3", "split at k_min + 2", "cycle at k_min + 2",
+        )
+    }
     route = betti._Plan.canonical_entries
 
     def recorded(plan, levels, sizes):
         entries = route(plan, levels, sizes)
-        reg, pd = len(plan.hvec) - 1, len(plan.h.edges) - plan.d
-        kinds["bipartite" if plan.box else "other"].add(plan.h.edges)
-        if any(i == pd - 1 for i, _ in entries):
-            kinds["p >= 2"].add(plan.h.edges)
-        if any(i == pd and sum(s) // 2 == pd + reg - 1 for i, s in entries):
-            kinds["new generator"].add(plan.h.edges)
+        reg, pd, key = len(plan.hvec) - 1, len(plan.h.edges) - plan.d, plan.h.edges
+        k = plan.d - reg
+        kinds["bipartite" if plan.box else "other"].add(key)
+        kinds["reg 2" if reg == 2 else "reg >= 3"].add(key)
+        if reg > 2 and any(
+            min(r) and any(x > b for x, b in zip(r, plan.degrees)) and betti._interior(plan.h, r, plan.twins)
+            for r in levels[k + 2]
+        ):
+            kinds["outside the box"].add(key)
+        found = {(i, sum(s) // 2 - pd - reg) for i, s in entries}
+        for name, i, j in (
+            ("p >= 2", pd - 1, -1),
+            ("new generator, reg >= 3", pd if reg > 2 else None, -1),
+            ("split at k_min + 2", pd - 1, -2),
+            ("cycle at k_min + 2", pd - 2, -2),
+        ):
+            if (i, j) in found:
+                kinds[name].add(key)
         return entries
 
     monkeypatch.setattr(betti._Plan, "canonical_entries", recorded)
@@ -1175,6 +1255,11 @@ def test_canonical_route_matches_the_audited_and_whole_scans(monkeypatch):
     graphs = [
         _drawn_graph(rng, n, m, bipartite, lambda g: not has_unjoined_odd_cycles(g))
         for n, m, bipartite in sizes
+    ]
+    # denser ones, for more whole levels k_min + 2 (reg >= 3)
+    graphs += [
+        _drawn_graph(rng, rng.randint(6, 7), rng.randint(11, 13), False, lambda g: not has_unjoined_odd_cycles(g))
+        for _ in range(4)
     ]
     regs = Counter()
     for g in graphs:
@@ -1229,16 +1314,22 @@ def test_canonical_cross_checks_raise(monkeypatch):
     # elements, the orbit of (2,1,1 | 1,1,1,1), which give beta_6 at degree
     # 8, and level 5 holds h_1 + d h_2 = 6 + 6 * 3 = 24: the orbits of
     # (3,1,1 | 2,1,1,1), over one of them (p = 1), and of (2,2,1 | 2,1,1,1),
-    # over two (p = 2), which give beta_5 = 1 at degree 7
+    # over two (p = 2), which give beta_5 = 1 at degree 7.  Level 6 = d,
+    # cut to the box, gives beta_4 = 1 at degree 6 where K^t has a cycle:
+    # the orbits of (2,2,2 | 2,2,1,1) and (2,2,2 | 3,1,1,1), 6 + 4 entries
     g = complete_bipartite_graph(3, 4)
     (plan,) = betti._plans(g)
-    levels = semigroup_levels(g, plan.d - 1, classes=plan.twins)
-    sizes = betti._orbit_sizes(levels, plan.twins)
+    levels = semigroup_levels(g, plan.d, classes=plan.twins)
+    sizes = betti._orbit_sizes(levels[:-1], plan.twins)
     hvec = betti._h_vector(list(map(sum, sizes)), plan.d)
     assert hvec == [1, 6, 3]
     plan.hvec = hvec
+    levels[-1] = betti._boxed(levels[-1], plan.degrees)
     entries = plan.canonical_entries(levels, sizes)
-    assert Counter((i, sum(s) // 2, b) for (i, s), b in entries.items()) == {(6, 8, 1): 3, (5, 7, 1): 12}
+    assert Counter((i, sum(s) // 2, b) for (i, s), b in entries.items()) == {
+        (6, 8, 1): 3, (5, 7, 1): 12, (4, 6, 1): 10,
+    }
+    assert entries.items() <= betti_table(g).entries.items()
     plan.hvec = [1, 7, 3]
     with pytest.raises(RuntimeError, match=r"has \[3, 24\] interior elements .* not the \[3, 25\]"):
         plan.canonical_entries(levels, sizes)
@@ -1246,12 +1337,59 @@ def test_canonical_cross_checks_raise(monkeypatch):
     plan.degrees = (4, 4, 1, 3, 3, 3, 3)  # below the weight 2 that a3 takes in an orbit
     with pytest.raises(RuntimeError, match="outside the degree box"):
         plan.canonical_entries(levels, sizes)
+
+    # K^t at level k_min + 2 is a graph on the edges e with t - a_e in
+    # Omega_{k_min+1}: an edge of it outside them raises, and with no vertex
+    # it is {empty set} at an interior t and void elsewhere; K_4's
+    # (3,1,1,1) lies on a facet of its cone
+    (plan,) = betti._plans(g)
+    least = [t for t, _ in plan.twins.orbit((2, 1, 1, 1, 1, 1, 1))]
+    inner = {(3, 1, 1, 2, 1, 1, 1), (2, 2, 1, 2, 1, 1, 1)}
+    t = (2, 2, 2, 2, 2, 1, 1)
+    assert betti._canonical_graph(g, t, inner, least, plan.twins) == [0, 0, 1]
+    with pytest.raises(RuntimeError, match=r"has the edge \(\d+, \d+\) outside its vertices \[\]"):
+        betti._canonical_graph(g, t, set(), least, plan.twins)
+    assert betti._canonical_graph(g, t, set(), [], plan.twins) == [1, 0, 0]
+    k4 = _complete_graph(4)
+    assert betti._canonical_graph(k4, (3, 1, 1, 1), set(), [], betti._TwinGroup(k4, ())) == []
+
+    # K_{4,4} (h = 1,9,9,1, d = 7): its whole level 6 holds 1 * 28 + 9 * 7
+    # + 9 = 100 interior elements, so h_1 = 8 raises.  With the box cut
+    # below the weight 2 that every orbit there puts on a1, the K^t in two
+    # components at (2,2,1,1 | 2,2,1,1) lies outside it and raises
+    k44 = complete_bipartite_graph(4, 4)
+    (plan,) = betti._plans(k44)
+    levels, sizes, _ = plan.hilbert(plan.d - 1, betti.DEFAULT_MAX_SCAN)
+    assert plan.hvec == [1, 9, 9, 1]
+    assert plan.canonical_entries(levels, sizes).items() <= betti_table(k44).entries.items()
+    plan.hvec = [1, 8, 9, 1]
+    with pytest.raises(RuntimeError, match=r"has \[1, 16, 100\] interior elements .* not the \[1, 16, 99\]"):
+        plan.canonical_entries(levels, sizes)
+    plan.hvec = [1, 9, 9, 1]
+    plan.degrees = (1,) + (4,) * 7
+    with pytest.raises(RuntimeError, match=r"outside the degree box .* reduced homology \[0, 1, 0\]"):
+        plan.canonical_entries(levels, sizes)
+
     # a dropped least orbit: the table would lose its three beta_6 entries.
     # Level 5 still counts 24, each element now passing the interior test
     interior = betti._interior
     least = (2, 1, 1, 1, 1, 1, 1)
     monkeypatch.setattr(betti, "_interior", lambda h, t, twins: t != least and interior(h, t, twins))
     with pytest.raises(RuntimeError, match=r"has \[0, 24\] interior elements"):
+        betti_table(g)
+    monkeypatch.undo()
+
+    # beta_{1,s} at degree 4 lies outside K_{3,4}'s Cohen-Macaulay window
+    # max(1, 4 - 2) <= i <= min(3, 6)
+    scan = betti._scan
+
+    def stray_entry(*args, **kwargs):
+        entries = scan(*args, **kwargs)
+        entries[(1, (2, 2, 0, 1, 1, 1, 1))] = 1
+        return entries
+
+    monkeypatch.setattr(betti, "_scan", stray_entry)
+    with pytest.raises(RuntimeError, match=r"beta_\{1,\(2, 2, 0, 1, 1, 1, 1\)\} lies outside the Cohen-Macaulay window"):
         betti_table(g)
 
 
