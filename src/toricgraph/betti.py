@@ -30,8 +30,9 @@ vertex order.  Each level holds representatives only; the facets of
 Delta_{s - a_e} are those of its representative, relabelled by at most two
 twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
 nonzero entry is written for every element of the orbit, which one walk
-(`_TwinGroup.orbit`) lists together with the transpositions that reach each
-element.  `max_scan` counts the representatives, the multidegrees the scan
+(`_TwinGroup.orbit`) lists; only an `on_complex` audit, which relabels
+facets, has it list the transpositions that reach each element too.
+`max_scan` counts the representatives, the multidegrees the scan
 actually visits, level 0's zero vector among them.  The Hilbert function
 still counts every element: a level's size adds the sizes of its orbits,
 the products over the classes of the multinomials of the weights, read off
@@ -99,8 +100,10 @@ polytope {lambda >= 0 : A lambda = t}, and then at one of its vertices;
 those are half-integral, as a basic solution of the incidence matrix of a
 graph is (fractional b-matchings).  So t is interior iff 2t - a_e is in
 the semigroup for every edge e (`_interior`).  Only t <= deg_H gives an
-entry, since deg_H - t must lie in NA, so a level k_min + 2 past the whole
-levels (level d, when reg = 2) is grown only inside the degree box, for
+entry, since deg_H - t must lie in NA, and an interior t has every weight
+positive (every vertex lies on an edge with lambda_e > 0), so a level
+k_min + 2 past the whole levels (level d, when reg = 2) is grown only
+inside the degree box and only where every weight is positive, for
 non-bipartite components too.  Stanley reciprocity, H(omega; t) =
 t^d h(1/t) / (1 - t)^d, puts h_reg interior elements at level k_min,
 h_{reg-1} + d h_reg at k_min + 1 and h_{reg-2} + d h_{reg-1} +
@@ -143,10 +146,11 @@ built exactly as without the box, and the scan builds no complex and runs
 no homology outside it.  The levels up to d - 1 are listed whole, since the
 Hilbert function needs them, and then cut to the box; the levels past
 d - 1 are grown inside it (`_grow`).  `max_scan` counts the whole levels
-and the box representatives past them.  K_{3,4} to degree 8 holds 90 of
+and the box representatives past them.  K_{3,4} to degree 8 holds 71 of
 its 366 representatives: the 65 of the whole levels up to 5, where its
-scan stops, and the 25 of level 6 = d in the box, from which the
-canonical module reads degree 6.  It runs homology on 16 complexes past
+scan stops, and the 6 of level 6 = d in the box with every weight
+positive, from which the canonical module reads degree 6 (its whole
+level 6 in the box has 25).  It runs homology on 16 complexes past
 level 0, 1 of them an Euler count; its degrees 6, 7 and 8 come from the
 canonical module.  Scanned to 8, as for an audit, it holds 122 and runs
 homology on 37, 6 of them Euler counts.
@@ -164,7 +168,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
 from .fiber import DEFAULT_MAX_FIBER, FiberOverflowError, _check_cap, decomposition_degree, in_semigroup
@@ -242,6 +246,7 @@ def _grow(
     twins: _TwinGroup,
     held: int,
     box: tuple[int, ...] | None = None,
+    positive: bool = False,
 ) -> int:
     """Append the levels past the top one of `levels` up to `max_degree`,
     each the canonical forms of the level below translated by every edge
@@ -253,11 +258,23 @@ def _grow(
     only where the sum stays <= box entrywise.  The box is closed under
     r -> r - a_e, so its part of a level comes from its part of the level
     below; it is constant on twin classes (twins have one degree), so an
-    orbit lies in it exactly when its representative does."""
+    orbit lies in it exactly when its representative does.  With
+    `positive` as well, a column a_e is added to r only where r's zeros
+    lie at e's two ends, so the appended level holds the sums in the box
+    with every weight positive, and all of them: t - a_e has its zeros
+    at e's ends for every edge e that a decomposition of such a t uses."""
     ends = g.edge_indices
     for d in range(len(levels), max_degree + 1):
         if box is None:
             nxt = {twins.up(r, iu, iv) for r in levels[-1] for iu, iv in ends}
+        elif positive:
+            nxt = {
+                twins.up(r, iu, iv)
+                for r in levels[-1]
+                for zeros in [r.count(0)] if zeros <= 2
+                for iu, iv in ends
+                if r[iu] < box[iu] and r[iv] < box[iv] and (r[iu] == 0) + (r[iv] == 0) == zeros
+            }
         else:
             nxt = {
                 twins.up(r, iu, iv)
@@ -275,7 +292,7 @@ def _grow(
 
 def _boxed(level: list[tuple[int, ...]], box: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The representatives of `level` that lie in `box` entrywise."""
-    return [r for r in level if all(x <= b for x, b in zip(r, box))]
+    return [r for r in level if all(map(le, r, box))]
 
 
 def _orbit_sizes(levels: list[list[tuple[int, ...]]], twins: _TwinGroup) -> list[list[int]]:
@@ -297,7 +314,7 @@ class _TwinGroup:
     keeps the result canonical and is a twin transposition.  So r + a_e and
     r - a_e are canonical after at most two transpositions, the second
     endpoint relabelled by the first, with no sorting.  `orbit` walks r's
-    orbit with the transpositions that reach each element.
+    orbit, with the transpositions that reach each element when asked.
     """
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
@@ -366,31 +383,34 @@ class _TwinGroup:
                 size = size * (k + 1) // run
         return size
 
-    def orbit(
-        self, r: tuple[int, ...]
-    ) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-        """Every element t of r's orbit, each once, with the swaps that
-        carry r's edge masks to t's, in the order to apply them.  Class by
-        class, each vertex in turn takes each distinct weight still to its
-        right, from the first vertex holding it."""
-        orbit = [(r, ())]
+    def orbit(self, r: tuple[int, ...], moves: bool = False) -> list:
+        """Every element t of r's orbit, each once.  Class by class, each
+        vertex in turn takes each distinct weight still to its right, from
+        the first vertex holding it.  With `moves`, for the `on_complex`
+        audit, which relabels facets, each t comes as (t, swaps): the swaps
+        that carry r's edge masks to t's, in the order to apply them; they
+        are built only then."""
+        orbit, paths = [r], [()]
         for cls in self.classes:
             for k, a in enumerate(cls[:-1]):
-                nxt = []
-                for t, swaps in orbit:
+                nxt, ways = [], []
+                for n, t in enumerate(orbit):
                     taken = set()
                     for b in cls[k:]:
-                        if t[b] in taken:
+                        x = t[b]
+                        if x in taken:
                             continue
-                        taken.add(t[b])
+                        taken.add(x)
                         if b == a:
-                            nxt.append((t, swaps))
-                            continue
-                        u = list(t)
-                        u[a], u[b] = u[b], u[a]
-                        nxt.append((tuple(u), swaps + (self.swaps[a, b],)))
-                orbit = nxt
-        return orbit
+                            nxt.append(t)
+                        else:
+                            u = list(t)
+                            u[a], u[b] = x, t[a]
+                            nxt.append(tuple(u))
+                        if moves:
+                            ways.append(paths[n] if b == a else paths[n] + (self.swaps[a, b],))
+                orbit, paths = nxt, ways
+        return list(zip(orbit, paths)) if moves else orbit
 
 
 def _slide(t: list[int], i: int, link: list[int]) -> int:
@@ -428,11 +448,13 @@ class BettiTable(_Value):
     entries: dict[tuple[int, tuple[int, ...]], int]
     caveats: tuple[str, ...]
 
+    def _by_degree(self) -> list[tuple[int, tuple[int, ...], int, int]]:
+        """(|s|, s, i, beta_{i,s}) for every entry, sorted by total degree,
+        then multidegree, then homological index: the order of a report."""
+        return sorted([(sum(s), s, i, v) for (i, s), v in self.entries.items()])
+
     def sorted_entries(self) -> list[tuple[int, tuple[int, ...], int]]:
-        return [
-            (i, s, self.entries[(i, s)])
-            for i, s in sorted(self.entries, key=lambda key: (sum(key[1]), key[1], key[0]))
-        ]
+        return [(i, s, v) for _, s, i, v in self._by_degree()]
 
     def standard_graded(self) -> dict[tuple[int, int], int]:
         """Collapse to the standard grading: beta_{i,j} with j = |s| / 2."""
@@ -442,11 +464,24 @@ class BettiTable(_Value):
             out[key] = out.get(key, 0) + v
         return out
 
+    def _extent(self) -> tuple[int, int]:
+        """(pd, reg): the largest homological index i and the largest
+        |s| / 2 - i over the entries, beta_{0,0} = 1 among them, in one
+        pass that sums each degree once."""
+        pd = reg = 0
+        for i, s in self.entries:
+            if i > pd:
+                pd = i
+            r = sum(s) // 2 - i
+            if r > reg:
+                reg = r
+        return pd, reg
+
     def projective_dimension(self) -> int:
-        return max(i for i, _ in self.entries)
+        return self._extent()[0]
 
     def regularity(self) -> int:
-        return max(sum(s) // 2 - i for i, s in self.entries)
+        return self._extent()[1]
 
 
 def betti_number(
@@ -487,10 +522,10 @@ def betti_table(
     components together, one representative per twin orbit: each
     component's whole levels up to d - 1, which the Hilbert function
     needs, and for a bipartite component only the representatives in its
-    degree box past them, as for the level d in the box that the canonical
-    module reads when reg = 2; a hypersurface that is not scanned holds
-    level 0, as a free component does.  A negative `max_scan` or `max_fiber` is a
-    ValueError.
+    degree box past them, as for the part of level d in the box, every
+    weight positive, that the canonical module reads when reg = 2; a
+    hypersurface that is not scanned holds level 0, as a free component
+    does.  A negative `max_scan` or `max_fiber` is a ValueError.
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
@@ -511,13 +546,17 @@ def betti_table(
         raise ValueError("max_degree must be nonnegative")
     _check_cap("max_fiber", max_fiber)
     _check_cap("max_scan", max_scan)
-    entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(g.vertices)): 1}
+    unit = {(0, (0,) * len(g.vertices)): 1}
+    entries: dict[tuple[int, tuple[int, ...]], int] = unit
     tops: list[int | None] = []
     held = 0
     for plan in _plans(g):
         local, held = plan.table(max_degree, field, max_fiber, max_scan, held, on_complex)
-        positions = [g.index[v] for v in plan.h.vertices]
-        entries = _convolve(entries, local, positions, 2 * max_degree)
+        if entries is unit and plan.h.vertices == g.vertices:
+            entries = local  # Kuenneth with k, on all of g, is the identity
+        else:
+            positions = [g.index[v] for v in plan.h.vertices]
+            entries = _convolve(entries, local, positions, 2 * max_degree)
         tops.append(plan.top)
 
     known = None if None in tops else sum(tops)
@@ -617,10 +656,10 @@ def _scan(
                     raise RuntimeError(
                         f"internal error: beta_{{{i},{r}}} nonzero violates 2i <= |s|"
                     )
-                for t, _ in twins.orbit(r):
+                for t in twins.orbit(r):
                     entries[(i, t)] = dim
         if on_complex is not None:
-            expanded = sorted((t, moves, r) for r in level for t, moves in twins.orbit(r))
+            expanded = sorted((t, moves, r) for r in level for t, moves in twins.orbit(r, True))
             for t, moves, r in expanded:
                 masks = here[r]
                 for swaps in moves:
@@ -850,17 +889,20 @@ def _check_k_polynomial(plan: _Plan, table: dict[tuple[int, tuple[int, ...]], in
     beta_{0,0} must also lie in the Cohen-Macaulay window max(1, j - reg)
     <= i <= min(j - 1, pd) of the module docstring."""
     hvec, codim = plan.hvec, plan.codim
+    reg = len(hvec) - 1
     k = _times_one_minus_t(hvec + [0] * codim, codim)
-    euler: dict[int, int] = {}
+    # the window of each degree 1 <= j <= pd + reg, and none past it
+    window = {j: range(max(1, j - reg), min(j - 1, codim) + 1) for j in range(1, len(k))}
+    euler = [0] * len(k)
     for (i, s), b in table.items():
         j = sum(s) // 2
-        if j and not max(1, j - len(hvec) + 1) <= i <= min(j - 1, codim):
+        if j and i not in window.get(j, ()):
             raise RuntimeError(
                 f"internal error: beta_{{{i},{s}}} lies outside the Cohen-Macaulay window "
                 f"of a component with h-vector {hvec} and pd {codim}"
             )
-        euler[j] = euler.get(j, 0) + (-1) ** i * b
-    if {j: c for j, c in euler.items() if c} != {j: c for j, c in enumerate(k) if c}:
+        euler[j] += -b if i & 1 else b
+    if euler != k:
         raise RuntimeError(
             f"internal error: the Betti table of a component disagrees with its h-vector {hvec}"
         )
@@ -1033,12 +1075,15 @@ class _Plan:
           half-integral vertices; Stanley reciprocity), and its levels
           stop three degrees short of the top, unless `on_complex` asks
           for their complexes.  Omega's level k_min + 2 is whole when
-          reg >= 3; when reg = 2 it is level d, which is grown inside the
-          degree box deg_H from level d - 1 (`_grow`, whose
-          representatives count against `max_scan`), unless the scanned
-          levels already reach it.  With reg = 1 only the top level
-          would go, one Euler count per complex, which measured no slower
-          than the interior tests, so it is scanned.
+          reg >= 3; when reg = 2 it is level d, whose part inside the
+          degree box deg_H with every weight positive, where its
+          interior elements lie, is grown from level d - 1 (`_grow`,
+          whose representatives count against `max_scan`), unless the
+          scanned levels already reach it.  The scan's own levels are
+          grown only where the whole levels stop short of its last
+          degree.  With reg = 1 only the top level would go, one Euler
+          count per complex, which measured no slower than the interior
+          tests, so it is scanned.
         - A table that reaches the top degree fixed by an h-vector is
           checked against the K-polynomial and the Cohen-Macaulay window
           (`_check_k_polynomial`)."""
@@ -1055,14 +1100,15 @@ class _Plan:
         rows = levels[: stop + 1]
         if self.box is not None:
             rows = [_boxed(level, self.box) for level in rows]
-        held = _grow(self.h, rows, stop, max_scan, self.twins, held, self.box)
+        if len(rows) <= stop:
+            held = _grow(self.h, rows, stop, max_scan, self.twins, held, self.box)
         tail = {}
         if canonical:
             if len(self.hvec) == 3:  # reg 2: omega's level k_min + 2 is level d
                 d, near = self.d, rows
-                if len(rows) <= d:  # grow it inside the box from level d - 1
+                if len(rows) <= d:  # grow its positive part in the box from level d - 1
                     near = levels[:-1] + [_boxed(levels[-1], self.degrees)]
-                    held = _grow(self.h, near, d, max_scan, self.twins, held, self.degrees)
+                    held = _grow(self.h, near, d, max_scan, self.twins, held, self.degrees, True)
                 levels = levels + (near[d:d + 1] or [[]])
             tail = self.canonical_entries(levels, sizes)
         reg_pd = None if self.hvec is None else (len(self.hvec) - 1, self.codim)
@@ -1121,8 +1167,9 @@ class _Plan:
         top degrees pd + reg, pd + reg - 1 and pd + reg - 2, from its
         h-vector `hvec`, the whole `levels` up to d - 1 with their orbit
         `sizes`, and, when reg = 2, level d's representatives in the degree
-        box deg_H (at least) as the last of `levels`, by the duality with
-        the canonical module omega stated in the module docstring.
+        box deg_H with every weight positive (at least) as the last of
+        `levels`, by the duality with the canonical module omega stated in
+        the module docstring.
 
         The interior elements Omega start at level k_min = d - reg, so
         each t in Omega there gives beta_{pd, deg_H - t} = 1.  At level
@@ -1133,7 +1180,8 @@ class _Plan:
         homology H~_{j-1} gives beta_{pd-j, deg_H - t}, over every field.
         Every interior t has t >= 1 (`_interior` tests it).  Only t <=
         deg_H gives an entry, since deg_H - t must lie in NA, so where
-        level k_min + 2 is not whole its part in the box is enough.
+        level k_min + 2 is not whole its part in the box with every
+        weight positive is enough.
 
         Cross-checks, each an internal error when it fails: the interior
         elements counted against Stanley reciprocity on the levels listed
@@ -1165,12 +1213,12 @@ class _Plan:
         if whole:
             counts.append(0)
             expected.append(hvec[reg] * d * (d + 1) // 2 + hvec[reg - 1] * d + hvec[reg - 2])
-        omega = [t for r in least for t, _ in twins.orbit(r)]
+        omega = [t for r in least for t in twins.orbit(r)]
         upper = levels[k + 2]
         for r, n in zip(upper, sizes[k + 2] if whole else [0] * len(upper)):
             if not min(r):
                 continue
-            inside = all(x <= b for x, b in zip(r, deg))
+            inside = all(map(le, r, deg))
             if not (inside or whole):
                 continue
             ranks = _canonical_graph(h, r, inner, omega, twins)
@@ -1192,7 +1240,7 @@ class _Plan:
             )
         entries = {}
         for i, r, beta in found:
-            for t, _ in twins.orbit(r):
+            for t in twins.orbit(r):
                 s = tuple(x - y for x, y in zip(deg, t))
                 if min(s) < 0:
                     raise RuntimeError(
@@ -1227,8 +1275,12 @@ class _Plan:
 
 def _plans(g: Graph) -> list[_Plan]:
     """The plan of each connected component of g with an edge, as an
-    induced subgraph of g, in the order of `connected_components`."""
-    parts = (induced_subgraph(g, comp) for comp in connected_components(g))
+    induced subgraph of g, in the order of `connected_components`; a
+    component on every vertex is g itself."""
+    parts = (
+        g if len(comp) == len(g.vertices) else induced_subgraph(g, comp)
+        for comp in connected_components(g)
+    )
     return [_Plan(h, bipartite) for h, bipartite in zip(parts, is_bipartite(g)) if h.edges]
 
 
@@ -1243,7 +1295,7 @@ def known_complete_degree(g: Graph) -> int | None:
     levels, under the default `max_scan` (ScanOverflowError past it), and
     checks that the h-vector they give is nonnegative and, for a bipartite
     component, within the matching bound.  No table is written, so neither
-    level d in the degree box nor the canonical-module entries of the top
+    the part of level d in the degree box nor the canonical-module entries of the top
     three degrees and their cross-checks, which every table of
     `betti_table` makes, are made here.  Every class is Cohen-Macaulay, so
     the top degree adds up across a disjoint union.
@@ -1278,8 +1330,7 @@ def invariants(g: Graph, table: BettiTable) -> InvariantsReport:
     """Castelnuovo-Mumford regularity, projective dimension, depth (via the
     Auslander-Buchsbaum formula over the edge polynomial ring), Krull
     dimension, and the Cohen-Macaulay verdict they support."""
-    pd = table.projective_dimension()
-    reg = table.regularity()
+    pd, reg = table._extent()
     depth = len(g.edges) - pd
     dim = incidence_rank(g)
     caveats = list(table.caveats)

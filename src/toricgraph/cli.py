@@ -79,21 +79,22 @@ def _graph_section(g: Graph) -> dict:
 
 
 def _table_section(table) -> dict:
-    entries = [
-        {"index": i, "degree": list(s), "value": v}
-        for i, s, v in table.sorted_entries()
-    ]
-    standard = [
-        {"index": i, "degree": j, "value": v}
-        for (i, j), v in sorted(table.standard_graded().items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    ]
+    """The table's entries in report order and, summed in the same pass,
+    its standard-graded entries beta_{i,j}, j = |s| / 2, by j then i."""
+    entries, standard = [], {}
+    for total, s, i, v in table._by_degree():
+        entries.append({"index": i, "degree": list(s), "value": v})
+        key = (total // 2, i)
+        standard[key] = standard.get(key, 0) + v
     return {
         "max_degree": table.max_degree,
         "field": str(table.field),
         "certified": table.certified,
         "caveats": list(table.caveats),
         "entries": entries,
-        "standard": standard,
+        "standard": [
+            {"index": i, "degree": j, "value": v} for (j, i), v in sorted(standard.items())
+        ],
     }
 
 

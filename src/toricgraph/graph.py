@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 
 class GraphFormatError(ValueError):
@@ -81,8 +82,12 @@ def _first_appearance(edges: Iterable[tuple[str, str]]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(lab for edge in edges for lab in edge))
 
 
-def _check_label(label: object, where: str) -> str:
+def _check_label(label: object, name: str, *index: int) -> str:
+    """`label`, which must be a non-empty string; its place, the list
+    `name` and the `index` path into it, is written out only in the
+    error."""
     if not isinstance(label, str) or not label:
+        where = name + "".join(f"[{i}]" for i in index)
         raise GraphFormatError(f"{where}: vertex label must be a non-empty string, got {label!r}")
     return label
 
@@ -104,7 +109,7 @@ class Graph(_Value):
         edges = tuple((u, v) for u, v in edges)
         seen: set[str] = set()
         for i, v in enumerate(vertices):
-            _check_label(v, f"vertices[{i}]")
+            _check_label(v, "vertices", i)
             if v in seen:
                 raise GraphFormatError(f"vertices[{i}]: duplicate vertex {v!r}")
             seen.add(v)
@@ -530,6 +535,10 @@ def _write_json(value: object, newline: str, write: Callable[[str], object]) -> 
         if all(type(x) is int for x in value):  # a degree, a decomposition
             write(f"[{inner}{(',' + inner).join(map(str, value))}{newline}]")
             return
+        text = _records(value, newline)
+        if text is not None:
+            write(text)
+            return
         sep = "[" + inner
         for item in value:
             write(sep)
@@ -551,6 +560,49 @@ def _write_json(value: object, newline: str, write: Callable[[str], object]) -> 
         write(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _records(value: list | tuple, newline: str) -> str | None:
+    """The text of `value` for `_write_json` when it holds two or more
+    dicts with one key set, each value an int or, key by key, an int list
+    of one length: a table's entries, say.  The layout of one record is
+    one %-template, made once, and the whole list one % with every value
+    in record order.  The checks run over whole columns at C level; a
+    bool, any other type, a list of another length or a key set of its
+    own gives None, and the list is written item by item."""
+    first = value[0]
+    if len(value) < 2 or type(first) is not dict or not first:
+        return None
+    if set(map(type, value)) != {dict} or set(map(type, first)) != {str}:
+        return None
+    if set(map(len, value)) != {len(first)}:
+        return None
+    names = sorted(first)
+    try:  # equal sizes and no key missing: one key set
+        columns = [list(map(itemgetter(name), value)) for name in names]
+    except KeyError:
+        return None
+    inner = newline + "  "
+    key, item = inner + "  ", inner + "    "
+    parts = []
+    for k, (name, column) in enumerate(zip(names, columns)):
+        if type(column[0]) is list:
+            if set(map(type, column)) != {list}:
+                return None
+            lengths = set(map(len, column))
+            if len(lengths) != 1:
+                return None
+            n = lengths.pop()
+            shape = f"[{item}{(',' + item).join(['%d'] * n)}{key}]" if n else "[]"
+        else:
+            shape = "%d"
+            columns[k] = zip(column)  # one value per record
+        parts.append(f"{key}{encode_basestring_ascii(name).replace('%', '%%')}: {shape}")
+    values = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+    if set(map(type, values)) - {int}:  # a bool, a float, a str, a nested value
+        return None
+    record = "{" + ",".join(parts) + inner + "}"
+    return f"[{inner}{(',' + inner).join([record] * len(value))}{newline}]" % values
 
 
 # -- parsing and serialization -------------------------------------------
@@ -593,14 +645,12 @@ def _parse_json(text: str) -> Graph:
             raise GraphFormatError(f"top level: missing {key!r}")
         if not isinstance(obj[key], list):
             raise GraphFormatError(f"{key}: expected a list")
-    vertices = [_check_label(v, f"vertices[{i}]") for i, v in enumerate(obj["vertices"])]
+    vertices = [_check_label(v, "vertices", i) for i, v in enumerate(obj["vertices"])]
     edges: list[tuple[str, str]] = []
     for i, pair in enumerate(obj["edges"]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise GraphFormatError(f"edges[{i}]: expected a pair [u, v]")
-        u = _check_label(pair[0], f"edges[{i}][0]")
-        v = _check_label(pair[1], f"edges[{i}][1]")
-        edges.append((u, v))
+        edges.append((_check_label(pair[0], "edges", i, 0), _check_label(pair[1], "edges", i, 1)))
     return Graph(tuple(vertices), tuple(edges))
 
 

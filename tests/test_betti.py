@@ -332,6 +332,30 @@ def test_sorted_entries_order():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: complete_bipartite_graph(3, 4),
+        lambda: cycle_graph(6),
+        lambda: path_graph(2),
+        lambda: _bowtie(),
+    ],
+    ids=["K34", "C6", "P2", "bowtie"],
+)
+def test_kuenneth_with_the_unit_table_is_the_identity(make):
+    # betti_table skips _convolve where the running table is the unit
+    # table k and the component spans g: the product is the component's
+    # table, entry for entry and in its order, nothing past the degree
+    # bound dropped
+    g = make()
+    n, bound = len(g.vertices), len(g.edges)
+    (plan,) = betti._plans(g)
+    local, _ = plan.table(bound, RATIONALS, betti.DEFAULT_MAX_FIBER, betti.DEFAULT_MAX_SCAN, 0, None)
+    product = betti._convolve({(0, (0,) * n): 1}, local, range(n), 2 * bound)
+    assert list(product.items()) == list(local.items())
+    assert betti_table(g, bound).entries == product
+
+
 def _interleaved_union(rng, count, max_edges, odd_cycles=False):
     """`count` random graphs, at most 7 vertices in all, relabelled apart;
     the union's vertex and edge order is shuffled so the components
@@ -466,7 +490,9 @@ def test_representatives_cover_each_plain_level(name):
         assert all(group.orbit_size(r) == len(group.orbit(r)) for r in level)
         assert sum(group.orbit_size(r) for r in level) == len(full)
         assert {_canonical(t, classes) for t in full} == set(level)
-        assert sorted(t for r in level for t, _ in group.orbit(r)) == full
+        assert sorted(t for r in level for t in group.orbit(r)) == full
+        # the audit's walk lists the same elements, with their swaps
+        assert all([t for t, _ in group.orbit(r, True)] == group.orbit(r) for r in level)
 
 
 def test_orbit_scan_cap_counts_representatives():
@@ -556,7 +582,7 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # (degree 2 and the top degree 8, reg 2 and pd 6) and are counted by
     # their chains; level 0's {empty set} needs neither.  That is the scan
     # an audit sees.  Without one, the scan stops at degree 5 = top - 3
-    # (65 representatives held, the grower adding none): degrees 6, 7 and
+    # (65 representatives held, the grower not called): degrees 6, 7 and
     # 8 are written from the canonical module.  Its least interior
     # elements are one orbit at level k_min = 4, (2,1,1 | 1,1,1,1); two
     # orbits at level 5 lie over it, found by stepping down, with no
@@ -564,16 +590,17 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # (2,2,1 | 2,1,1,1) over two (beta_5 = 1).  The interior test tries one
     # edge per orbit of the swaps that fix (2,1,1 | 1,1,1,1), at a1 and at
     # a2: 2 of the 12.  Level k_min + 2 = 6 = d is grown in the box from
-    # level 5, 25 representatives (90 held), 6 of them with every weight
-    # positive, each the end of an edge of K^t: K^t is a tree at 4 and
-    # has one cycle at (2,2,2 | 2,2,1,1) and (2,2,2 | 3,1,1,1) (beta_4 =
-    # 1), so no interior test is added.  That leaves 15 complexes ranked
-    # and 1 counted (degree 2).  The grower returns the running count of
-    # representatives held
+    # level 5, adding a column only where it covers every zero: the 6
+    # representatives with every weight positive (71 held), not the 25
+    # of the whole level in the box, each the end of an edge of K^t: K^t
+    # is a tree at 4 and has one cycle at (2,2,2 | 2,2,1,1) and
+    # (2,2,2 | 3,1,1,1) (beta_4 = 1), so no interior test is added.  That
+    # leaves 15 complexes ranked and 1 counted (degree 2).  The grower
+    # returns the running count of representatives held
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
-    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 65, 90], 15, 1, 2))):
+    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 71], 15, 1, 2))):
         held = _count_results(monkeypatch, "_grow")
         homology = _count_calls(monkeypatch, "reduced_homology")
         euler = _count_calls(monkeypatch, "_reduced_euler")
@@ -691,15 +718,16 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
     # past d - 1 = 3: the levels to 3 fix h, then an audited scan goes on
     # to 4; K_{3,3} minus an edge likewise has top degree 5 > 4.  Without
     # an audit both stop at top - 3 (reg 2) and read the top three degrees
-    # off the canonical module: the levels to d - 1, and level d = top,
-    # omega's k_min + 2, grown inside the degree box from level d - 1,
-    # although K_4 is not bipartite
+    # off the canonical module: the levels to d - 1, whose top - 3 the
+    # scan needs no grower for, and the part of level d = top, omega's
+    # k_min + 2, with every weight positive, grown inside the degree box
+    # from level d - 1, although K_4 is not bipartite
     minus = complete_bipartite_graph(3, 3)
     for g, calls, top in (
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        for audit, grown_to in ((_audit, calls), (None, [calls[0], top - 3, calls[1]])):
+        for audit, grown_to in ((_audit, calls), (None, calls)):
             # semigroup_levels grows the levels to d - 1 through _grow
             grown = _count_calls(monkeypatch, "_grow")
             table = betti_table(g, on_complex=audit)
@@ -762,13 +790,13 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
     # 4 trips at degree 4, both for one copy and for the second of two,
     # whose tally starts after the first's levels.  Without an audit
     # degrees 2, 3 and 4 come from the canonical module, whose level
-    # k_min + 2 = 4 is held only inside the degree box, weights <= 3: 4 of
-    # level 4's 8 representatives
+    # k_min + 2 = 4 is held only inside the degree box, weights <= 3, and
+    # with every weight positive: 3 of level 4's 8 representatives
     k4 = _complete_graph(4)
     levels = semigroup_levels(k4, 4, classes=twin_classes(k4))
     counts = [len(level) for level in levels]
-    box = [r for r in levels[4] if max(r) <= 3]
-    assert (counts, len(box)) == ([1, 1, 3, 5, 8], 4)
+    box = [r for r in levels[4] if max(r) <= 3 and min(r)]
+    assert (counts, len(box)) == ([1, 1, 3, 5, 8], 3)
     other = Graph.from_edges((f"{u}'", f"{v}'") for u, v in k4.edges)
     for g, copies in ((k4, 1), (disjoint_union(k4, other), 2)):
         before = (copies - 1) * sum(counts)
@@ -1343,7 +1371,7 @@ def test_canonical_cross_checks_raise(monkeypatch):
     # it is {empty set} at an interior t and void elsewhere; K_4's
     # (3,1,1,1) lies on a facet of its cone
     (plan,) = betti._plans(g)
-    least = [t for t, _ in plan.twins.orbit((2, 1, 1, 1, 1, 1, 1))]
+    least = plan.twins.orbit((2, 1, 1, 1, 1, 1, 1))
     inner = {(3, 1, 1, 2, 1, 1, 1), (2, 2, 1, 2, 1, 1, 1)}
     t = (2, 2, 2, 2, 2, 1, 1)
     assert betti._canonical_graph(g, t, inner, least, plan.twins) == [0, 0, 1]

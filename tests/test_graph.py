@@ -22,7 +22,7 @@ from toricgraph import (
     recognize_complete_bipartite,
     twin_classes,
 )
-from toricgraph.graph import _dumps_json, _loads_json
+from toricgraph.graph import _dumps_json, _loads_json, _records
 
 from oracles import random_graph, sympy_rank, two_colorings, union_find_components
 
@@ -283,12 +283,32 @@ _SCALARS = (
     | st.sampled_from([0, -1, 2**63, -(2**64) - 1])
     | _TEXT
 )
+_INTS = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def _record_lists(draw):
+    """Two or more dicts on one key set, each key holding an int in every
+    record or an int list of one length in every record: the shape the
+    writer's record template takes."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    lengths = [draw(st.none() | st.integers(0, 3)) for _ in keys]  # None: an int
+    return [
+        {
+            key: draw(_INTS) if n is None else draw(st.lists(_INTS, min_size=n, max_size=n))
+            for key, n in zip(keys, lengths)
+        }
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+
+
 _PAYLOADS = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | st.lists(st.integers(-(10**6), 10**6), max_size=5)
-    | st.dictionaries(_TEXT, inner, max_size=5),
+    | st.dictionaries(_TEXT, inner, max_size=5)
+    | _record_lists(),
     max_leaves=30,
 )
 
@@ -297,6 +317,37 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_writer_matches_json_dumps(payload):
     assert _dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_record_lists())
+def test_json_writer_templates_record_lists(records):
+    assert _records(records, "\n") is not None
+    assert _dumps_json(records) == json.dumps(records, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"a": True, "b": [1]}, {"a": 1, "b": [2]}],  # a bool
+        [{"a": 1, "b": [1, False]}, {"a": 2, "b": [2, 3]}],  # a bool in a list
+        [{"a": 1, "b": (1, 2)}, {"a": 2, "b": (3, 4)}],  # a tuple
+        [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}],  # a shorter list
+        [{"a": 1, "b": [1]}, {"a": 2}],  # a missing key
+        [{"a": 1}, {"a": 2, "b": [1]}],  # an extra key
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}],  # another key of the same count
+        [{"a": 1, "b": {"c": 1}}, {"a": 2, "b": {"c": 2}}],  # a nested dict
+        [{"a": 1, "b": [1]}],  # one record
+        [{"a": 1, "b": [1]}, {"a": "x", "b": [2]}],  # a str
+        [{"a": None, "b": [1]}, {"a": 2, "b": [2]}],  # None
+        [{"a": 1, "b": [1]}, {"a": 2, "b": 3}],  # a list and an int under one key
+        [{"a": 1, "b": [[1]]}, {"a": 2, "b": [[2]]}],  # a nested list
+        [{"a": 1}, [1]],  # a record beside a list
+    ],
+)
+def test_json_writer_hands_near_records_to_the_generic_writer(records):
+    assert _records(records, "\n") is None
+    assert _dumps_json(records) == json.dumps(records, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, float("nan"), {1: "a"}, {"a": {None: 1}}, [set()], b"x"])
