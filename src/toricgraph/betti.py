@@ -30,7 +30,7 @@ vertex order.  Each level holds representatives only; the facets of
 Delta_{s - a_e} are those of its representative, relabelled by at most two
 twin transpositions (`_TwinGroup`).  Homology runs once per orbit, and a
 nonzero entry is written for every element of the orbit, which one walk
-(`_TwinGroup.orbit`) lists; only an `on_complex` audit, which relabels
+(`_TwinGroup.orbit`) lists; only the audit (`_audit`), which relabels
 facets, has it list the transpositions that reach each element too.
 `max_scan` counts the representatives, the multidegrees the scan
 actually visits, level 0's zero vector among them.  The Hilbert function
@@ -84,8 +84,8 @@ An entry of a finished table outside that window is an internal error
 
 The canonical module.  With reg >= 2 the top three degrees of a normal
 ring are not scanned but read off its canonical module omega
-(`_Plan.canonical_entries`), unless `on_complex` asks for their
-complexes.  k[H] is Cohen-Macaulay, so the dual of its resolution resolves
+(`_Plan.canonical_entries`); only the audit scans their complexes.
+k[H] is Cohen-Macaulay, so the dual of its resolution resolves
 omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega), with deg_H = A 1
 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid.
 6.3.5) omega is spanned by the interior semigroup elements Omega, whose
@@ -123,9 +123,9 @@ not (even cycles, K_{2,2}, the bowtie, two odd cycles joined by a path).
 The entry is certified by a computed complex: the fiber of Au+ is
 {u+, u-}, so the degree complex there (`build_delta`) is the two disjoint
 facets supp u+ and supp u-, with reduced homology [0, 1, 0, ...], and
-anything else is an internal error (`_Plan.hypersurface_table`).  With
-`on_complex` a hypersurface is scanned as far as any other component, its
-closed form aside, and gives the same table.
+anything else is an internal error (`_Plan.hypersurface_table`).  The
+audit scans a hypersurface as far as any other component, its closed form
+aside, and gets the same table.
 
 The degree box.  A bipartite component H is scanned only inside its degree
 box, the multidegrees s <= deg_H entrywise, because no Betti number of
@@ -152,7 +152,7 @@ scan stops, and the 6 of level 6 = d in the box with every weight
 positive, from which the canonical module reads degree 6 (its whole
 level 6 in the box has 25).  It runs homology on 16 complexes past
 level 0, 1 of them an Euler count; its degrees 6, 7 and 8 come from the
-canonical module.  Scanned to 8, as for an audit, it holds 122 and runs
+canonical module.  Audited to 8 (`_audit`), it holds 122 and runs
 homology on 37, 6 of them Euler counts.
 Non-bipartite components are scanned whole: no such theorem is known for
 them.
@@ -386,8 +386,8 @@ class _TwinGroup:
     def orbit(self, r: tuple[int, ...], moves: bool = False) -> list:
         """Every element t of r's orbit, each once.  Class by class, each
         vertex in turn takes each distinct weight still to its right, from
-        the first vertex holding it.  With `moves`, for the `on_complex`
-        audit, which relabels facets, each t comes as (t, swaps): the swaps
+        the first vertex holding it.  With `moves`, for the audit
+        (`_audit`), which relabels facets, each t comes as (t, swaps): the swaps
         that carry r's edge masks to t's, in the order to apply them; they
         are built only then."""
         orbit, paths = [r], [()]
@@ -508,7 +508,6 @@ def betti_table(
     assume_complete: bool = False,
     max_fiber: int = DEFAULT_MAX_FIBER,
     max_scan: int = DEFAULT_MAX_SCAN,
-    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None = None,
 ) -> BettiTable:
     """All Betti entries of standard degree <= max_degree.
 
@@ -529,16 +528,8 @@ def betti_table(
     Each degree complex is built from the facets of the level below, not
     from its fiber, so `max_fiber` caps the facets of each degree complex
     (FiberOverflowError past it); a complex with more facets than that has
-    more decompositions too.
-    `on_complex(s, delta)` is invoked for every element s of the scanned
-    semigroup, orbits expanded, that the scan builds a complex for: all of
-    them in a component that is not bipartite, and those in the degree box
-    in one that is; with it set, hypersurfaces and the top three degrees
-    of normal components are scanned too.  s is the component's own
-    multidegree (aligned with the component's vertices, in g's order) and
-    delta its degree complex, component by component in the order of
-    `connected_components`, each level by level in sorted order; it exists
-    for audits.
+    more decompositions too.  `_audit` scans every complex behind the
+    same entries.
     """
     if max_degree is None:
         max_degree = len(g.edges)
@@ -551,7 +542,7 @@ def betti_table(
     tops: list[int | None] = []
     held = 0
     for plan in _plans(g):
-        local, held = plan.table(max_degree, field, max_fiber, max_scan, held, on_complex)
+        local, held = plan.table(max_degree, field, max_fiber, max_scan, held)
         if entries is unit and plan.h.vertices == g.vertices:
             entries = local  # Kuenneth with k, on all of g, is the identity
         else:
@@ -581,14 +572,43 @@ def betti_table(
     )
 
 
+def _audit(
+    g: Graph,
+    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None],
+    max_degree: int,
+    field: FieldSpec = RATIONALS,
+    max_scan: int = DEFAULT_MAX_SCAN,
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The entries of `betti_table(g, max_degree)` from a plain scan of
+    each component, for tests: no closed form, no canonical module.
+    `on_complex(s, delta)` gets every element s, orbits expanded, that the
+    scan builds a complex for (in the degree box of a bipartite
+    component), with s on the component's vertices, component by
+    component, level by level in sorted order.  A component is cut at its
+    top degree once its levels or a closed form other than a
+    hypersurface's fix it, and then checked against its K-polynomial."""
+    entries = {(0, (0,) * len(g.vertices)): 1}
+    held = 0
+    for plan in _plans(g):
+        levels, sizes, held = plan.hilbert(max_degree, max_scan, held)
+        cut = plan.top if sizes is not None or plan.relation is None else None
+        rows, held = plan.rows(levels, max_degree, cut, max_scan, held)
+        reg_pd = None if plan.hvec is None else (len(plan.hvec) - 1, plan.codim)
+        local = _scan(plan.h, rows, plan.twins, field, DEFAULT_MAX_FIBER, reg_pd, on_complex)
+        if plan.hvec is not None and plan.top <= max_degree:
+            _check_k_polynomial(plan, local)
+        entries = _convolve(entries, local, [g.index[v] for v in plan.h.vertices], 2 * max_degree)
+    return entries
+
+
 def _scan(
     h: Graph,
     levels: list[list[tuple[int, ...]]],
     twins: _TwinGroup,
     field: FieldSpec,
     max_fiber: int,
-    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None,
     reg_pd: tuple[int, int] | None,
+    on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None = None,
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Betti entries of one graph at the semigroup elements whose canonical
     representatives `levels` holds.
@@ -598,9 +618,9 @@ def _scan(
     levels at a time; a `SimplicialComplex` is made on those masks only for
     the complexes that are not cones.  beta_{i,t} is the same for every t
     in an orbit (`_TwinGroup.orbit`), so a nonzero entry is written for the
-    whole orbit.  With `on_complex`, each level is expanded in sorted
-    order: every element t gets its representative's facets, relabelled by
-    the swaps that reach t.
+    whole orbit.  `on_complex`, which only `_audit` passes, gets each
+    level expanded in sorted order: every element t with its
+    representative's facets, relabelled by the swaps that reach t.
 
     `reg_pd` is (reg, pd) of a Cohen-Macaulay ring, known from its
     h-vector.  At a standard degree j >= 1 where max(1, j - reg) <= i <=
@@ -1044,7 +1064,6 @@ class _Plan:
         max_fiber: int,
         max_scan: int,
         held: int,
-        on_complex: Callable[[tuple[int, ...], SimplicialComplex], None] | None,
     ) -> tuple[dict[tuple[int, tuple[int, ...]], int], int]:
         """H's Betti entries up to `max_degree`, and `held` plus the
         multidegrees H holds, which `max_scan` caps together with the
@@ -1055,10 +1074,7 @@ class _Plan:
         - A hypersurface holds level 0, as a free component does, and its
           table is written from u (`hypersurface_table`): I_H is a
           principal prime (Matsumura, Thm 20.1), the lattice ideal of
-          ker A (Sturmfels, Lemma 4.1).  With `on_complex` it is scanned
-          like any other component, and cut at `max_degree` rather than
-          at |u+| unless its levels fix its h-vector, so that an audit
-          sees every complex a scan can build.
+          ker A (Sturmfels, Lemma 4.1).
         - Any other component lists its whole levels (`hilbert`), cuts
           them at its top degree and to its degree box when H is
           bipartite (Sturmfels, ch. 8; Herzog-Hibi, 3.3), grows them past
@@ -1073,11 +1089,10 @@ class _Plan:
           reaches has its top three degrees read off the canonical module
           (`canonical_entries`; Bruns-Herzog, 3.3; Danilov-Stanley;
           half-integral vertices; Stanley reciprocity), and its levels
-          stop three degrees short of the top, unless `on_complex` asks
-          for their complexes.  Omega's level k_min + 2 is whole when
-          reg >= 3; when reg = 2 it is level d, whose part inside the
-          degree box deg_H with every weight positive, where its
-          interior elements lie, is grown from level d - 1 (`_grow`,
+          stop three degrees short of the top.  Omega's level k_min + 2
+          is whole when reg >= 3; when reg = 2 it is level d, whose part
+          inside the degree box deg_H with every weight positive, where
+          its interior elements lie, is grown from level d - 1 (`_grow`,
           whose representatives count against `max_scan`), unless the
           scanned levels already reach it.  The scan's own levels are
           grown only where the whole levels stop short of its last
@@ -1087,21 +1102,14 @@ class _Plan:
         - A table that reaches the top degree fixed by an h-vector is
           checked against the K-polynomial and the Cohen-Macaulay window
           (`_check_k_polynomial`)."""
-        if self.relation is not None and on_complex is None:
+        if self.relation is not None:
             if held >= max_scan:
                 raise ScanOverflowError(max_scan, 0)
             return self.hypersurface_table(max_degree, field, max_fiber), held + 1
         levels, sizes, held = self.hilbert(max_degree, max_scan, held)
-        cut = self.top if sizes is not None or self.relation is None else None
-        stop = max_degree if cut is None else min(max_degree, cut)
-        canonical = sizes is not None and len(self.hvec) > 2 and cut <= max_degree and on_complex is None
-        if canonical:
-            stop = cut - 3
-        rows = levels[: stop + 1]
-        if self.box is not None:
-            rows = [_boxed(level, self.box) for level in rows]
-        if len(rows) <= stop:
-            held = _grow(self.h, rows, stop, max_scan, self.twins, held, self.box)
+        canonical = sizes is not None and len(self.hvec) > 2 and self.top <= max_degree
+        cut = self.top - 3 if canonical else self.top
+        rows, held = self.rows(levels, max_degree, cut, max_scan, held)
         tail = {}
         if canonical:
             if len(self.hvec) == 3:  # reg 2: omega's level k_min + 2 is level d
@@ -1112,11 +1120,26 @@ class _Plan:
                 levels = levels + (near[d:d + 1] or [[]])
             tail = self.canonical_entries(levels, sizes)
         reg_pd = None if self.hvec is None else (len(self.hvec) - 1, self.codim)
-        entries = _scan(self.h, rows, self.twins, field, max_fiber, on_complex, reg_pd)
+        entries = _scan(self.h, rows, self.twins, field, max_fiber, reg_pd)
         entries.update(tail)
         if self.hvec is not None and self.top <= max_degree:
             _check_k_polynomial(self, entries)
         return entries, held
+
+    def rows(
+        self, levels: list[list[tuple[int, ...]]], max_degree: int, cut: int | None,
+        max_scan: int, held: int,
+    ) -> tuple[list[list[tuple[int, ...]]], int]:
+        """The levels to scan, up to `max_degree` or `cut` if lower: the
+        whole `levels` cut there and to the degree box when H is bipartite,
+        then grown inside it (`_grow`); and `held` plus those grown."""
+        stop = max_degree if cut is None else min(max_degree, cut)
+        rows = levels[: stop + 1]
+        if self.box is not None:
+            rows = [_boxed(level, self.box) for level in rows]
+        if len(rows) <= stop:
+            held = _grow(self.h, rows, stop, max_scan, self.twins, held, self.box)
+        return rows, held
 
     def hilbert(
         self, max_degree: int, max_scan: int, held: int = 0

@@ -32,6 +32,7 @@ from toricgraph import (
     odd_cycle_condition,
     reduced_homology,
 )
+from toricgraph.betti import _audit
 from toricgraph.cli import main
 
 from oracles import (
@@ -57,6 +58,14 @@ def _collect(s, delta):
     AUDIT[(len(delta.ground), delta.facets)] = delta
 
 
+def _audited(g, max_degree=None):
+    """betti_table(g, max_degree), whose entries an audit scan, feeding
+    every complex it builds to the pool, must reproduce."""
+    table = betti_table(g, max_degree)
+    assert _audit(g, _collect, table.max_degree) == table.entries
+    return table
+
+
 def _report(num, label, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {label}")
 
@@ -77,7 +86,7 @@ def test_criterion_01_complete_bipartite_closed_forms(capsys, tmp_path):
         for u, v, want_reg, want_pd in cases:
             g = complete_bipartite_graph(u, v)
             scan_to = 6 if (u, v) == (3, 3) else None  # any bound <= 9 works
-            table = betti_table(g, scan_to, on_complex=_collect)
+            table = _audited(g, scan_to)
             inv = invariants(g, table)
             assert inv.regularity == want_reg, (u, v)
             assert inv.projective_dimension == want_pd, (u, v)
@@ -191,8 +200,8 @@ def test_criterion_05_betti_monotonicity_under_induced_subgraphs():
                 continue
             k = rng.randint(1, len(g.vertices))
             sub = induced_subgraph(g, rng.sample(g.vertices, k))
-            big = betti_table(g, bound, on_complex=_collect).standard_graded()
-            small = betti_table(sub, bound, on_complex=_collect).standard_graded()
+            big = _audited(g, bound).standard_graded()
+            small = _audited(sub, bound).standard_graded()
             # entries at standard degree <= bound are exact on both sides
             for (i, j), v in small.items():
                 assert v <= big.get((i, j), 0), (g, sub, i, j)
@@ -216,9 +225,9 @@ def test_criterion_06_disjoint_union_additivity():
         ]
         for a, b in unions:
             u = disjoint_union(a, b)
-            ta = betti_table(a, on_complex=_collect)
-            tb = betti_table(b, on_complex=_collect)
-            tu = betti_table(u, on_complex=_collect)
+            ta = _audited(a)
+            tb = _audited(b)
+            tu = _audited(u)
             # the engine scans each component and convolves; this scans the
             # union itself, as deep as the default bound, so the check below
             # is not the convolution compared with itself
@@ -243,7 +252,7 @@ def test_criterion_07_homology_engine_soundness():
     ok = False
     try:
         if not AUDIT:  # standalone run: regenerate a small pool
-            betti_table(complete_bipartite_graph(2, 3), on_complex=_collect)
+            _audited(complete_bipartite_graph(2, 3))
             g, emb = forbidden_structure(3, 3, 2, 2)
             s = certificate_degree(g, emb)
             _collect(s, build_delta(g, s))

@@ -53,10 +53,10 @@ from oracles import (
 from whole_scan import whole_graph_entries
 
 
-def _audit(s, delta):
-    """An `on_complex` that looks at nothing: with it the scan builds
-    every complex up to the top degree, none read off the canonical
-    module."""
+def _ignore(s, delta):
+    """An `on_complex` for `betti._audit` that looks at nothing: the audit
+    still builds every complex up to the top degree, none read off the
+    canonical module."""
 
 
 def test_triangle_table_is_trivial():
@@ -306,7 +306,7 @@ def test_depth_plus_pd_is_edge_count():
 def test_on_complex_sees_every_scanned_degree():
     g = cycle_graph(4)
     seen = []
-    betti_table(g, 2, on_complex=lambda s, delta: seen.append((s, delta)))
+    assert betti._audit(g, lambda s, delta: seen.append((s, delta)), 2) == betti_table(g, 2).entries
     levels = semigroup_levels(g, 2)
     assert [s for s, _ in seen] == [s for level in levels for s in level]
 
@@ -350,7 +350,7 @@ def test_kuenneth_with_the_unit_table_is_the_identity(make):
     g = make()
     n, bound = len(g.vertices), len(g.edges)
     (plan,) = betti._plans(g)
-    local, _ = plan.table(bound, RATIONALS, betti.DEFAULT_MAX_FIBER, betti.DEFAULT_MAX_SCAN, 0, None)
+    local, _ = plan.table(bound, RATIONALS, betti.DEFAULT_MAX_FIBER, betti.DEFAULT_MAX_SCAN, 0)
     product = betti._convolve({(0, (0,) * n): 1}, local, range(n), 2 * bound)
     assert list(product.items()) == list(local.items())
     assert betti_table(g, bound).entries == product
@@ -398,7 +398,8 @@ def test_scan_complexes_match_box_fibers(seed):
     g = _interleaved_union(rng, rng.randint(1, 3), max_edges=7, odd_cycles=True)
     bound = rng.randint(1, 4)
     seen = []
-    betti_table(g, bound, on_complex=lambda s, delta: seen.append((s, delta)))
+    entries = betti._audit(g, lambda s, delta: seen.append((s, delta)), bound)
+    assert entries == betti_table(g, bound).entries
     for s, delta in seen:
         # delta lives on one component: its own edges, its vertices in g's order
         ends = {v for edge in delta.ground for v in edge}
@@ -532,7 +533,7 @@ def test_orbit_scan_cap_counts_representatives():
                 semigroup_levels(g, bound, cap, twin_classes(g))
             assert exc.value.degree == degree
             with pytest.raises(ScanOverflowError) as exc:
-                betti_table(g, 6, max_scan=cap, on_complex=_audit)
+                betti._audit(g, _ignore, 6, max_scan=cap)
             assert (exc.value.limit, exc.value.degree) == (cap, degree)
             with pytest.raises(ScanOverflowError) as exc:
                 semigroup_levels(g, bound, cap)
@@ -581,7 +582,7 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     # homology: 31 are ranked, and 6 have one homological index left
     # (degree 2 and the top degree 8, reg 2 and pd 6) and are counted by
     # their chains; level 0's {empty set} needs neither.  That is the scan
-    # an audit sees.  Without one, the scan stops at degree 5 = top - 3
+    # the audit (betti._audit) sees.  betti_table stops at degree 5 = top - 3
     # (65 representatives held, the grower not called): degrees 6, 7 and
     # 8 are written from the canonical module.  Its least interior
     # elements are one orbit at level k_min = 4, (2,1,1 | 1,1,1,1); two
@@ -600,15 +601,20 @@ def test_k34_scans_one_multidegree_per_twin_orbit(monkeypatch):
     g = complete_bipartite_graph(3, 4)
     assert sum(map(len, semigroup_levels(g, 8))) == 16071
     assert sum(map(len, semigroup_levels(g, 8, classes=twin_classes(g)))) == 366
-    for audit, work in ((lambda s, delta: None, ([65, 122], 31, 6, 0)), (None, ([65, 71], 15, 1, 2))):
+    runs = []
+    for run, work in (
+        (lambda: betti._audit(g, _ignore, 8), ([65, 122], 31, 6, 0)),
+        (lambda: betti_table(g, 8), ([65, 71], 15, 1, 2)),
+    ):
         held = _count_results(monkeypatch, "_grow")
         homology = _count_calls(monkeypatch, "reduced_homology")
         euler = _count_calls(monkeypatch, "_reduced_euler")
         interior = _count_calls(monkeypatch, "in_semigroup")
-        table = betti_table(g, 8, on_complex=audit)
+        runs.append(run())
         monkeypatch.undo()
-        assert table.certified
         assert (held, len(homology), len(euler), len(interior)) == work
+    audited, table = runs
+    assert table.certified and audited == table.entries
 
 
 def _bowtie(prefix="v"):
@@ -655,9 +661,11 @@ def test_normal_component_stops_at_its_hilbert_top_degree(monkeypatch):
     assert [len(level) for level in semigroup_levels(_bowtie(), 4)] == [1, 6, 21, 55, 120]
     levels = _count_calls(monkeypatch, "semigroup_levels")
     seen = []
-    table = betti_table(g, 6, on_complex=lambda s, delta: seen.append(sum(s) // 2))
+    audited = betti._audit(g, lambda s, delta: seen.append(sum(s) // 2), 6)
     assert [args[1] for args in levels] == [4, 4]
     assert max(seen) == 3
+    table = betti_table(g, 6)
+    assert table.entries == audited
     assert table.certified and table.caveats == ()
     assert table.standard_graded() == {(0, 0): 1, (1, 3): 2, (2, 6): 1}
     assert invariants(g, table).cohen_macaulay == "yes"
@@ -685,14 +693,18 @@ def test_each_component_builds_its_twin_group_once(monkeypatch):
         (complete_bipartite_graph(3, 4), 8, None, 1, 0),
         (disjoint_union(_complete_graph(4), _bridged_bowtie()), 8, None, 2, 2),
         (bowties, 6, None, 0, 0),
-        (bowties, 6, _audit, 2, 2),
+        (bowties, 6, True, 2, 2),
     ):
         built.clear()
         levels.clear()
         normality.clear()
-        assert betti_table(g, bound, on_complex=audit).certified
+        if audit:
+            entries = betti._audit(g, _ignore, bound)
+        else:
+            assert betti_table(g, bound).certified
         assert len(built) == len(levels) == components
         assert len(normality) == tested
+    assert entries == betti_table(bowties, 6).entries
 
 
 def test_known_complete_degree_writes_no_canonical_entries(monkeypatch):
@@ -727,15 +739,15 @@ def test_top_degree_past_the_hilbert_levels_scans_on(monkeypatch):
         (_complete_graph(4), [3, 4], 4),
         (Graph(minus.vertices, minus.edges[1:]), [4, 5], 5),
     ):
-        for audit, grown_to in ((_audit, calls), (None, calls)):
+        for run in (lambda: betti._audit(g, _ignore, len(g.edges)), lambda: betti_table(g).entries):
             # semigroup_levels grows the levels to d - 1 through _grow
             grown = _count_calls(monkeypatch, "_grow")
-            table = betti_table(g, on_complex=audit)
+            entries = run()
             monkeypatch.undo()
-            assert [args[2] for args in grown] == grown_to
-            assert table.certified
-            assert table.entries == whole_graph_entries(g, len(g.edges))
-            assert max(sum(s) // 2 for _, s in table.entries) == top == known_complete_degree(g)
+            assert [args[2] for args in grown] == calls
+            assert entries == whole_graph_entries(g, len(g.edges))
+            assert max(sum(s) // 2 for _, s in entries) == top == known_complete_degree(g)
+        assert betti_table(g).certified
         # below d - 1 the Hilbert function is not known: no certificate
         assert not betti_table(g, calls[0] - 1).certified
 
@@ -765,8 +777,9 @@ def test_levels_past_d_minus_1_extend_the_first_scan(monkeypatch):
         sized = []
         monkeypatch.setattr(betti, "_grow", recorded)
         monkeypatch.setattr(betti._TwinGroup, "orbit_size", counted)
-        betti_table(g, on_complex=_audit)
+        audited = betti._audit(g, _ignore, len(g.edges))
         monkeypatch.undo()
+        assert audited == betti_table(g).entries
         (first, start), (second, given) = calls
         assert len(start) == 1 and len(given) == len(first) and len(second) == len(first) + 1
         assert held[0] == sum(map(len, first))
@@ -802,9 +815,10 @@ def test_scan_cap_between_d_minus_1_and_the_top_degree():
         before = (copies - 1) * sum(counts)
         for cap in (before + sum(counts[:4]), before + sum(counts) - 1):
             with pytest.raises(ScanOverflowError) as exc:
-                betti_table(g, max_scan=cap, on_complex=_audit)
+                betti._audit(g, _ignore, len(g.edges), max_scan=cap)
             assert (exc.value.limit, exc.value.degree) == (cap, 4)
-        assert betti_table(g, max_scan=before + sum(counts), on_complex=_audit).certified
+        audited = betti._audit(g, _ignore, len(g.edges), max_scan=before + sum(counts))
+        assert audited == betti_table(g).entries
         held = copies * (sum(counts[:4]) + len(box))
         assert betti_table(g, max_scan=held).certified
         for cap, degree in ((held - 1, 4), (held - len(box) - 1, 3)):
@@ -1061,7 +1075,8 @@ def test_facets_from_one_vertex_match_box_fibers(name, bound):
         "K34": complete_bipartite_graph(3, 4),
     }[name]
     seen = {}
-    betti_table(g, bound, on_complex=lambda s, delta: seen.setdefault(s, delta))
+    entries = betti._audit(g, lambda s, delta: seen.setdefault(s, delta), bound)
+    assert entries == betti_table(g, bound).entries
     if name == "K34":
         seen = {s: seen[s] for s in ((2, 2, 1, 2, 2, 1, 0), (2, 2, 2, 2, 2, 2, 0))}
     kinds = {1 in s for s in seen if any(s)}
@@ -1106,11 +1121,12 @@ def test_euler_counts_match_the_whole_scan(monkeypatch, name):
     top = known_complete_degree(g)
     whole = {field: whole_graph_entries(g, top, field) for field in (RATIONALS, FieldSpec(2), FieldSpec(3))}
     counted = []
-    for audit in (None, _audit):
+    for audit in (False, True):
         homology = _count_calls(monkeypatch, "reduced_homology")
         euler = _count_calls(monkeypatch, "_reduced_euler")
         for field, entries in whole.items():
-            assert betti_table(g, field=field, on_complex=audit).entries == entries, field
+            got = betti._audit(g, _ignore, len(g.edges), field) if audit else betti_table(g, field=field).entries
+            assert got == entries, field
         monkeypatch.undo()
         counted.append(len(euler))
         if name == "K24":
@@ -1141,18 +1157,18 @@ def test_hilbert_cross_checks_raise(monkeypatch):
         entries = scan(*args, **kwargs)
         return dict(list(entries.items())[:-1])
 
-    # K_4 has no closed form; C_6 has one, and is scanned only for audits
+    # K_4 has no closed form; C_6 has one, and is scanned only by the audit
     monkeypatch.setattr(betti, "_scan", drop_top_entry)
-    for g, audit in ((_complete_graph(4), None), (cycle_graph(6), lambda s, delta: None)):
+    for run in (lambda: betti_table(_complete_graph(4)), lambda: betti._audit(cycle_graph(6), _ignore, 6)):
         with pytest.raises(RuntimeError, match="h-vector"):
-            betti_table(g, on_complex=audit)
+            run()
     monkeypatch.undo()
 
     # a scanned hypersurface's h-vector cross-checks |u+|
     relation = betti._relation
     monkeypatch.setattr(betti, "_relation", lambda h: tuple(2 * x for x in relation(h)))
     with pytest.raises(RuntimeError, match="a component has pd [+] deg h = 3, not the closed-form top degree 6"):
-        betti_table(cycle_graph(6), on_complex=lambda s, delta: None)
+        betti._audit(cycle_graph(6), _ignore, 6)
     monkeypatch.undo()
 
     monkeypatch.setattr(betti, "complete_bipartite_reg_pd", lambda u, v: (u, (u - 1) * (v - 1)))
@@ -1295,7 +1311,7 @@ def test_canonical_route_matches_the_audited_and_whole_scans(monkeypatch):
         for field in (RATIONALS, FieldSpec(2)):
             table = betti_table(g, field=field)
             assert table.certified, g
-            assert table.entries == betti_table(g, field=field, on_complex=_audit).entries, (g, field)
+            assert table.entries == betti._audit(g, _ignore, len(g.edges), field), (g, field)
             if len(g.edges) <= 9:
                 assert table.entries == whole_graph_entries(g, top, field), (g, field)
         for comp in connected_components(g):
@@ -1502,8 +1518,8 @@ def test_hypersurface_tables_are_closed_forms(monkeypatch, name):
     # primitive relation u, so a component's table is beta_{0,0} and
     # beta_{1,Au+}, and its top degree |u+|.  No level is listed, no odd
     # cycle searched and no twin group built; each component ranks one
-    # complex, the one at Au+ that certifies the relation.  With on_complex
-    # the component is scanned instead, to the same table
+    # complex, the one at Au+ that certifies the relation.  The audit
+    # (betti._audit) scans the component instead, to the same entries
     g = HYPERSURFACES[name]
     top = known_complete_degree(g)
     components = len(connected_components(g))
@@ -1517,7 +1533,7 @@ def test_hypersurface_tables_are_closed_forms(monkeypatch, name):
     for field, table in zip((RATIONALS, FieldSpec(2), FieldSpec(3)), tables):
         assert table.certified and table.caveats == ()
         assert table.entries == whole_graph_entries(g, top, field), field
-        assert table == betti_table(g, field=field, on_complex=lambda s, delta: None)
+        assert table.entries == betti._audit(g, _ignore, len(g.edges), field)
     inv = invariants(g, tables[0])
     assert (inv.projective_dimension, inv.regularity) == (components, top - components)
     assert inv.cohen_macaulay == "yes"
@@ -1536,3 +1552,57 @@ def test_wrong_relation_degree_is_an_internal_error(monkeypatch, wrong):
     monkeypatch.setattr(betti, "_relation", mutated)
     with pytest.raises(RuntimeError, match="internal error: the degree complex of the relation"):
         betti_table(cycle_graph(6))
+
+
+# a component of each route: the closed forms of HYPERSURFACES, and K_4 and
+# C_6 with a chord, normal with reg 2, whose top three degrees come from
+# the canonical module once the bound reaches their top degree 4
+ROUTED = [*HYPERSURFACES.values(), _complete_graph(4), _chorded_cycle(6)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32))
+def test_every_route_matches_the_audit_scan(seed):
+    # betti_table answers each component by its one route; betti._audit
+    # scans every component that the route would answer otherwise
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        g = _interleaved_union(rng, rng.randint(1, 3), max_edges=7, odd_cycles=True)
+    else:
+        g = rng.choice(ROUTED)
+    bound = rng.randint(1, 6)
+    for field in (RATIONALS, FieldSpec(2)):
+        table = betti_table(g, bound, field=field)
+        assert betti._audit(g, _ignore, bound, field) == table.entries, (g, bound, field)
+
+
+def _restricted(entries, g, w):
+    """The entries whose multidegree vanishes off the vertex set `w`, on
+    the coordinates of w in g's vertex order."""
+    on = [p for p, v in enumerate(g.vertices) if v in w]
+    off = [p for p, v in enumerate(g.vertices) if v not in w]
+    return {(i, tuple(s[p] for p in on)): b for (i, s), b in entries.items() if not any(s[p] for p in off)}
+
+
+def test_induced_subgraphs_restrict_the_table():
+    # beta_{i,s}(k[G]) = beta_{i,s}(k[G_W]) whenever supp s lies in W
+    # (Ohsugi-Herzog-Hibi, Osaka J. Math. 37, 2000): a decomposition of
+    # such s uses only edges of G_W, so the degree complexes agree.  Both
+    # tables are exact to the same bound, certified or not
+    graphs = [complete_bipartite_graph(3, 4), _cube(), _complete_graph(5), complete_bipartite_graph(3, 3)]
+    pairs = [(g, None, set(g.vertices) - set(drop)) for g in graphs
+             for drop in ([g.vertices[0]], [g.vertices[-1]], [g.vertices[0], g.vertices[-1]])]
+    rng = random.Random(37)
+    for _ in range(30):
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        pairs.append((g, rng.randint(1, 4), set(rng.sample(g.vertices, rng.randint(1, len(g.vertices))))))
+    compared = Counter()
+    for g, bound, w in pairs:
+        sub = induced_subgraph(g, w)
+        entries = betti_table(sub, bound).entries
+        assert _restricted(betti_table(g, bound).entries, g, w) == entries, (g, w)
+        compared[g.vertices] += sum(1 for i, _ in entries if i)
+    # not vacuous: K_{3,4} minus a vertex of its larger side is K_{3,3},
+    # with 32 entries past beta_{0,0}
+    assert compared[complete_bipartite_graph(3, 4).vertices] >= 32
+    assert sum(compared.values()) > 100
