@@ -82,34 +82,40 @@ depend on it.  There the scan counts chains instead of ranking boundaries
 An entry of a finished table outside that window is an internal error
 (`_check_k_polynomial`).
 
-The canonical module.  With reg >= 2 the top three degrees of a normal
-ring are not scanned but read off its canonical module omega
-(`_Plan.canonical_entries`); only the audit scans their complexes.
-k[H] is Cohen-Macaulay, so the dual of its resolution resolves
-omega: beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega), with deg_H = A 1
+The canonical module.  With reg >= 2 the top three degrees of a normal ring
+are not scanned but read off its canonical module omega
+(`_Plan.canonical_entries`); only the audit scans their complexes.  k[H] is
+Cohen-Macaulay, so the dual of its resolution resolves omega:
+beta_{i,s}(k[H]) = beta_{pd-i, deg_H - s}(omega), with deg_H = A 1
 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3).  By Danilov-Stanley (ibid.
 6.3.5) omega is spanned by the interior semigroup elements Omega, whose
 least degree is k_min = d - reg, and beta_{j,t}(omega) is H~_{j-1} of
 K^t = {F : t - a_F in Omega}.  The degrees pd + reg, pd + reg - 1 and
-pd + reg - 2 of k[H] are omega's k_min, k_min + 1 and k_min + 2, and a
-face F of K^t there has t - a_F on level k_min or above, so K^t is
-{empty set}, a set of points and a graph (`_canonical_graph`), whose
-homology its components and cycles give over every field.  t = A lambda
-is interior iff every edge e has lambda_e > 0 at some point of the
-polytope {lambda >= 0 : A lambda = t}, and then at one of its vertices;
-those are half-integral, as a basic solution of the incidence matrix of a
-graph is (fractional b-matchings).  So t is interior iff 2t - a_e is in
-the semigroup for every edge e (`_interior`).  Only t <= deg_H gives an
-entry, since deg_H - t must lie in NA, and an interior t has every weight
-positive (every vertex lies on an edge with lambda_e > 0), so a level
-k_min + 2 past the whole levels (level d, when reg = 2) is grown only
-inside the degree box and only where every weight is positive, for
-non-bipartite components too.  Stanley reciprocity, H(omega; t) =
-t^d h(1/t) / (1 - t)^d, puts h_reg interior elements at level k_min,
-h_{reg-1} + d h_reg at k_min + 1 and h_{reg-2} + d h_{reg-1} +
-C(d + 1, 2) h_reg at k_min + 2, which cross-checks each of them that is
-listed whole; where level k_min + 2 is whole, every interior element
-outside the box must have an acyclic K^t.
+pd + reg - 2 of k[H] are omega's k_min + j, j = 0, 1, 2, and one rule
+reads all three: a face F of K^t there has t - a_F on level k_min or
+above, so it holds at most j edges, and K^t is a graph
+(`_canonical_graph`) whose vertices are the edges e with t - a_e in Omega
+one level down and whose edges are the pairs {e, f} with t - a_e - a_f in
+Omega two levels down.  Both are empty at j = 0, where K^t is {empty set}
+at an interior t; its homology, read off its components and cycles, is
+the same over every field.  t = A lambda is interior iff every edge e has
+lambda_e > 0 at some point of the polytope {lambda >= 0 : A lambda = t},
+and then at one of its vertices; those are half-integral, as a basic
+solution of the incidence matrix of a graph is (fractional b-matchings).
+So t is interior iff 2t - a_e is in the semigroup for every edge e
+(`_interior`).  A twin swap is an automorphism, so it maps the semigroup
+onto itself: 2t - a_e lies in it iff its canonical form does, and each
+canonical form is tested once.  Only t <= deg_H gives an entry, since
+deg_H - t must lie in NA, and an interior t has every weight positive
+(every vertex lies on an edge with lambda_e > 0), so a level k_min + 2
+past the whole levels (level d, when reg = 2) is grown only inside the
+degree box and only where every weight is positive, for non-bipartite
+components too.  Stanley reciprocity,
+H(omega; t) = t^d h(1/t) / (1 - t)^d, puts the sum over m <= j of
+C(d - 1 + m, m) h_{reg-j+m} interior elements at level k_min + j (h_reg,
+h_{reg-1} + d h_reg and h_{reg-2} + d h_{reg-1} + C(d + 1, 2) h_reg), which
+cross-checks each level listed whole; there every interior element outside
+the box must have an acyclic K^t.
 
 Hypersurfaces.  A component with |E| = d + 1 is a hypersurface, and it is
 not scanned.  Its toric ideal I_H is a prime of height |E| - d = 1 in the
@@ -167,7 +173,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb
 from operator import itemgetter, le
 
 from .complexes import SimplicialComplex, build_delta, maximal_masks
@@ -314,7 +321,10 @@ class _TwinGroup:
     keeps the result canonical and is a twin transposition.  So r + a_e and
     r - a_e are canonical after at most two transpositions, the second
     endpoint relabelled by the first, with no sorting.  `orbit` walks r's
-    orbit, with the transpositions that reach each element when asked.
+    orbit; it and `down` list the transpositions, as pairs of edge bits for
+    `_relabel`, only when asked.  `up`, `down`, `orbit` and `orbit_size`
+    are the whole interface: the class links (`before`, `after`, read by
+    `_slide`) and the swap pairs are read nowhere else.
     """
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
@@ -351,23 +361,25 @@ class _TwinGroup:
         t[q] += 1
         return tuple(t)
 
-    def down(
-        self, r: tuple[int, ...], iu: int, iv: int
-    ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    def down(self, r: tuple[int, ...], iu: int, iv: int, moves: bool = False) -> tuple:
         """The canonical form c of r - a_e, e = {iu, iv}, for canonical r
-        with r[iu], r[iv] >= 1, and the swaps that carry c's edge masks to
-        r - a_e's, in the order to apply them."""
+        with r[iu], r[iv] >= 1.  With `moves`, for the facets pulled from
+        the level below (`_pulled`), it comes as (c, swaps): the swaps that
+        carry c's edge masks to r - a_e's, in the order to apply them; they
+        are built only then."""
         c = list(r)
         p = _slide(c, iu, self.after)
         c[p] -= 1
         w = iu if iv == p else iv  # (iu p) relabels iv
         q = _slide(c, w, self.after)
         c[q] -= 1
+        if not moves:
+            return tuple(c)
         # r - a_e = (iu p)(w q) c: relabel by (w q) first
-        moves = [self.swaps[w, q]] if q != w else []
+        swaps = [self.swaps[w, q]] if q != w else []
         if p != iu:
-            moves.append(self.swaps[iu, p])
-        return tuple(c), moves
+            swaps.append(self.swaps[iu, p])
+        return tuple(c), swaps
 
     def orbit_size(self, r: tuple[int, ...]) -> int:
         """The product over the classes of the multinomial coefficient of
@@ -752,7 +764,7 @@ def _pulled(
     for e, w in edges:
         if s[w]:
             bit = 1 << e
-            c, moves = twins.down(s, x, w)
+            c, moves = twins.down(s, x, w, True)
             for mask in below.get(c, ()):
                 for swaps in moves:
                     mask = _relabel(mask, swaps)
@@ -760,29 +772,18 @@ def _pulled(
 
 
 def _interior(h: Graph, t: tuple[int, ...], twins: _TwinGroup) -> bool:
-    """Whether t, a canonical element of the edge semigroup of h, lies in
-    the relative interior of its cone: t = A lambda for some lambda > 0.
+    """Whether t, a canonical element of the edge semigroup of h with every
+    weight positive, lies in the relative interior of its cone: t =
+    A lambda for some lambda > 0.
 
     That holds iff 2t - a_e is in the semigroup (`in_semigroup`) for every
     edge e, by the half-integral vertices of the module docstring.  A twin
-    swap that fixes t carries the test of e to that of its image, so one
-    edge is tested per set of ends taken up to runs of equal weight in a
-    twin class."""
-    two = [2 * x for x in t]
-    tested = set()
-    for iu, iv in h.edge_indices:
-        ends = tuple(sorted((_slide(t, iu, twins.before), _slide(t, iv, twins.before))))
-        if ends in tested:
-            continue
-        tested.add(ends)
-        two[iu] -= 1
-        two[iv] -= 1
-        inside = in_semigroup(h, two)
-        two[iu] += 1
-        two[iv] += 1
-        if not inside:
-            return False
-    return True
+    swap is an automorphism of h, so it maps the semigroup onto itself:
+    2t - a_e is in it iff its canonical form (`_TwinGroup.down`) is, and
+    each canonical form is tested once, in edge order."""
+    two = tuple(2 * x for x in t)
+    forms = dict.fromkeys(twins.down(two, iu, iv) for iu, iv in h.edge_indices)
+    return all(in_semigroup(h, c) for c in forms)
 
 
 def _canonical_graph(
@@ -794,20 +795,22 @@ def _canonical_graph(
 ) -> list[int]:
     """The reduced homology [H~_{-1}, H~_0, H~_1] of the canonical module's
     degree complex K^t = {F : t - a_F in Omega} at a canonical t >= 1 on
-    level k_min + 2, or [] where t is not interior and K^t is void.
+    level k_min + j, j <= 2, or [] where t is not interior and K^t is void.
 
-    Omega starts at level k_min, so a face holds at most two edges: K^t is
-    a graph.  Its vertices are the edges e with t - a_e in Omega_{k_min+1},
-    whose representatives `inner` holds, and its edges the pairs {e, f},
-    e != f, with a_e + a_f = t - w for w among `omega`, the elements of
-    Omega_{k_min}: the four ends of t - w, repeats included, pair off in
-    three ways.  Omega + NA lies in Omega, so K^t is a simplicial complex,
-    and an edge of it outside its vertices is an internal error.  With c
-    components, H~_0 = c - 1 and H~_1 = |E| - |V| + c; with no vertex,
-    K^t is {empty set} when t is interior (`_interior`), and void
-    otherwise."""
+    Omega starts at level k_min, so a face holds at most j edges: K^t is a
+    graph.  Its vertices are the edges e with t - a_e in Omega one level
+    down, whose representatives `inner` holds, and its edges the pairs
+    {e, f}, e != f, with a_e + a_f = t - w for w among `omega`, the
+    elements of Omega two levels down: the four ends of t - w, repeats
+    included, pair off in three ways.  At level k_min both are empty, and
+    at k_min + 1 `omega` is.  Omega + NA lies in Omega, so K^t is a
+    simplicial complex, and an edge of it outside its vertices is an
+    internal error.  With c components, H~_0 = c - 1 and H~_1 = |E| - |V|
+    + c; with no vertex, K^t is {empty set} when t is interior
+    (`_interior`), and void otherwise."""
     lookup = h._edge_lookup
-    vertices = {e for e, (iu, iv) in enumerate(h.edge_indices) if twins.down(t, iu, iv)[0] in inner}
+    steps = h.edge_indices if inner else ()  # level k_min has no level below to step down to
+    vertices = {e for e, (iu, iv) in enumerate(steps) if twins.down(t, iu, iv) in inner}
     edges = set()
     for w in omega:
         rest = [x - y for x, y in zip(t, w)]
@@ -1194,68 +1197,55 @@ class _Plan:
         `levels`, by the duality with the canonical module omega stated in
         the module docstring.
 
-        The interior elements Omega start at level k_min = d - reg, so
-        each t in Omega there gives beta_{pd, deg_H - t} = 1.  At level
-        k_min + 1, with p the number of edges e with t - a_e in
-        Omega_{k_min}, p >= 2 gives beta_{pd-1, deg_H - t} = p - 1, and
-        p = 0 with t interior gives beta_{pd, deg_H - t} = 1.  At level
-        k_min + 2, K^t is a graph (`_canonical_graph`), and its reduced
-        homology H~_{j-1} gives beta_{pd-j, deg_H - t}, over every field.
+        The interior elements Omega start at level k_min = d - reg.  One
+        rule reads the levels k_min + j, j = 0, 1, 2: K^t is a graph
+        (`_canonical_graph`) on the edges e with t - a_e in Omega one level
+        down, joined where t - a_e - a_f is in Omega two levels down, and
+        its reduced homology H~_{i-1} gives beta_{pd-i, deg_H - t}, over
+        every field; it is {empty set} at every interior t of level k_min.
         Every interior t has t >= 1 (`_interior` tests it).  Only t <=
         deg_H gives an entry, since deg_H - t must lie in NA, so where
         level k_min + 2 is not whole its part in the box with every
         weight positive is enough.
 
         Cross-checks, each an internal error when it fails: the interior
-        elements counted against Stanley reciprocity on the levels listed
-        whole (all three when reg >= 3); every entry at a multidegree
-        >= 0; and, on a whole level k_min + 2, an acyclic K^t at every
-        interior element outside the box.  The counts and the orbits are
-        twin-invariant, so each is taken once per representative."""
+        elements counted on each level listed whole (all three when reg >=
+        3) against Stanley reciprocity, sum over m <= j of
+        C(d - 1 + m, m) h_{reg-j+m}; an acyclic K^t at every interior
+        element outside the box on such a level; and every entry at a
+        multidegree >= 0.  The counts and the orbits are twin-invariant, so
+        each is taken once per representative."""
         h, d, twins, hvec = self.h, self.d, self.twins, self.hvec
         reg, pd, deg = len(hvec) - 1, self.codim, self.degrees
         k = d - reg
-        least = {r for r in levels[k] if min(r) and _interior(h, r, twins)}
-        found = [(pd, r, 1) for r in least]
-        counts = [sum(n for r, n in zip(levels[k], sizes[k]) if r in least), 0]
-        inner = set()  # the representatives of Omega at level k_min + 1
-        for r, n in zip(levels[k + 1], sizes[k + 1]):
-            if not min(r):
-                continue
-            p = sum(twins.down(r, iu, iv)[0] in least for iu, iv in h.edge_indices)
-            if p > 1:
-                found.append((pd - 1, r, p - 1))
-            elif not p:
-                if not _interior(h, r, twins):
+        found, counts, expected = [], [], []
+        interior = [set(), set()]  # the representatives of Omega, level by level
+        for j in range(3):
+            whole = k + j < len(sizes)
+            omega = [t for r in interior[-2] for t in twins.orbit(r)]
+            here, count = set(), 0
+            for r, n in zip(levels[k + j], sizes[k + j] if whole else repeat(0)):
+                if not min(r):
                     continue
-                found.append((pd, r, 1))
-            inner.add(r)
-            counts[1] += n
-        expected = [hvec[reg], hvec[reg - 1] + d * hvec[reg]]
-        whole = k + 2 < len(sizes)
-        if whole:
-            counts.append(0)
-            expected.append(hvec[reg] * d * (d + 1) // 2 + hvec[reg - 1] * d + hvec[reg - 2])
-        omega = [t for r in least for t in twins.orbit(r)]
-        upper = levels[k + 2]
-        for r, n in zip(upper, sizes[k + 2] if whole else [0] * len(upper)):
-            if not min(r):
-                continue
-            inside = all(map(le, r, deg))
-            if not (inside or whole):
-                continue
-            ranks = _canonical_graph(h, r, inner, omega, twins)
-            if not ranks:
-                continue  # r is not interior
-            if whole:
-                counts[2] += n
-            if inside:
-                found += [(pd - j, r, beta) for j, beta in enumerate(ranks) if beta]
-            elif any(ranks):
-                raise RuntimeError(
-                    f"internal error: the interior element {r} outside the degree box {deg} "
-                    f"has a degree complex with reduced homology {ranks}"
-                )
+                inside = all(map(le, r, deg))
+                if not (inside or whole):
+                    continue
+                ranks = _canonical_graph(h, r, interior[-1], omega, twins)
+                if not ranks:
+                    continue  # r is not interior
+                here.add(r)
+                count += n
+                if inside:
+                    found += [(pd - i, r, beta) for i, beta in enumerate(ranks) if beta]
+                elif any(ranks):
+                    raise RuntimeError(
+                        f"internal error: the interior element {r} outside the degree box {deg} "
+                        f"has a degree complex with reduced homology {ranks}"
+                    )
+            interior.append(here)
+            if whole:  # [t^(k + j)] of t^d h(1/t) / (1 - t)^d
+                counts.append(count)
+                expected.append(sum(comb(d - 1 + m, m) * hvec[reg - j + m] for m in range(j + 1)))
         if counts != expected:
             raise RuntimeError(
                 f"internal error: a component has {counts} interior elements at degrees "
@@ -1315,7 +1305,8 @@ def known_complete_degree(g: Graph) -> int | None:
     A free, hypersurface or complete bipartite component's top degree is a
     closed form.  Any other normal component's is read off its Hilbert
     function up to degree d - 1 (`_Plan.hilbert`), so this lists those
-    levels, under the default `max_scan` (ScanOverflowError past it), and
+    levels, under the default `max_scan`, which caps the representatives
+    listed in all components together (ScanOverflowError past it), and
     checks that the h-vector they give is nonnegative and, for a bipartite
     component, within the matching bound.  No table is written, so neither
     the part of level d in the degree box nor the canonical-module entries of the top
@@ -1323,10 +1314,10 @@ def known_complete_degree(g: Graph) -> int | None:
     `betti_table` makes, are made here.  Every class is Cohen-Macaulay, so
     the top degree adds up across a disjoint union.
     """
-    tops = []
+    tops, held = [], 0
     for plan in _plans(g):
         if plan.top is None and plan.normal:
-            plan.hilbert(plan.d - 1, DEFAULT_MAX_SCAN)
+            _, _, held = plan.hilbert(plan.d - 1, DEFAULT_MAX_SCAN, held)
         tops.append(plan.top)
     return None if None in tops else sum(tops)
 

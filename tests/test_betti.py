@@ -250,6 +250,21 @@ def test_known_complete_degree():
     assert known_complete_degree(odd) == 0
 
 
+def test_known_complete_degree_caps_all_components_together(monkeypatch):
+    # C_6 with the chord {v1, v4} lists 259 representatives up to d - 1 = 4,
+    # so two copies hold 518 under one cap, as betti_table counts them
+    def chorded(prefix):
+        c = cycle_graph(6, prefix)
+        return Graph(c.vertices, c.edges + ((c.vertices[0], c.vertices[3]),))
+
+    g = disjoint_union(chorded("a"), chorded("b"))
+    monkeypatch.setattr(betti, "DEFAULT_MAX_SCAN", 517)
+    with pytest.raises(ScanOverflowError, match="more than 517"):
+        known_complete_degree(g)
+    monkeypatch.setattr(betti, "DEFAULT_MAX_SCAN", 518)
+    assert known_complete_degree(g) == 8
+
+
 def test_known_complete_degree_matches_the_certified_table(data_dir):
     # known_complete_degree and betti_table read one plan per component:
     # the degree is None exactly when the table to the edge count is not
@@ -1045,10 +1060,12 @@ def test_facet_pulls_are_pinned(monkeypatch):
     # canonical counts at levels k_min + 1 and k_min + 2, one per edge of
     # each orbit there with every weight positive (inside the box when
     # that level is not whole): 2 x 12 and 6 x 12 on K_{3,4}, 1 x 16 and
-    # 4 x 16 on K_{4,4}
+    # 4 x 16 on K_{4,4}; and the interior tests' (`_interior`), one per
+    # edge of the one orbit tested at level k_min, which they step down
+    # from twice its weights: 12 on K_{3,4} and 16 on K_{4,4}
     for g, bound, work in (
-        (complete_bipartite_graph(3, 4), 8, (175, 186)),
-        (complete_bipartite_graph(4, 4), None, (6459, 875)),
+        (complete_bipartite_graph(3, 4), 8, (175, 198)),
+        (complete_bipartite_graph(4, 4), None, (6459, 891)),
     ):
         relabels = _count_calls(monkeypatch, "_relabel")
         downs = _count_calls(monkeypatch, "down", betti._TwinGroup)
@@ -1380,6 +1397,12 @@ def test_canonical_cross_checks_raise(monkeypatch):
     plan.hvec = hvec
     plan.degrees = (4, 4, 1, 3, 3, 3, 3)  # below the weight 2 that a3 takes in an orbit
     with pytest.raises(RuntimeError, match="outside the degree box"):
+        plan.canonical_entries(levels, sizes)
+    # a box constant on twin classes that cuts off (2,2,1 | 2,1,1,1) on
+    # level 5, where K^t is p = 2 points: read by the rule of every level,
+    # it raises with the homology of the complex it cuts off
+    plan.degrees = (4, 4, 4, 1, 1, 1, 1)
+    with pytest.raises(RuntimeError, match=r"outside the degree box .* reduced homology \[0, 1, 0\]"):
         plan.canonical_entries(levels, sizes)
 
     # K^t at level k_min + 2 is a graph on the edges e with t - a_e in
